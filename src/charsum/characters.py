@@ -153,13 +153,23 @@ def winterhof_counts(field: FieldTable, part: CosetPartition,
     return tuple(int(c) for c in counts)
 
 
-def winterhof_sweep(field: FieldTable, part: CosetPartition,
-                    block: int = 256) -> np.ndarray:
+def sweep_block(field: FieldTable) -> int:
+    """Rows per block of the all-shifts sweeps.
+
+    At most 256 rows, and at most about 2^20 digit cells (8 MB of int64
+    temporaries in ``add_outer``) per block, so memory stays flat as q
+    grows.  Smaller blocks cost more: each one allocates fresh temporaries.
+    """
+    return min(256, max(1, 2 ** 20 // (field.q * field.m)))
+
+
+def winterhof_sweep(field: FieldTable, part: CosetPartition) -> np.ndarray:
     """sigma vectors for every nonzero shift at once, shape (q, n); row 0 unused."""
     q, n = field.q, part.n
     lab = part.labels
     out = np.zeros((q, n), dtype=np.int64)
     lab16 = lab.astype(np.int16)
+    block = sweep_block(field)
     for lo in range(1, q, block):
         xs = np.arange(lo, min(lo + block, q), dtype=np.int64)
         shifted = field.add_outer(xs, field._arange)      # rows: x_j + x

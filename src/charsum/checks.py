@@ -1,0 +1,201 @@
+"""Per-field identity checks shared by the CLI verbs and the verify sweeps.
+
+A family takes a built field and its coset partition and returns a list
+of ``Check`` records.  A verb renders the list as the ``checks`` of its
+report; a sweep worker adds up ``count`` into its assertion total and
+turns each failed check into a failure line naming the field.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .characters import char_sum_moment, winterhof_counts, winterhof_sweep
+from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
+                         jacobi_char2_closed_form, jacobi_cubic,
+                         jacobi_from_gauss)
+from .eisenstein import EisensteinInt
+from .groupring import (characteristic_fn, cubic_sigma, gr_mul, phi,
+                        quadratic_sigma)
+from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
+                       rep_count_table, rep_count_zero, rep_count_zero_brute)
+
+GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
+JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    expected: object
+    actual: object
+    passed: bool
+    count: int = 1          # exact assertions this record stands for
+
+    def to_json(self) -> dict:
+        def plain(v):
+            return v.to_json() if isinstance(v, EisensteinInt) else v
+        return {"name": self.name, "expected": plain(self.expected),
+                "actual": plain(self.actual), "pass": self.passed}
+
+
+def equal(name: str, expected, actual, count: int = 1) -> Check:
+    return Check(name, expected, actual, bool(expected == actual), count)
+
+
+def holds(name: str, ok, detail: str = "", count: int = 1) -> Check:
+    """A yes/no check; ``detail`` replaces the plain pass/fail as its actual."""
+    return Check(name, "pass", detail or ("pass" if ok else "fail"), bool(ok), count)
+
+
+def violation(exc: Exception) -> Check:
+    """An exception that cut a field's checks short, as one failed check."""
+    return Check(type(exc).__name__, "no error", str(exc), False)
+
+
+def _mismatches(bad: np.ndarray, where) -> str:
+    """Empty when ``bad`` is empty, else how many and where the first one is."""
+    return f"{len(bad)} mismatches, first at {where(bad[0])}" if len(bad) else ""
+
+
+# ---------------------------------------------------------------------------
+# representation counts
+
+def rep_table(field, part) -> list[Check]:
+    """Closed form == pair histogram for every beta != 0 and every (i, j)."""
+    n, q = part.n, field.q
+    brute = rep_count_table(field, part)
+    closed = closed_rep_class_table(field, part)[part.labels[1:]]
+    bad = np.argwhere(closed != brute[:, :, 1:].transpose(2, 0, 1))
+    found = [holds("closed_equals_brute_all_beta", not len(bad),
+                   _mismatches(bad, lambda b: f"beta={b[0] + 1} i={b[1]} j={b[2]}"),
+                   count=n * n * (q - 1))]
+    # the table is the vectorized twin of the loop oracle; tie them together
+    rng = np.random.default_rng(q)
+    for _ in range(2):
+        beta = int(rng.integers(1, q))
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        found.append(equal(f"loop_oracle_at_beta_{beta}_i{i}_j{j}",
+                           brute_rep_count(field, part, beta, i, j),
+                           int(brute[i, j, beta])))
+    found.append(holds("table_symmetric_in_i_j",
+                       np.array_equal(brute, brute.transpose(1, 0, 2))))
+    found.append(holds("counts_sum_to_q_minus_2",
+                       np.all(brute[:, :, 1:].sum(axis=(0, 1)) == q - 2)))
+    return found
+
+
+def zero_sum(field, part) -> list[Check]:
+    """Zero-sum counts: closed (q-1)/n rule == enumeration, all (i, j)."""
+    return [equal(f"zero_sum_count_i{i}_j{j}",
+                  rep_count_zero_brute(field, part, i, j),
+                  rep_count_zero(field, part, i, j))
+            for i in range(part.n) for j in range(part.n)]
+
+
+def perron(field, part) -> list[Check]:
+    """Prime-field counts against the floor((p+1)/4) pattern, plus brute force."""
+    table = perron_table(field.p)
+    floor = (field.p + 1) // 4
+    qr, nr = int(part.cosets[0][0]), int(part.cosets[1][0])
+    cases = (("qr_as_two_qr", floor - 1, qr, 0),
+             ("qr_as_two_nonres", floor, qr, 1),
+             ("nonres_as_two_nonres", floor - 1, nr, 1),
+             ("nonres_as_two_qr", floor, nr, 0))
+    return ([equal(key, want, table[key]) for key, want, _, _ in cases]
+            + [equal(f"{key}_matches_brute",
+                     brute_rep_count(field, part, beta, ij, ij), table[key])
+               for key, _, beta, ij in cases])
+
+
+# ---------------------------------------------------------------------------
+# character sums
+
+def sigma_chain(field, part) -> list[Check]:
+    """First moment 0, shifted correlation -1, sigma chain, all exhaustive."""
+    n, q = part.n, field.q
+    found = [equal("coset_0_dlog_mod_n", 0, field.dlog(int(part.cosets[0][0])) % n),
+             equal("first_moment", 0, char_sum_moment(field, part))]
+    rows = winterhof_sweep(field, part)[1:]
+    expected = np.full(n, (q - 1) // n, dtype=np.int64)
+    expected[0] -= 1
+    bad = np.flatnonzero(np.any(rows != expected, axis=1))
+    found.append(holds(
+        "sigma_chain_all_shifts", not len(bad),
+        _mismatches(bad, lambda b: f"sigma({b + 1}) = {rows[b].tolist()}"),
+        count=q - 1))
+    # the sigma chain implies every shifted correlation equals -1; the two
+    # spot calls below also cover the vectorized sweep itself
+    for g in np.random.default_rng(q + 1).integers(1, q, 2).tolist():
+        found.append(equal(f"winterhof_counts_at_{g}",
+                           tuple(int(c) for c in rows[g - 1]),
+                           winterhof_counts(field, part, g)))
+        found.append(equal(f"shifted_moment_at_{g}", -1,
+                           char_sum_moment(field, part, g)))
+    return found
+
+
+def jacobi(field, part) -> list[Check]:
+    """Exact Jacobi identities plus numeric Gauss-sum cross-checks (cubic)."""
+    q = field.q
+    jac = jacobi_cubic(field, part)           # raises unless norm == q
+    found = [equal("norm_equals_q", q, jac.norm()),
+             holds("j_plus_conj_rational", (jac + jac.conj()).is_rational())]
+    if field.p == 2:
+        closed = jacobi_char2_closed_form(field.m)
+        found.append(equal("char2_closed_form", closed, jac))
+        found.append(equal("exact_gauss_equals_closed_form", closed,
+                           gauss_sum(field, 3, mode="exact",
+                                     conjugate=part.conjugate)))
+    delta = abs(jacobi_from_gauss(field, conjugate=part.conjugate) - jac.to_complex())
+    found.append(holds("matches_gauss_quotient", delta < JACOBI_NUM_TOL,
+                       f"|delta| = {delta:.3e}"))
+    g2 = abs(gauss_sum(field, 3, mode="numeric", conjugate=part.conjugate)) ** 2
+    found.append(holds("gauss_abs_square_equals_q", abs(g2 - q) <= GAUSS_ABS_REL_TOL * q,
+                       f"|G|^2 = {g2:.12g}"))
+    a_arr, b_arr = a_beta_sweep(field, part)
+    pred = [chi_bar_times(part, int(part.cosets[c][0]), jac) for c in range(3)]
+    lab = part.labels[1:]
+    bad = np.flatnonzero((a_arr[1:] != np.array([z.a for z in pred])[lab])
+                         | (b_arr[1:] != np.array([z.b for z in pred])[lab]))
+    found.append(holds(
+        "a_beta_identity_all_beta", not len(bad),
+        _mismatches(bad, lambda b: f"A({b + 1}) = ({a_arr[b + 1]}, {b_arr[b + 1]}w)"),
+        count=q - 1))
+    for beta in np.random.default_rng(q + 2).integers(1, q, 2).tolist():
+        found.append(equal(f"a_beta_at_{beta}", chi_bar_times(part, beta, jac),
+                           a_beta(field, part, beta)))
+    return found
+
+
+# ---------------------------------------------------------------------------
+# characteristic-function equations
+
+def charpoly(field, part) -> list[Check]:
+    """The coset characteristic functions are the roots of their equation
+    X^n - sigma1 X^(n-1) + ... = 0, with closed-form coefficients."""
+    fs = [characteristic_fn(field, part, j) for j in range(part.n)]
+    ph = phi(field)
+    found = [holds("partition_identity", sum(fs[1:], fs[0]) + 1 == ph)]
+    if part.n == 2:
+        found.append(holds("phi_squared_equals_q_phi",
+                           gr_mul(ph, ph) == field.q * ph))
+        sigmas = quadratic_sigma(field, part)
+        products = {"sigma1_matches_sum": fs[0] + fs[1],
+                    "sigma2_matches_product": gr_mul(fs[0], fs[1])}
+    else:
+        sigmas = cubic_sigma(field, part, jacobi_cubic(field, part))
+        products = {"sigma1_matches_sum": fs[0] + fs[1] + fs[2],
+                    "sigma2_matches_pair_sum": (gr_mul(fs[0], fs[1])
+                                                + gr_mul(fs[1], fs[2])
+                                                + gr_mul(fs[2], fs[0])),
+                    "sigma3_matches_product": gr_mul(gr_mul(fs[0], fs[1]), fs[2])}
+    found += [holds(name, s == prod) for (name, prod), s in zip(products.items(), sigmas)]
+    for j, f in enumerate(fs):
+        residual = f - sigmas[0]                # Horner: ((f - s1) f + s2) f - s3
+        for k, s in enumerate(sigmas[1:], 2):
+            residual = gr_mul(residual, f) + (-1) ** k * s
+        found.append(holds(f"residual_zero_at_f{j}", residual.is_zero()))
+    return found

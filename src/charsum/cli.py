@@ -20,19 +20,15 @@ import time
 
 import numpy as np
 
-from . import registry
+from . import checks, registry
 from .characters import partition
-from .cyclotomic import (a_beta, chi_bar_times, gauss_sum,
-                         jacobi_char2_closed_form, jacobi_cubic,
-                         jacobi_from_gauss)
-from .eisenstein import EisensteinInt
+from .checks import GAUSS_ABS_REL_TOL, equal, holds
+from .cyclotomic import gauss_sum, jacobi_cubic, jacobi_from_gauss
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import (DEFAULT_SIZE_CAP, FieldTable, build_field,
                     parse_field_spec, prime_factors)
-from .groupring import (CONV_CAP, characteristic_fn, cubic_sigma, gr_mul, phi,
-                        quadratic_sigma)
-from .repcount import (closed_rep_class_table, perron_table, rep_count,
-                       rep_count_table)
+from .groupring import CONV_CAP, cubic_sigma, quadratic_sigma
+from .repcount import closed_rep_class_table, perron_table, rep_count
 from .shiftcount import closed_form_max3, max_shift_count, shift_count, verify_duality
 from . import verify as verify_mod
 
@@ -101,6 +97,11 @@ def _get_field(args) -> FieldTable:
     return build_field(p, m, modulus=modulus, size_cap=_size_cap())
 
 
+def _field_part(args, n):
+    fld = _get_field(args)
+    return fld, partition(fld, n, conjugate=args.conjugate)
+
+
 def _field_meta(field: FieldTable) -> dict:
     return {
         "p": field.p,
@@ -110,20 +111,6 @@ def _field_meta(field: FieldTable) -> dict:
         "alpha": field.alpha,
         "alpha_poly": field.poly_str(field.alpha),
     }
-
-
-def _check(name, expected, actual) -> dict:
-    if isinstance(expected, EisensteinInt):
-        expected = expected.to_json()
-    if isinstance(actual, EisensteinInt):
-        actual = actual.to_json()
-    return {"name": name, "expected": expected, "actual": actual,
-            "pass": expected == actual}
-
-
-def _check_bool(name, ok, detail="") -> dict:
-    return {"name": name, "expected": "pass", "actual": detail or ("pass" if ok else "fail"),
-            "pass": bool(ok)}
 
 
 def _complex_json(z: complex) -> dict:
@@ -143,7 +130,7 @@ def _sigma_json(sig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verb runners: each returns (results_dict, checks_list, field_or_None)
+# verb runners: each returns (results_dict, list[Check], field_or_None)
 
 def _run_field_info(args):
     fld = _get_field(args)
@@ -151,10 +138,10 @@ def _run_field_info(args):
         fld.pow_(fld.alpha, fld.q - 1) == 1
         and all(fld.pow_(fld.alpha, (fld.q - 1) // ell) != 1
                 for ell in prime_factors(fld.q - 1)))
-    checks = [
-        _check_bool("alpha_order_q_minus_1", order_ok),
-        _check("dlog_bijection", fld.q - 1,
-               len(set(int(h) for h in fld.dlog_table if h >= 0))),
+    found = [
+        holds("alpha_order_q_minus_1", order_ok),
+        equal("dlog_bijection", fld.q - 1,
+              len(set(int(h) for h in fld.dlog_table if h >= 0))),
     ]
     rng = np.random.default_rng(0)
     frob_ok = True
@@ -164,36 +151,31 @@ def _run_field_info(args):
         rhs = fld.add(fld.pow_(x, fld.p) if x else 0,
                       fld.pow_(y, fld.p) if y else 0)
         frob_ok = frob_ok and lhs == rhs
-    checks.append(_check_bool("frobenius_additive", frob_ok))
-    results = {"element_count": fld.q}
-    return results, checks, fld
+    found.append(holds("frobenius_additive", frob_ok))
+    return {"element_count": fld.q}, found, fld
 
 
 def _run_partition(args):
-    fld = _get_field(args)
-    part = partition(fld, args.n, conjugate=args.conjugate)
+    fld, part = _field_part(args, args.n)
     size = (fld.q - 1) // args.n
-    checks = [_check(f"coset_{j}_size", size, int(len(part.cosets[j])))
-              for j in range(args.n)]
+    found = [equal(f"coset_{j}_size", size, int(len(part.cosets[j])))
+             for j in range(args.n)]
     # coset_j must be alpha^j * coset_0 elementwise
     base = part.cosets[0]
     for j in range(1, args.n):
         scale = fld.pow_(fld.alpha, j if not part.conjugate else -j)
         mapped = np.sort(fld.mul_vec(scale, base))
-        checks.append(_check_bool(
-            f"coset_{j}_is_alpha^{j}_coset_0",
-            bool(np.array_equal(mapped, part.cosets[j]))))
+        found.append(holds(f"coset_{j}_is_alpha^{j}_coset_0",
+                           np.array_equal(mapped, part.cosets[j])))
     results = {"n": args.n, "conjugate": args.conjugate,
                "cosets": [[int(x) for x in part.cosets[j]]
                           for j in range(args.n)] if fld.q <= 512 else
                {"sizes": [int(len(c)) for c in part.cosets]}}
-    return results, checks, fld
+    return results, found, fld
 
 
 def _run_repcount(args):
-    fld = _get_field(args)
-    part = partition(fld, args.n, conjugate=args.conjugate)
-    checks = []
+    fld, part = _field_part(args, args.n)
     if args.beta is not None:
         if not 0 <= args.beta < fld.q:
             raise _UsageError(f"--beta must lie in [0, {fld.q})")
@@ -201,70 +183,45 @@ def _run_repcount(args):
             raise _UsageError("coset indices must lie in [0, n)")
         closed = rep_count(fld, part, args.beta, args.i, args.j, "closed-form")
         brute = rep_count(fld, part, args.beta, args.i, args.j, "brute-force")
-        checks.append(_check("closed_equals_brute", brute.count, closed.count))
         results = {"query": closed.to_json(), "brute_force": brute.count}
-        return results, checks, fld
+        return results, [equal("closed_equals_brute", brute.count, closed.count)], fld
     if fld.q > CONV_CAP:
         raise _UsageError(
             f"full tables above q = {CONV_CAP} are slow; pass --beta")
-    table = rep_count_table(fld, part)
     closed = closed_rep_class_table(fld, part)
-    lab = part.labels
-    ok = all(bool(np.all(closed[lab[1:], i, j] == table[i, j, 1:]))
-             for i in range(args.n) for j in range(args.n))
-    checks.append(_check_bool("closed_equals_brute_all_beta", ok))
-    classes = [{"beta_label": c, "i": i, "j": j, "count": int(closed[c, i, j])}
-               for c in range(args.n) for i in range(args.n)
-               for j in range(args.n)]
-    results = {"classes": classes}
+    results = {"classes": [
+        {"beta_label": c, "i": i, "j": j, "count": int(closed[c, i, j])}
+        for c in range(args.n) for i in range(args.n) for j in range(args.n)]}
+    found = checks.rep_table(fld, part) + checks.zero_sum(fld, part)
     if args.n == 2 and fld.m == 1:
         results.update(perron_table(fld.p))
-        floor = (fld.p + 1) // 4
-        checks.append(_check("qr_as_two_qr", floor - 1,
-                             results["qr_as_two_qr"]))
-        checks.append(_check("qr_as_two_nonres", floor,
-                             results["qr_as_two_nonres"]))
-    return results, checks, fld
+        found += checks.perron(fld, part)
+    return results, found, fld
 
 
 def _run_jacobi(args):
-    fld = _get_field(args)
-    part = partition(fld, 3, conjugate=args.conjugate)
+    fld, part = _field_part(args, 3)
     jac = jacobi_cubic(fld, part)
-    checks = [_check("norm_equals_q", fld.q, jac.norm())]
-    if fld.p == 2:
-        checks.append(_check("char2_closed_form",
-                             jacobi_char2_closed_form(fld.m), jac))
-    jg = jacobi_from_gauss(fld, conjugate=args.conjugate)
-    checks.append(_check_bool(
-        "matches_gauss_quotient",
-        abs(jg - jac.to_complex()) < 1e-6,
-        f"|delta| = {abs(jg - jac.to_complex()):.3e}"))
-    if fld.q <= CONV_CAP:
-        ok = all(a_beta(fld, part, b) == chi_bar_times(part, b, jac)
-                 for b in range(1, fld.q))
-        checks.append(_check_bool("a_beta_identity_all_beta", ok))
     results = {"jacobi": jac.to_json(),
                "jacobi_plus_conj": (jac + jac.conj()).a,
-               "gauss_quotient_numeric": _complex_json(jg)}
-    return results, checks, fld
+               "gauss_quotient_numeric": _complex_json(
+                   jacobi_from_gauss(fld, conjugate=args.conjugate))}
+    return results, checks.jacobi(fld, part), fld
 
 
 def _run_gauss(args):
     fld = _get_field(args)
     g_num = gauss_sum(fld, args.n, mode="numeric", conjugate=args.conjugate)
-    checks = [_check_bool(
-        "abs_square_equals_q",
-        abs(abs(g_num) ** 2 - fld.q) <= 1e-9 * fld.q,
-        f"|G|^2 = {abs(g_num) ** 2:.12g}")]
+    found = [holds("abs_square_equals_q",
+                   abs(abs(g_num) ** 2 - fld.q) <= GAUSS_ABS_REL_TOL * fld.q,
+                   f"|G|^2 = {abs(g_num) ** 2:.12g}")]
     results = {"n": args.n, "numeric": _complex_json(g_num)}
     if fld.p == 2:
         g_exact = gauss_sum(fld, args.n, mode="exact", conjugate=args.conjugate)
         results["exact"] = g_exact.to_json()
-        checks.append(_check_bool(
-            "exact_matches_numeric",
-            abs(g_exact.to_complex() - g_num) < 1e-6))
-    return results, checks, fld
+        found.append(holds("exact_matches_numeric",
+                           abs(g_exact.to_complex() - g_num) < 1e-6))
+    return results, found, fld
 
 
 def _run_charpoly(args):
@@ -272,42 +229,17 @@ def _run_charpoly(args):
     if fld.q > CONV_CAP:
         raise _UsageError(f"charpoly needs q <= {CONV_CAP}")
     part = partition(fld, args.n, conjugate=args.conjugate)
-    ph = phi(fld)
-    fs = [characteristic_fn(fld, part, j) for j in range(args.n)]
-    checks = [_check_bool("partition_identity",
-                          sum(fs[1:], fs[0]) + 1 == ph)]
-    if args.n == 2:
-        s1, s2 = quadratic_sigma(fld, part)
-        checks.append(_check_bool("sigma1_matches_sum", s1 == fs[0] + fs[1]))
-        checks.append(_check_bool("sigma2_matches_product",
-                                  s2 == gr_mul(fs[0], fs[1])))
-        for j, root in enumerate(fs):
-            res = gr_mul(root, root) - gr_mul(s1, root) + s2
-            checks.append(_check_bool(f"residual_zero_at_f{j}", res.is_zero()))
-        sigmas = {"sigma1": _sigma_json(s1), "sigma2": _sigma_json(s2)}
-    else:
-        jac = jacobi_cubic(fld, part)
-        s1, s2, s3 = cubic_sigma(fld, part, jac)
-        checks.append(_check_bool("sigma1_matches_sum",
-                                  s1 == fs[0] + fs[1] + fs[2]))
-        conv2 = (gr_mul(fs[0], fs[1]) + gr_mul(fs[1], fs[2])
-                 + gr_mul(fs[2], fs[0]))
-        checks.append(_check_bool("sigma2_matches_pair_sum", s2 == conv2))
-        checks.append(_check_bool(
-            "sigma3_matches_product",
-            s3 == gr_mul(gr_mul(fs[0], fs[1]), fs[2])))
-        for j, root in enumerate(fs):
-            r2 = gr_mul(root, root)
-            res = gr_mul(r2, root) - gr_mul(s1, r2) + gr_mul(s2, root) - s3
-            checks.append(_check_bool(f"residual_zero_at_f{j}", res.is_zero()))
-        sigmas = {"sigma1": _sigma_json(s1), "sigma2": _sigma_json(s2),
-                  "sigma3": _sigma_json(s3), "jacobi": jac.to_json()}
-    return {"n": args.n, **sigmas}, checks, fld
+    jac = jacobi_cubic(fld, part) if args.n == 3 else None
+    sigmas = quadratic_sigma(fld, part) if jac is None else cubic_sigma(fld, part, jac)
+    results = {"n": args.n,
+               **{f"sigma{k}": _sigma_json(s) for k, s in enumerate(sigmas, 1)}}
+    if jac is not None:
+        results["jacobi"] = jac.to_json()
+    return results, checks.charpoly(fld, part), fld
 
 
 def _run_shift(args):
-    fld = _get_field(args)
-    part = partition(fld, args.n, conjugate=args.conjugate)
+    fld, part = _field_part(args, args.n)
     coset_size = (fld.q - 1) // args.n
     if args.t < 1:
         raise _UsageError("--t must be positive")
@@ -316,49 +248,49 @@ def _run_shift(args):
     if math.comb(coset_size, args.t) * fld.q > 2e10:
         raise _UsageError("subset search too large; reduce --t or the field")
     max_n, witness = max_shift_count(fld, part, args.t)
-    checks = [_check("witness_reproduces_max", max_n,
-                     shift_count(fld, part, witness))]
+    found = [equal("witness_reproduces_max", max_n,
+                   shift_count(fld, part, witness))]
     results = {"n": args.n, "t": args.t, "max_N": max_n,
                "witness": [int(e) for e in witness]}
     if args.t == 3:
         try:
             closed = closed_form_max3(fld, args.n)
             results["closed_form_1_plus_max"] = closed
-            checks.append(_check("closed_form_matches", closed, 1 + max_n))
+            found.append(equal("closed_form_matches", closed, 1 + max_n))
         except ValueError:
             results["closed_form_1_plus_max"] = None
-    return results, checks, fld
+    return results, found, fld
 
 
 def _run_duality(args):
-    fld = _get_field(args)
-    part = partition(fld, args.n, conjugate=args.conjugate)
+    fld, part = _field_part(args, args.n)
     report = verify_duality(fld, args.n, part)
-    checks = [_check_bool("duality_holds", report.holds,
-                          f"max_R = {report.max_rep}, "
-                          f"1 + max_N3 = {1 + report.max_shift3}")]
+    found = [holds("duality_holds", report.holds,
+                   f"max_R = {report.max_rep}, "
+                   f"1 + max_N3 = {1 + report.max_shift3}")]
     if report.closed_form is not None:
-        checks.append(_check("closed_form_matches", report.closed_form,
-                             1 + report.max_shift3))
-    return report.to_json(), checks, fld
+        found.append(equal("closed_form_matches", report.closed_form,
+                           1 + report.max_shift3))
+    return report.to_json(), found, fld
 
 
 def _run_verify(args):
+    cap = _size_cap()
+    if not 3 <= args.q_max <= cap:
+        raise _UsageError(f"--q-max must lie in [3, {cap}]")
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     registry.reset()
     verify_mod.cached_field.cache_clear()
     registry.mark("run")
     registry.mark("verify_suite")
     sweeps = verify_mod.run_scope(args.scope, args.q_max, threads)
-    checks = []
-    for sw in sweeps:
-        checks.append(_check(f"{sw.name}_failures", 0, len(sw.failures)))
+    found = [equal(f"{sw.name}_failures", 0, len(sw.failures)) for sw in sweeps]
     if args.scope == "all":
         missing = sorted(registry.missing())
-        checks.append(_check("op_coverage",
-                             f"{len(registry.ALL_OPS)} ops invoked",
-                             f"{len(registry.ALL_OPS) - len(missing)} ops invoked"
-                             + (f", missing: {missing}" if missing else "")))
+        found.append(equal("op_coverage",
+                           f"{len(registry.ALL_OPS)} ops invoked",
+                           f"{len(registry.ALL_OPS) - len(missing)} ops invoked"
+                           + (f", missing: {missing}" if missing else "")))
     results = {
         "scope": args.scope,
         "q_max": args.q_max,
@@ -366,7 +298,7 @@ def _run_verify(args):
         "assertions": sum(sw.assertions for sw in sweeps),
         "sweeps": [sw.to_json() for sw in sweeps],
     }
-    return results, checks, None
+    return results, found, None
 
 
 _RUNNERS = {
@@ -382,7 +314,7 @@ _RUNNERS = {
 }
 
 
-def _emit_csv(args, results, checks) -> str:
+def _emit_csv(args, results, rendered) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.verb == "repcount" and "classes" in results:
@@ -395,8 +327,7 @@ def _emit_csv(args, results, checks) -> str:
                 writer.writerow([key, "", "", results[key]])
     else:
         writer.writerow(["name", "expected", "actual", "pass"])
-        for c in checks:
-            writer.writerow([c["name"], c["expected"], c["actual"], c["pass"]])
+        writer.writerows(c.values() for c in rendered)
     return buf.getvalue()
 
 
@@ -413,47 +344,30 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     registry.mark("run")
     try:
-        results, checks, fld = _RUNNERS[args.verb](args)
-    except _UsageError as exc:
+        results, found, fld = _RUNNERS[args.verb](args)
+    except (UnsupportedCharacterError, IdentityViolation) as exc:
+        results, found, fld = {}, [checks.violation(exc)], None
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, UnsupportedCharacterError, IdentityViolation) as exc:
-        kind = type(exc).__name__
-        if isinstance(exc, (UnsupportedCharacterError, IdentityViolation)):
-            report = {
-                "command": {"verb": args.verb, **_command_echo(args)},
-                "field": None,
-                "results": {},
-                "checks": [{"name": kind, "expected": "no error",
-                            "actual": str(exc), "pass": False}],
-            }
-            print(json.dumps(report, indent=2))
-            _print_elapsed(start)
-            return 2
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    report = {
-        "command": {"verb": args.verb, **_command_echo(args)},
-        "field": _field_meta(fld) if fld is not None else None,
-        "results": results,
-        "checks": checks,
-    }
-    if getattr(args, "csv", False):
-        sys.stdout.write(_emit_csv(args, results, checks))
+    rendered = [c.to_json() for c in found]
+    if getattr(args, "csv", False) and results:     # error reports stay JSON
+        sys.stdout.write(_emit_csv(args, results, rendered))
     else:
-        print(json.dumps(report, indent=2))
-    _print_elapsed(start)
-    return 0 if all(c["pass"] for c in checks) else 2
+        print(json.dumps({
+            "command": {"verb": args.verb, **_command_echo(args)},
+            "field": _field_meta(fld) if fld is not None else None,
+            "results": results,
+            "checks": rendered,
+        }, indent=2))
+    print(f"elapsed_ms={int((time.perf_counter() - start) * 1000)}",
+          file=sys.stderr)
+    return 0 if all(c.passed for c in found) else 2
 
 
 def _command_echo(args) -> dict:
     skip = {"verb"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _print_elapsed(start: float) -> None:
-    print(f"elapsed_ms={int((time.perf_counter() - start) * 1000)}",
-          file=sys.stderr)
 
 
 if __name__ == "__main__":

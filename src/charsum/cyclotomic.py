@@ -17,7 +17,7 @@ import cmath
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, partition
+from .characters import CosetPartition, partition, sweep_block
 from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
 from .errors import IdentityViolation
 from .field import FieldTable
@@ -60,14 +60,15 @@ def a_beta(field: FieldTable, part: CosetPartition, beta: int) -> EisensteinInt:
     return _omega_fold(lx[valid] + ly[valid])
 
 
-def a_beta_sweep(field: FieldTable, part: CosetPartition,
-                 block: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def a_beta_sweep(field: FieldTable,
+                 part: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) coordinates of A(beta) for every beta, vectorized; row 0 unused."""
     q = field.q
     lab16 = part.labels.astype(np.int16)
     neg_all = field.neg_vec(field._arange)
     a_out = np.zeros(q, dtype=np.int64)
     b_out = np.zeros(q, dtype=np.int64)
+    block = sweep_block(field)
     for lo in range(1, q, block):
         betas = np.arange(lo, min(lo + block, q), dtype=np.int64)
         diffs = field.add_outer(betas, neg_all)     # rows: beta - x

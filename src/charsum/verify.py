@@ -1,7 +1,7 @@
 """Exhaustive verification sweeps over ranges of prime powers.
 
-Each sweep iterates every valid field in its scope, runs the exact
-checks for one family of identities, and aggregates failures.  The per
+Each sweep iterates every valid field in its scope, runs one family of
+checks from ``charsum.checks`` on it, and aggregates failures.  The per
 field workers are top-level functions taking one tuple argument so the
 CLI can fan them out over a process pool; results merge by input order,
 which keeps reports byte-identical regardless of worker count.
@@ -12,23 +12,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from . import registry
-from .characters import (char_sum_moment, character_exists, partition,
-                         winterhof_counts, winterhof_sweep)
-from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
-                         jacobi_char2_closed_form, jacobi_cubic,
-                         jacobi_from_gauss)
+from . import checks, registry
+from .characters import character_exists, partition
+from .checks import Check, equal, holds, violation
+from .errors import IdentityViolation
 from .field import build_field, prime_powers
-from .groupring import characteristic_fn, gr_mul, phi, quadratic_sigma, cubic_sigma
-from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
-                       rep_count_table, rep_count_zero, rep_count_zero_brute)
 from .shiftcount import closed_form_max3, max_shift_count, shift_count, verify_duality
-
-GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
-JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
-NUMERIC_Q_MAX = 1024        # numeric Gauss cross-checks run up to here
 
 
 @functools.lru_cache(maxsize=24)
@@ -65,269 +54,69 @@ def cubic_fields(q_max: int, q_min: int = 4) -> list[tuple[int, int]]:
             if character_exists(p, m, 3)]
 
 
-def _outcome(p, m, n=None):
-    tag = f"F_{p}" if m == 1 else f"F_{p}^{m}"
-    if n is not None:
-        tag += f" n={n}"
-    return {"tag": tag, "assertions": 0, "failures": [], "notes": []}
+def _both_orders(n2_fields, n3_fields) -> list[tuple[int, int, int]]:
+    """(p, m, n) for both character orders, ordered by q, then n."""
+    items = [(p, m, 2) for p, m in n2_fields] + [(p, m, 3) for p, m in n3_fields]
+    return sorted(items, key=lambda t: (t[0] ** t[1], t[2]))
 
 
-def _need(out, condition: bool, message: str) -> None:
-    out["assertions"] += 1
-    if not condition:
-        out["failures"].append(f"{out['tag']}: {message}")
+def _tag(p, m, n) -> str:
+    return (f"F_{p}" if m == 1 else f"F_{p}^{m}") + f" n={n}"
 
 
 # ---------------------------------------------------------------------------
-# representation-count sweeps
+# per-field workers
 
-def _rep_table_worker(args):
-    """Closed form == brute force for every beta != 0 and every (i, j)."""
-    p, m, n = args
+def _tally(p, m, n, found: list[Check], notes=()) -> dict:
+    """One field's checks as assertions, failure lines and notes."""
+    tag = _tag(p, m, n)
+    return {"assertions": sum(c.count for c in found),
+            "failures": [f"{tag}: {c.name}: expected {c.expected}, got {c.actual}"
+                         for c in found if not c.passed],
+            "notes": [f"{tag}: {note}" for note in notes],
+            "ops": registry.called()}
+
+
+def _family_worker(args):
+    """One family's checks on one field.  An IdentityViolation becomes a
+    failed check of this field, so the rest of the sweep is still reported."""
+    family, p, m, n = args
     fld = cached_field(p, m)
-    part = partition(fld, n)
-    out = _outcome(p, m, n)
-    q = fld.q
-    brute = rep_count_table(fld, part)
-    closed = closed_rep_class_table(fld, part)
-    lab = part.labels
-    for i in range(n):
-        for j in range(n):
-            expected = closed[lab[1:], i, j]
-            actual = brute[i, j, 1:]
-            bad = np.flatnonzero(expected != actual)
-            out["assertions"] += q - 1
-            for b in bad[:3]:
-                out["failures"].append(
-                    f"{out['tag']}: beta={b + 1} i={i} j={j}: "
-                    f"closed {expected[b]} != brute {actual[b]}")
-            if len(bad) > 3:
-                out["failures"].append(
-                    f"{out['tag']}: ... {len(bad)} mismatches at (i={i}, j={j})")
-    # the table is the vectorized twin of the loop oracle; tie them together
-    rng = np.random.default_rng(q)
-    for _ in range(2):
-        beta = int(rng.integers(1, q))
-        i, j = int(rng.integers(n)), int(rng.integers(n))
-        _need(out, brute_rep_count(fld, part, beta, i, j) == brute[i, j, beta],
-              f"loop oracle disagrees with pair histogram at beta={beta}")
-    _need(out, bool(np.all(brute == brute.transpose(1, 0, 2))),
-          "count table is not symmetric in (i, j)")
-    _need(out, bool(np.all(brute[:, :, 1:].sum(axis=(0, 1)) == q - 2)),
-          "counts for fixed beta != 0 do not sum to q - 2")
-    out["ops"] = registry.called()
-    return out
+    try:
+        found = family(fld, partition(fld, n))
+    except IdentityViolation as exc:
+        found = [violation(exc)]
+    return _tally(p, m, n, found)
 
 
-def _zero_sum_worker(args):
-    """Zero-sum counts: closed (q-1)/n rule == enumeration, all (i, j)."""
-    p, m, n = args
-    fld = cached_field(p, m)
-    part = partition(fld, n)
-    out = _outcome(p, m, n)
-    for i in range(n):
-        for j in range(n):
-            got = rep_count_zero(fld, part, i, j)
-            ref = rep_count_zero_brute(fld, part, i, j)
-            _need(out, got == ref,
-                  f"zero-sum count (i={i}, j={j}): closed {got} != brute {ref}")
-    if m > 1:
-        lit = (p - 1) // n
-        impl = (fld.q - 1) // n
-        out["notes"].append(
-            f"{out['tag']}: nonzero cells are (q-1)/{n} = {impl}, "
-            f"not the prime-field-literal (p-1)/{n} = {lit}")
-    out["ops"] = registry.called()
-    return out
+def _duality_checks(fld, part) -> tuple[list[Check], list[str]]:
+    """Exhaustive max N(3) against its witness, its closed form and the
+    duality, plus notes on what could not be checked."""
+    if len(part.cosets[0]) < 3:
+        return [], ["coset smaller than 3, skipped"]
+    max_n3, witness = max_shift_count(fld, part, 3)
+    found = [equal("witness_reproduces_max", max_n3, shift_count(fld, part, witness))]
+    notes = []
+    try:
+        found.append(equal("closed_form_matches", closed_form_max3(fld, part.n),
+                           1 + max_n3))
+    except ValueError:
+        notes.append(f"no closed form stated for this case (exhaustive max N = {max_n3})")
+    report = verify_duality(fld, part.n, part)
+    found.append(equal("duality_recomputes_max_N3", max_n3, report.max_shift3))
+    found.append(holds("duality_holds", report.holds,
+                       f"max_R = {report.max_rep}, 1 + max_N3 = {1 + report.max_shift3}"))
+    return found, notes
 
-
-def _perron_worker(p):
-    """Prime-field counts against the floor((p+1)/4) pattern, plus brute force."""
-    fld = cached_field(p, 1)
-    part = partition(fld, 2)
-    out = _outcome(p, 1, 2)
-    table = perron_table(p)
-    floor = (p + 1) // 4
-    _need(out, table["qr_as_two_qr"] == floor - 1,
-          f"qr_as_two_qr {table['qr_as_two_qr']} != {floor - 1}")
-    _need(out, table["qr_as_two_nonres"] == floor,
-          f"qr_as_two_nonres {table['qr_as_two_nonres']} != {floor}")
-    _need(out, table["nonres_as_two_nonres"] == floor - 1,
-          f"nonres_as_two_nonres {table['nonres_as_two_nonres']} != {floor - 1}")
-    _need(out, table["nonres_as_two_qr"] == floor,
-          f"nonres_as_two_qr {table['nonres_as_two_qr']} != {floor}")
-    qr, nr = int(part.cosets[0][0]), int(part.cosets[1][0])
-    for key, (b, ij) in {"qr_as_two_qr": (qr, 0), "qr_as_two_nonres": (qr, 1),
-                         "nonres_as_two_qr": (nr, 0),
-                         "nonres_as_two_nonres": (nr, 1)}.items():
-        _need(out, table[key] == brute_rep_count(fld, part, b, ij, ij),
-              f"{key} disagrees with brute force")
-    out["ops"] = registry.called()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# character-sum sweeps
-
-def _sums_worker(args):
-    """First moment 0, shifted correlation -1, sigma chain, all exhaustive."""
-    p, m, n = args
-    fld = cached_field(p, m)
-    part = partition(fld, n)
-    out = _outcome(p, m, n)
-    q = fld.q
-    rep0 = int(part.cosets[0][0])
-    _need(out, fld.dlog(rep0) % n == 0,
-          f"dlog({rep0}) mod {n} != 0 on a coset-0 element")
-    zero_val = char_sum_moment(fld, part)
-    _need(out, zero_val == 0 if n == 2 else zero_val.a == zero_val.b == 0,
-          f"first moment {zero_val} != 0")
-    rows = winterhof_sweep(fld, part)[1:]
-    size = (q - 1) // n
-    expected = np.full(n, size, dtype=np.int64)
-    expected[0] -= 1
-    bad = np.flatnonzero(np.any(rows != expected, axis=1))
-    out["assertions"] += q - 1
-    for b in bad[:3]:
-        out["failures"].append(
-            f"{out['tag']}: sigma({b + 1}) = {rows[b].tolist()}, "
-            f"expected {expected.tolist()}")
-    # the sigma chain implies every shifted correlation equals -1; the two
-    # op spot calls below also cover the vectorized sweep itself
-    rng = np.random.default_rng(q + 1)
-    for _ in range(2):
-        g = int(rng.integers(1, q))
-        _need(out, tuple(rows[g - 1]) == winterhof_counts(fld, part, g),
-              f"winterhof_counts disagrees with sweep at x_j={g}")
-        shifted = char_sum_moment(fld, part, g)
-        want_ok = (shifted == -1 if n == 2
-                   else shifted.a == -1 and shifted.b == 0)
-        _need(out, want_ok, f"shifted moment at gamma={g} is {shifted}, not -1")
-    out["ops"] = registry.called()
-    return out
-
-
-def _jacobi_worker(args):
-    """Exact Jacobi identities plus numeric Gauss-sum cross-checks (cubic)."""
-    p, m = args
-    fld = cached_field(p, m)
-    part = partition(fld, 3)
-    out = _outcome(p, m, 3)
-    q = fld.q
-    jac = jacobi_cubic(fld, part)           # raises unless norm == q
-    _need(out, jac.norm() == q, f"norm(J) = {jac.norm()} != {q}")
-    _need(out, (jac + jac.conj()).is_rational(), "J + conj(J) not rational")
-    if p == 2:
-        closed = jacobi_char2_closed_form(m)
-        _need(out, jac == closed, f"J = {jac} != closed form {closed}")
-        g_exact = gauss_sum(fld, 3, mode="exact")
-        _need(out, g_exact == closed,
-              f"exact Gauss sum {g_exact} != closed form {closed}")
-    a_arr, b_arr = a_beta_sweep(fld, part)
-    pred = [chi_bar_times(part, int(part.cosets[c][0]), jac) for c in range(3)]
-    lab = part.labels
-    ok = np.ones(q - 1, dtype=bool)
-    for c in range(3):
-        sel = lab[1:] == c
-        ok[sel] = (a_arr[1:][sel] == pred[c].a) & (b_arr[1:][sel] == pred[c].b)
-    out["assertions"] += q - 1
-    for b in np.flatnonzero(~ok)[:3]:
-        out["failures"].append(
-            f"{out['tag']}: A({b + 1}) = ({a_arr[b + 1]}, {b_arr[b + 1]}w) "
-            f"!= conj(chi)(beta) * J")
-    rng = np.random.default_rng(q + 2)
-    for _ in range(2):
-        beta = int(rng.integers(1, q))
-        _need(out, a_beta(fld, part, beta) == chi_bar_times(part, beta, jac),
-              f"a_beta({beta}) != conj(chi)(beta) * J")
-    if q <= NUMERIC_Q_MAX:
-        g = gauss_sum(fld, 3, mode="numeric")
-        _need(out, abs(abs(g) ** 2 - q) <= GAUSS_ABS_REL_TOL * q,
-              f"|G|^2 = {abs(g) ** 2} deviates from {q}")
-        jg = jacobi_from_gauss(fld)
-        _need(out, abs(jg - jac.to_complex()) < JACOBI_NUM_TOL,
-              f"G^2/conj(G) = {jg} differs from exact J = {jac}")
-    out["ops"] = registry.called()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# characteristic-function (group-ring) sweeps
-
-def _charpoly2_worker(args):
-    p, m = args
-    fld = cached_field(p, m)
-    part = partition(fld, 2)
-    out = _outcome(p, m, 2)
-    f0 = characteristic_fn(fld, part, 0)
-    f1 = characteristic_fn(fld, part, 1)
-    ph = phi(fld)
-    _need(out, f0 + f1 + 1 == ph, "f_0 + f_1 + 1 != Phi")
-    _need(out, gr_mul(ph, ph) == fld.q * ph, "Phi^2 != q * Phi")
-    s1, s2 = quadratic_sigma(fld, part)
-    _need(out, s1 == f0 + f1, "sigma1 != f_0 + f_1 (convolution)")
-    _need(out, s2 == gr_mul(f0, f1), "sigma2 != f_0 * f_1 (convolution)")
-    for name, root in (("f_0", f0), ("f_1", f1)):
-        res = gr_mul(root, root) - gr_mul(s1, root) + s2
-        _need(out, res.is_zero(), f"quadratic residual at {name} is nonzero")
-    out["ops"] = registry.called()
-    return out
-
-
-def _charpoly3_worker(args):
-    p, m = args
-    fld = cached_field(p, m)
-    part = partition(fld, 3)
-    out = _outcome(p, m, 3)
-    jac = jacobi_cubic(fld, part)
-    f = [characteristic_fn(fld, part, j) for j in range(3)]
-    ph = phi(fld)
-    _need(out, f[0] + f[1] + f[2] + 1 == ph, "f_0 + f_1 + f_2 + 1 != Phi")
-    s1, s2, s3 = cubic_sigma(fld, part, jac)
-    _need(out, s1 == f[0] + f[1] + f[2], "sigma1 != elementary sum")
-    conv2 = gr_mul(f[0], f[1]) + gr_mul(f[1], f[2]) + gr_mul(f[2], f[0])
-    _need(out, s2 == conv2, "sigma2 != pairwise convolution sum")
-    conv3 = gr_mul(gr_mul(f[0], f[1]), f[2])
-    _need(out, s3 == conv3, "sigma3 != triple convolution")
-    for j, root in enumerate(f):
-        r2 = gr_mul(root, root)
-        res = gr_mul(r2, root) - gr_mul(s1, r2) + gr_mul(s2, root) - s3
-        _need(out, res.is_zero(), f"cubic residual at f_{j} is nonzero")
-    out["ops"] = registry.called()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# shift-count / duality sweeps
 
 def _duality_worker(args):
     p, m, n = args
     fld = cached_field(p, m)
-    part = partition(fld, n)
-    out = _outcome(p, m, n)
-    if len(part.cosets[0]) < 3:
-        out["notes"].append(f"{out['tag']}: coset smaller than 3, skipped")
-        out["ops"] = registry.called()
-        return out
-    max_n3, witness = max_shift_count(fld, part, 3)
-    _need(out, shift_count(fld, part, witness) == max_n3,
-          f"witness {witness} does not reproduce max N = {max_n3}")
     try:
-        closed = closed_form_max3(fld, n)
-    except ValueError:
-        closed = None
-        out["notes"].append(
-            f"{out['tag']}: no closed form stated for this case "
-            f"(exhaustive max N = {max_n3})")
-    if closed is not None:
-        _need(out, closed == 1 + max_n3,
-              f"closed form {closed} != 1 + max N = {1 + max_n3}")
-    report = verify_duality(fld, n, part)
-    _need(out, report.max_shift3 == max_n3, "duality report recomputation drifted")
-    _need(out, report.holds,
-          f"max R = {report.max_rep} != 1 + max N = {1 + report.max_shift3}")
-    out["ops"] = registry.called()
-    return out
+        found, notes = _duality_checks(fld, partition(fld, n))
+    except IdentityViolation as exc:
+        found, notes = [violation(exc)], []
+    return _tally(p, m, n, found, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,71 +141,66 @@ def _aggregate(name: str, outcomes) -> SweepResult:
     return res
 
 
+def _sweep(name: str, family, items, threads: int) -> SweepResult:
+    return _aggregate(name, _pmap(_family_worker,
+                                  [(family, *it) for it in items], threads))
+
+
 def sweep_quadratic_counts(q_max: int, threads: int = 1) -> SweepResult:
-    items = [(p, m, 2) for p, m in quadratic_fields(q_max)]
-    return _aggregate("quadratic_rep_counts", _pmap(_rep_table_worker, items, threads))
+    return _sweep("quadratic_rep_counts", checks.rep_table,
+                  [(p, m, 2) for p, m in quadratic_fields(q_max)], threads)
 
 
 def sweep_cubic_counts(q_max: int, threads: int = 1) -> SweepResult:
-    items = [(p, m, 3) for p, m in cubic_fields(q_max)]
-    return _aggregate("cubic_rep_counts", _pmap(_rep_table_worker, items, threads))
+    return _sweep("cubic_rep_counts", checks.rep_table,
+                  [(p, m, 3) for p, m in cubic_fields(q_max)], threads)
 
 
 def sweep_perron(p_max: int, threads: int = 1) -> SweepResult:
-    primes = [p for p, m, q in prime_powers(p_max, 3) if m == 1 and p != 2]
-    return _aggregate("prime_field_counts", _pmap(_perron_worker, primes, threads))
+    items = [(p, 1, 2) for p, m, q in prime_powers(p_max, 3) if m == 1 and p != 2]
+    return _sweep("prime_field_counts", checks.perron, items, threads)
 
 
 def sweep_zero_sums(q_max: int, threads: int = 1) -> SweepResult:
-    items = ([(p, m, 2) for p, m in quadratic_fields(q_max)]
-             + [(p, m, 3) for p, m in cubic_fields(q_max)])
-    items.sort(key=lambda t: (t[0] ** t[1], t[2]))
-    return _aggregate("zero_sum_counts", _pmap(_zero_sum_worker, items, threads))
+    items = _both_orders(quadratic_fields(q_max), cubic_fields(q_max))
+    res = _sweep("zero_sum_counts", checks.zero_sum, items, threads)
+    res.notes = [f"{_tag(p, m, n)}: nonzero cells are (q-1)/{n} = {(p ** m - 1) // n}, "
+                 f"not the prime-field-literal (p-1)/{n} = {(p - 1) // n}"
+                 for p, m, n in items if m > 1]
+    return res
 
 
 def sweep_winterhof(q_max: int, threads: int = 1) -> SweepResult:
-    items = ([(p, m, 2) for p, m in quadratic_fields(q_max)]
-             + [(p, m, 3) for p, m in cubic_fields(q_max)])
-    items.sort(key=lambda t: (t[0] ** t[1], t[2]))
-    return _aggregate("character_sums", _pmap(_sums_worker, items, threads))
+    return _sweep("character_sums", checks.sigma_chain,
+                  _both_orders(quadratic_fields(q_max), cubic_fields(q_max)), threads)
 
 
 def sweep_jacobi_gauss(q_max: int, threads: int = 1) -> SweepResult:
-    return _aggregate("jacobi_gauss",
-                      _pmap(_jacobi_worker, cubic_fields(q_max), threads))
+    return _sweep("jacobi_gauss", checks.jacobi,
+                  [(p, m, 3) for p, m in cubic_fields(q_max)], threads)
 
 
 def sweep_quadratic_charpoly(q_max: int, threads: int = 1) -> SweepResult:
-    return _aggregate("quadratic_charpoly",
-                      _pmap(_charpoly2_worker, quadratic_fields(q_max), threads))
+    return _sweep("quadratic_charpoly", checks.charpoly,
+                  [(p, m, 2) for p, m in quadratic_fields(q_max)], threads)
 
 
 def sweep_cubic_charpoly(q_max: int, threads: int = 1) -> SweepResult:
-    return _aggregate("cubic_charpoly",
-                      _pmap(_charpoly3_worker, cubic_fields(q_max), threads))
+    return _sweep("cubic_charpoly", checks.charpoly,
+                  [(p, m, 3) for p, m in cubic_fields(q_max)], threads)
 
 
 def sweep_duality(n2_fields, n3_fields, threads: int = 1) -> SweepResult:
-    items = ([(p, m, 2) for p, m in n2_fields]
-             + [(p, m, 3) for p, m in n3_fields])
-    items.sort(key=lambda t: (t[0] ** t[1], t[2]))
-    return _aggregate("shift_duality", _pmap(_duality_worker, items, threads))
+    return _aggregate("shift_duality", _pmap(
+        _duality_worker, _both_orders(n2_fields, n3_fields), threads))
 
 
 # scope -> sweeps, with the ceilings used by `--scope all`
 HEAVY_Q_CEILING = 343
 
 
-def duality_scope_fields(q_max: int):
-    """Default field lists for the duality scope.
-
-    Fields whose cosets are smaller than 3 stay in the list; the worker
-    reports them as explicit skips instead of silently dropping them.
-    """
-    return quadratic_fields(q_max), cubic_fields(q_max)
-
-
 def run_scope(scope: str, q_max: int, threads: int = 1) -> list[SweepResult]:
+    heavy = min(q_max, HEAVY_Q_CEILING) if scope == "all" else q_max
     results = []
     if scope in ("repcount", "all"):
         results.append(sweep_quadratic_counts(q_max, threads))
@@ -427,13 +211,13 @@ def run_scope(scope: str, q_max: int, threads: int = 1) -> list[SweepResult]:
         results.append(sweep_winterhof(q_max, threads))
         results.append(sweep_jacobi_gauss(q_max, threads))
     if scope in ("charpoly", "all"):
-        cap = min(q_max, HEAVY_Q_CEILING) if scope == "all" else q_max
-        results.append(sweep_quadratic_charpoly(cap, threads))
-        results.append(sweep_cubic_charpoly(cap, threads))
+        results.append(sweep_quadratic_charpoly(heavy, threads))
+        results.append(sweep_cubic_charpoly(heavy, threads))
     if scope in ("duality", "all"):
-        cap = min(q_max, HEAVY_Q_CEILING) if scope == "all" else q_max
-        n2, n3 = duality_scope_fields(cap)
-        results.append(sweep_duality(n2, n3, threads))
+        # fields whose cosets are smaller than 3 stay in: the worker
+        # reports them as explicit skips instead of silently dropping them
+        results.append(sweep_duality(quadratic_fields(heavy), cubic_fields(heavy),
+                                     threads))
     if not results:
         raise ValueError(f"unknown scope {scope!r}")
     return results

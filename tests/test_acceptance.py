@@ -2,7 +2,7 @@
 
 Run with `pytest -v tests/test_acceptance.py` (add -s to see the lines even
 when everything passes).  Every identity is exact; the only tolerances are
-the two numeric Gauss-sum cross-checks, pinned below via charsum.verify.
+the two numeric Gauss-sum cross-checks, pinned below via charsum.checks.
 """
 
 import time
@@ -10,6 +10,8 @@ import time
 import pytest
 
 import charsum.verify as v
+from charsum.checks import GAUSS_ABS_REL_TOL, JACOBI_NUM_TOL
+from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
 from charsum.repcount import rep_count_zero, rep_count_zero_brute
 from charsum.verify import cached_field
@@ -97,8 +99,8 @@ def test_criterion_6_jacobi_gauss():
     sweep = v.sweep_jacobi_gauss(Q_MAX_REP)
     elapsed = time.perf_counter() - t0
     extra = (f"norm(J)=q everywhere; char-2 closed forms exact; "
-             f"|G|^2 within {v.GAUSS_ABS_REL_TOL} rel and G^2/conj(G) "
-             f"within {v.JACOBI_NUM_TOL} of J for q <= {v.NUMERIC_Q_MAX}")
+             f"|G|^2 within {GAUSS_ABS_REL_TOL} rel and G^2/conj(G) "
+             f"within {JACOBI_NUM_TOL} of J for every q")
     _finish(6, "Jacobi/Gauss identities", sweep, elapsed, extra=extra)
 
 
@@ -129,7 +131,7 @@ def duality_sweep():
 
 def test_criterion_9_shift_closed_forms(duality_sweep):
     sweep, elapsed = duality_sweep
-    closed_failures = [f for f in sweep.failures if "closed form" in f]
+    closed_failures = [f for f in sweep.failures if "closed_form" in f]
     detail = (f"{sweep.fields} fields, {len(closed_failures)} closed-form "
               f"mismatches, {elapsed:.1f}s")
     ok = not closed_failures and elapsed < 300
@@ -140,10 +142,24 @@ def test_criterion_9_shift_closed_forms(duality_sweep):
 
 def test_criterion_10_quasi_duality(duality_sweep):
     sweep, elapsed = duality_sweep
-    duality_failures = [f for f in sweep.failures
-                        if "max R" in f or "witness" in f or "drifted" in f]
+    # every failure criterion 9 does not claim: duality, witness and any
+    # IdentityViolation raised while checking a field
+    duality_failures = [f for f in sweep.failures if "closed_form" not in f]
     detail = f"{sweep.fields} fields checked, {len(duality_failures)} failures"
     _line(10, "max R == 1 + max N(3), both orders where defined",
           not duality_failures, detail)
     assert not duality_failures, duality_failures[:5]
     assert sweep.ok, sweep.failures[:5]
+
+
+def test_criterion_10_fails_on_an_identity_violation(monkeypatch, capsys):
+    def broken(fld, part):
+        raise IdentityViolation("injected")
+
+    monkeypatch.setattr(v, "_duality_checks", broken)
+    sweep = v.sweep_duality([(3, 2)], [], threads=1)
+    assert sweep.failures == [
+        "F_3^2 n=2: IdentityViolation: expected no error, got injected"]
+    with pytest.raises(AssertionError, match="injected"):
+        test_criterion_10_quasi_duality((sweep, 0.0))
+    assert "[criterion 10] FAIL" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 import json
 
+from charsum import checks
 from charsum.cli import main
+from charsum.errors import IdentityViolation
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +115,8 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "repcount", "--field", "3^2:1,1")[0] == 1
     code, _, err = run_cli(capsys, "shift", "--field", "5", "--n", "2", "--t", "3")
     assert code == 1 and "coset size" in err
+    code, out, err = run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "1")
+    assert code == 1 and "--q-max" in err and out == ""
 
 
 def test_character_nonexistence_exits_2(capsys):
@@ -126,8 +130,32 @@ def test_character_nonexistence_exits_2(capsys):
 def test_size_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("CHARSUM_SIZE_CAP", "100")
     assert run_cli(capsys, "field-info", "--field", "11^2")[0] == 1
+    code, out, _ = run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "200")
+    assert code == 1 and out == ""
     monkeypatch.setenv("CHARSUM_SIZE_CAP", "200")
     assert run_cli(capsys, "field-info", "--field", "11^2")[0] == 0
+
+
+def test_verify_reports_a_failing_field_and_carries_on(capsys, monkeypatch):
+    argv = ("verify", "--scope", "sums", "--q-max", "40", "--threads", "1")
+    _, clean, _ = run_json(capsys, *argv)
+    real = checks.jacobi
+
+    def broken_at_f13(field, part):
+        if field.q == 13:
+            raise IdentityViolation("injected")
+        return real(field, part)
+
+    monkeypatch.setattr(checks, "jacobi", broken_at_f13)
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert report["results"]["fields_checked"] == clean["results"]["fields_checked"]
+    sums, jac = report["results"]["sweeps"]
+    assert sums == clean["results"]["sweeps"][0]
+    assert jac["fields"] == clean["results"]["sweeps"][1]["fields"]
+    assert jac["failures"] == [
+        "F_13 n=3: IdentityViolation: expected no error, got injected"]
+    assert [c["pass"] for c in report["checks"]] == [True, False]
 
 
 def test_output_is_byte_identical(capsys):

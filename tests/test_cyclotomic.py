@@ -82,7 +82,8 @@ def test_a_beta_examples():
         a_beta(f7, p7, 0)
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (7, 1), (13, 1), (5, 2)])
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (7, 1), (13, 1), (5, 2),
+                                 (7, 3)])              # several blocks
 def test_a_beta_identity_exhaustive(p, m):
     f = get_field(p, m)
     part = get_partition(p, m, 3)
