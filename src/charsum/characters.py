@@ -20,7 +20,7 @@ import numpy as np
 from . import registry
 from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
 from .errors import IdentityViolation, UnsupportedCharacterError
-from .field import FieldTable
+from .field import FieldTable, convolve
 
 
 def character_exists(p: int, m: int, n: int) -> bool:
@@ -59,12 +59,6 @@ class CosetPartition:
     def label(self, x: int) -> int:
         """Coset index of x, or -1 for the zero element."""
         return int(self.labels[x])
-
-    def indicator(self, x: int, j: int) -> int:
-        return 1 if self.labels[x] == j else 0
-
-    def coset(self, j: int) -> np.ndarray:
-        return self.cosets[j]
 
     def char_value(self, x: int):
         """Character value: 0/+-1 for n = 2, an EisensteinInt for n = 3."""
@@ -153,31 +147,26 @@ def winterhof_counts(field: FieldTable, part: CosetPartition,
     return tuple(int(c) for c in counts)
 
 
-def sweep_block(field: FieldTable) -> int:
-    """Rows per block of the all-shifts sweeps.
+def pair_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
+    """out[i, j] = f_i * f_j for the coset characteristic functions, shape (n, n, q).
 
-    At most 256 rows, and at most about 2^20 digit cells (8 MB of int64
-    temporaries in ``add_outer``) per block, so memory stays flat as q
-    grows.  Smaller blocks cost more: each one allocates fresh temporaries.
-    """
-    return min(256, max(1, 2 ** 20 // (field.q * field.m)))
+    out[i, j, beta] = #{(x, y) in C_j x C_i : x + y = beta}; the representation
+    counts, the sigma chain and A(beta) are all folds of it."""
+    f = (part.labels == np.arange(part.n)[:, None]).astype(np.int64)
+    return convolve(field, f[:, None], f[None, :])
 
 
 def winterhof_sweep(field: FieldTable, part: CosetPartition) -> np.ndarray:
-    """sigma vectors for every nonzero shift at once, shape (q, n); row 0 unused."""
-    q, n = field.q, part.n
-    lab = part.labels
-    out = np.zeros((q, n), dtype=np.int64)
-    lab16 = lab.astype(np.int16)
-    block = sweep_block(field)
-    for lo in range(1, q, block):
-        xs = np.arange(lo, min(lo + block, q), dtype=np.int64)
-        shifted = field.add_outer(xs, field._arange)      # rows: x_j + x
-        lab_s = lab[shifted]
-        valid = (lab16[None, :] >= 0) & (lab_s >= 0)
-        diff = np.where(valid, (lab16[None, :] - lab_s) % n, n)
-        rows = np.repeat(np.arange(len(xs)), q)
-        flat = np.bincount(rows * (n + 1) + diff.ravel(),
-                           minlength=len(xs) * (n + 1))
-        out[xs] = flat.reshape(len(xs), n + 1)[:, :n]
+    """sigma vectors for every nonzero shift at once, shape (q, n); row 0 unused.
+
+    sigma_k(gamma) counts x in C_i with x + gamma in C_(i-k), summed over i;
+    as -x lies in C_(i + l(-1)), that is (f_(i + l(-1)) * f_(i-k))(gamma).
+    """
+    n = part.n
+    table = pair_table(field, part)
+    i = np.arange(n)
+    shift = part.label(field.neg(1))
+    out = np.stack([table[(i + shift) % n, (i - k) % n].sum(axis=0)
+                    for k in range(n)], axis=1)
+    out[0] = 0
     return out

@@ -10,6 +10,7 @@ one failed check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -27,7 +28,7 @@ from .cyclotomic import gauss_sum, jacobi_cubic, jacobi_from_gauss
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import (DEFAULT_SIZE_CAP, FieldTable, build_field,
                     parse_field_spec, prime_factors)
-from .groupring import CONV_CAP, cubic_sigma, quadratic_sigma
+from .groupring import cubic_sigma, quadratic_sigma
 from .repcount import closed_rep_class_table, perron_table, rep_count
 from .shiftcount import closed_form_max3, max_shift_count, shift_count, verify_duality
 from . import verify as verify_mod
@@ -185,9 +186,6 @@ def _run_repcount(args):
         brute = rep_count(fld, part, args.beta, args.i, args.j, "brute-force")
         results = {"query": closed.to_json(), "brute_force": brute.count}
         return results, [equal("closed_equals_brute", brute.count, closed.count)], fld
-    if fld.q > CONV_CAP:
-        raise _UsageError(
-            f"full tables above q = {CONV_CAP} are slow; pass --beta")
     closed = closed_rep_class_table(fld, part)
     results = {"classes": [
         {"beta_label": c, "i": i, "j": j, "count": int(closed[c, i, j])}
@@ -225,10 +223,7 @@ def _run_gauss(args):
 
 
 def _run_charpoly(args):
-    fld = _get_field(args)
-    if fld.q > CONV_CAP:
-        raise _UsageError(f"charpoly needs q <= {CONV_CAP}")
-    part = partition(fld, args.n, conjugate=args.conjugate)
+    fld, part = _field_part(args, args.n)
     jac = jacobi_cubic(fld, part) if args.n == 3 else None
     sigmas = quadratic_sigma(fld, part) if jac is None else cubic_sigma(fld, part, jac)
     results = {"n": args.n,
@@ -352,14 +347,20 @@ def main(argv=None) -> int:
         return 1
     rendered = [c.to_json() for c in found]
     if getattr(args, "csv", False) and results:     # error reports stay JSON
-        sys.stdout.write(_emit_csv(args, results, rendered))
+        text = _emit_csv(args, results, rendered)
     else:
-        print(json.dumps({
+        text = json.dumps({
             "command": {"verb": args.verb, **_command_echo(args)},
             "field": _field_meta(fld) if fld is not None else None,
             "results": results,
             "checks": rendered,
-        }, indent=2))
+        }, indent=2) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:     # the reader left early (``| head``): send the
+        with contextlib.suppress(OSError, ValueError):    # exit flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"elapsed_ms={int((time.perf_counter() - start) * 1000)}",
           file=sys.stderr)
     return 0 if all(c.passed for c in found) else 2

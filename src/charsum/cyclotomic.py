@@ -17,28 +17,28 @@ import cmath
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, partition, sweep_block
+from .characters import CosetPartition, pair_table, partition
 from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
 from .errors import IdentityViolation
 from .field import FieldTable
 
 
-def _omega_fold(k_valid: np.ndarray) -> EisensteinInt:
-    counts = np.bincount(k_valid % 3, minlength=3)
+def _chi_pair_sum(field: FieldTable, part: CosetPartition,
+                  beta: int) -> EisensteinInt:
+    """sum_x chi(x)*chi(beta - x), by folding label sums over all x."""
+    if part.n != 3:
+        raise ValueError("cubic partition expected")
+    lab = part.labels.astype(np.int16)
+    ly = lab[field.add_vec(beta, field.neg_vec(field._arange))]     # beta - x
+    valid = (lab >= 0) & (ly >= 0)
+    counts = np.bincount((lab[valid] + ly[valid]) % 3, minlength=3)
     return from_omega_counts(int(counts[0]), int(counts[1]), int(counts[2]))
 
 
 def jacobi_cubic(field: FieldTable, part: CosetPartition) -> EisensteinInt:
     """J(chi, chi) = sum over c1 + c2 = 1 of chi(c1)*chi(c2), exactly in Z[w]."""
     registry.mark("jacobi_cubic")
-    if part.n != 3:
-        raise ValueError("jacobi_cubic needs a cubic partition")
-    lab = part.labels
-    c1 = field._arange
-    c2 = field.add_vec(1, field.neg_vec(c1))        # 1 - c1
-    l1, l2 = lab[c1].astype(np.int16), lab[c2].astype(np.int16)
-    valid = (l1 >= 0) & (l2 >= 0)
-    j = _omega_fold((l1[valid] + l2[valid]))
+    j = _chi_pair_sum(field, part, 1)
     if j.norm() != field.q:
         raise IdentityViolation(
             f"norm(J) = {j.norm()} != q = {field.q} over F_{field.spec.label()}")
@@ -48,38 +48,25 @@ def jacobi_cubic(field: FieldTable, part: CosetPartition) -> EisensteinInt:
 def a_beta(field: FieldTable, part: CosetPartition, beta: int) -> EisensteinInt:
     """A(beta) = sum_x chi(x)*chi(beta - x); equals conj(chi)(beta) * J."""
     registry.mark("a_beta")
-    if part.n != 3:
-        raise ValueError("a_beta needs a cubic partition")
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    lab = part.labels
-    x = field._arange
-    y = field.add_vec(beta, field.neg_vec(x))       # beta - x
-    lx, ly = lab[x].astype(np.int16), lab[y].astype(np.int16)
-    valid = (lx >= 0) & (ly >= 0)
-    return _omega_fold(lx[valid] + ly[valid])
+    return _chi_pair_sum(field, part, beta)
 
 
 def a_beta_sweep(field: FieldTable,
                  part: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) coordinates of A(beta) for every beta, vectorized; row 0 unused."""
-    q = field.q
-    lab16 = part.labels.astype(np.int16)
-    neg_all = field.neg_vec(field._arange)
-    a_out = np.zeros(q, dtype=np.int64)
-    b_out = np.zeros(q, dtype=np.int64)
-    block = sweep_block(field)
-    for lo in range(1, q, block):
-        betas = np.arange(lo, min(lo + block, q), dtype=np.int64)
-        diffs = field.add_outer(betas, neg_all)     # rows: beta - x
-        ly = lab16[diffs]
-        valid = (lab16[None, :] >= 0) & (ly >= 0)
-        k = np.where(valid, (lab16[None, :] + ly) % 3, 3)
-        rows = np.repeat(np.arange(len(betas)), q)
-        flat = np.bincount(rows * 4 + k.ravel(), minlength=len(betas) * 4)
-        counts = flat.reshape(len(betas), 4)
-        a_out[betas] = counts[:, 0] - counts[:, 2]
-        b_out[betas] = counts[:, 1] - counts[:, 2]
+    """(a, b) coordinates of A(beta) for every beta, vectorized; row 0 unused.
+
+    A(beta) = N_0 + N_1 w + N_2 w^2 with N_k the pair counts
+    sum over i + j = k (mod 3) of (f_i * f_j)(beta), so a = N_0 - N_2 and
+    b = N_1 - N_2.
+    """
+    table = pair_table(field, part)
+    i = np.arange(3)
+    k = (i[:, None] + i[None, :]) % 3
+    n0, n1, n2 = (table[k == s].sum(axis=0) for s in range(3))
+    a_out, b_out = n0 - n2, n1 - n2
+    a_out[0] = b_out[0] = 0
     return a_out, b_out
 
 

@@ -97,7 +97,6 @@ class EisensteinInt:
         return f"{self.a} {sign} {abs(self.b)}w"
 
 
-ZERO = EisensteinInt(0)
 ONE = EisensteinInt(1)
 OMEGA = EisensteinInt(0, 1)
 OMEGA_POWS = (ONE, OMEGA, EisensteinInt(-1, -1))

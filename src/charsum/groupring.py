@@ -7,10 +7,11 @@ X^(gamma+delta).  Indexing by the additive group (Z_p)^m *is* the
 quotient by the relations x_i^p = 1, so no polynomial reduction ever
 happens: multivariate arithmetic collapses to exact integer convolution.
 
-Coefficients are kept in int64; convolution checks an a-priori bound on
-the largest possible intermediate and switches to Python-integer (object
-dtype) arithmetic in the rare case int64 could overflow, so results stay
-exact without paying bignum cost on the common path.
+Coefficients are kept in int64.  Products go through the exact
+convolution ``field.convolve``; it and the additive operations here switch
+to Python-integer (object dtype) coefficients when an a-priori bound says
+a result could leave int64, so nothing ever wraps and the common path
+pays no bignum cost.
 
 The all-ones element Phi (the product of p-th cyclotomic polynomials in
 disguise) satisfies Phi * v = (sum of coefficients of v) * Phi; in
@@ -25,10 +26,12 @@ from . import registry
 from .characters import CosetPartition
 from .eisenstein import EisensteinInt
 from .errors import IdentityViolation
-from .field import FieldTable
+from .field import INT64_MAX, FieldTable, convolve, max_abs
 
-# Convolution-heavy paths are O(q^2); keep them desk-scale.
-CONV_CAP = 4096
+
+def _lift(bound: int, *arrays: np.ndarray) -> tuple:
+    """As Python integers if a result bounded by ``bound`` could leave int64."""
+    return arrays if bound <= INT64_MAX else tuple(a.astype(object) for a in arrays)
 
 
 class GroupRingElement:
@@ -52,9 +55,11 @@ class GroupRingElement:
     def __add__(self, other):
         if isinstance(other, GroupRingElement):
             self._check_same_field(other)
-            return GroupRingElement(self.field, self.coeffs + other.coeffs)
+            ca, cb = _lift(max_abs(self.coeffs) + max_abs(other.coeffs),
+                           self.coeffs, other.coeffs)
+            return GroupRingElement(self.field, ca + cb)
         if isinstance(other, int):
-            out = self.coeffs.copy()
+            out, = _lift(max_abs(self.coeffs) + abs(other), self.coeffs.copy())
             out[0] += other
             return GroupRingElement(self.field, out)
         return NotImplemented
@@ -62,10 +67,7 @@ class GroupRingElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GroupRingElement):
-            self._check_same_field(other)
-            return GroupRingElement(self.field, self.coeffs - other.coeffs)
-        if isinstance(other, int):
+        if isinstance(other, (GroupRingElement, int)):
             return self + (-other)
         return NotImplemented
 
@@ -75,13 +77,15 @@ class GroupRingElement:
         return NotImplemented
 
     def __neg__(self):
-        return GroupRingElement(self.field, -self.coeffs)
+        c, = _lift(max_abs(self.coeffs), self.coeffs)
+        return GroupRingElement(self.field, -c)
 
     def __mul__(self, other):
         if isinstance(other, GroupRingElement):
             return gr_mul(self, other)
         if isinstance(other, int):
-            return GroupRingElement(self.field, self.coeffs * other)
+            c, = _lift(max_abs(self.coeffs) * abs(other), self.coeffs)
+            return GroupRingElement(self.field, c * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -132,34 +136,10 @@ def scalar(field: FieldTable, c: int) -> GroupRingElement:
 
 
 def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Additive-group convolution: out[g] = sum_d a[d] * b[g - d].
-
-    Dense O(q^2), iterating rows of the sparser operand, so sparse-by-dense
-    products cost nnz * q.
-    """
+    """Additive-group convolution out[g] = sum_d a[d] * b[g - d], exact."""
     registry.mark("gr_mul")
     a._check_same_field(b)
-    field = a.field
-    if field.q > CONV_CAP:
-        raise ValueError(f"q = {field.q} exceeds the convolution cap {CONV_CAP}")
-    ca, cb = a.coeffs, b.coeffs
-    if np.count_nonzero(cb) < np.count_nonzero(ca):
-        ca, cb = cb, ca
-    nz = np.flatnonzero(ca)
-    use_object = ca.dtype == object or cb.dtype == object
-    if not use_object and len(nz):
-        bound = (int(np.abs(ca).max()) * int(np.abs(cb).max())
-                 * min(len(nz), field.q))
-        use_object = bound >= 2 ** 62
-    if use_object:
-        out = np.zeros(field.q, dtype=object)
-        cb = cb.astype(object)
-    else:
-        out = np.zeros(field.q, dtype=np.int64)
-    for x in nz:
-        # y -> x + y is a bijection, so the fancy index is collision-free
-        out[field.add_row(int(x))] += int(ca[x]) * cb
-    return GroupRingElement(field, out)
+    return GroupRingElement(a.field, convolve(a.field, a.coeffs, b.coeffs))
 
 
 def phi(field: FieldTable) -> GroupRingElement:

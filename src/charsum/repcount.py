@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, partition
+from .characters import CosetPartition, pair_table, partition
 from .cyclotomic import jacobi_cubic
 from .eisenstein import EisensteinInt, omega_pow
 from .errors import IdentityViolation
@@ -56,19 +56,9 @@ def brute_rep_count(field: FieldTable, part: CosetPartition,
 
 
 def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
-    """Pair-sum histogram: out[i, j, beta] = #{(x, y) in C_j x C_i : x+y = beta}.
-
-    Same enumeration as brute_rep_count, vectorized over all pairs at once;
-    the beta = 0 column doubles as the oracle for the zero-sum counts.
-    """
-    n, q = part.n, field.q
-    out = np.empty((n, n, q), dtype=np.int64)
-    for j in range(n):
-        xs = part.cosets[j]
-        for i in range(n):
-            sums = field.add_outer(xs, part.cosets[i])
-            out[i, j] = np.bincount(sums.ravel(), minlength=q)
-    return out
+    """Pair table f_i * f_j: out[i, j, beta] = #{(x, y) in C_j x C_i : x+y = beta}.
+    brute_rep_count is its oracle; its beta = 0 column checks rep_count_zero."""
+    return pair_table(field, part)
 
 
 def closed_rep_count_quadratic(field: FieldTable, part: CosetPartition,

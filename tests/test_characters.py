@@ -123,7 +123,7 @@ def test_winterhof_examples():
 
 @pytest.mark.parametrize("p,m,n", [(7, 1, 2), (11, 1, 2), (3, 2, 2),
                                    (2, 4, 3), (7, 1, 3), (5, 2, 3),
-                                   (7, 3, 3), (3, 6, 2)])   # several blocks
+                                   (7, 3, 3), (3, 6, 2)])   # 3 and 6 axes
 def test_winterhof_chain_exhaustive(p, m, n):
     f = get_field(p, m)
     part = get_partition(p, m, n)

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 from charsum import checks
 from charsum.cli import main
@@ -14,6 +16,17 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["field-info", "--field", "7"]) == 0
+    assert main(["repcount", "--field", "7", "--csv"]) == 0
 
 
 def test_field_info(capsys):
@@ -117,6 +130,13 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "coset size" in err
     code, out, err = run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "1")
     assert code == 1 and "--q-max" in err and out == ""
+
+
+def test_tables_and_charpoly_run_above_4096(capsys):
+    for argv in (("repcount", "--field", "4099", "--n", "3"),
+                 ("charpoly", "--field", "4099", "--n", "3")):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0 and all(c["pass"] for c in report["checks"])
 
 
 def test_character_nonexistence_exits_2(capsys):

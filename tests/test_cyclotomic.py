@@ -83,7 +83,7 @@ def test_a_beta_examples():
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (7, 1), (13, 1), (5, 2),
-                                 (7, 3)])              # several blocks
+                                 (7, 3)])              # 3 axes of length 7
 def test_a_beta_identity_exhaustive(p, m):
     f = get_field(p, m)
     part = get_partition(p, m, 3)

@@ -146,6 +146,19 @@ def test_object_dtype_fallback_for_huge_coefficients():
     assert sq.to_json() == {"0": big * big, "1": 2 * big * big, "2": big * big}
 
 
+def test_additive_operations_never_wrap_int64():
+    f = get_field(3)
+    a = GroupRingElement(f, [2 ** 62, 0, 0])
+    assert (a + a).to_json() == {"0": 2 ** 63}
+    assert (a - (-a)).to_json() == {"0": 2 ** 63}
+    assert (a + 2 ** 62).to_json() == {"0": 2 ** 63}
+    assert (4 * a).to_json() == {"0": 2 ** 64}
+    assert (-a - a).to_json() == {"0": -2 ** 63}
+    assert (a + 1).coeffs.dtype == np.int64       # no lift when it cannot wrap
+    low = GroupRingElement(f, [-2 ** 63, 0, 0])
+    assert (-low).to_json() == {"0": 2 ** 63}
+
+
 def test_scalar_coefficients_multiply_monomial_at_zero():
     f = get_field(5)
     s = scalar(f, 7)
