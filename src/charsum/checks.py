@@ -1,9 +1,11 @@
 """Per-field identity checks shared by the CLI verbs and the verify sweeps.
 
-A family takes a built field and its coset partition and returns a list
-of ``Check`` records.  A verb renders the list as the ``checks`` of its
-report; a sweep worker adds up ``count`` into its assertion total and
-turns each failed check into a failure line naming the field.
+A family takes a built field and its coset partition and returns
+``(results, checks, notes)``: the values it computed, as the JSON its verb
+reports, a list of ``Check`` records, and remarks on what it could not
+check.  A verb renders the results and the checks; a sweep worker adds up
+``count`` into its assertion total, turns each failed check into a failure
+line naming the field and keeps the notes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .groupring import (characteristic_fn, cubic_sigma, gr_mul, phi,
                         quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
                        rep_count_table, rep_count_zero, rep_count_zero_brute)
+from .shiftcount import affine_max_shift3, shift_count, verify_duality
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -60,15 +63,34 @@ def _mismatches(bad: np.ndarray, where) -> str:
     return f"{len(bad)} mismatches, first at {where(bad[0])}" if len(bad) else ""
 
 
+def complex_json(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+def _sigma_json(sig) -> dict:
+    """Compact form: every sigma here is uniform away from the origin."""
+    coeffs = sig.coeffs
+    body = {"coeff_at_zero": int(coeffs[0])}
+    rest = coeffs[1:]
+    if sig.field.q > 1 and np.all(rest == rest[0]):
+        body["coeff_elsewhere"] = int(rest[0])
+    if sig.field.q <= 64:
+        body["coeffs"] = sig.to_json()
+    return body
+
+
 # ---------------------------------------------------------------------------
 # representation counts
 
-def rep_table(field, part) -> list[Check]:
+def rep_table(field, part):
     """Closed form == pair histogram for every beta != 0 and every (i, j)."""
     n, q = part.n, field.q
     brute = rep_count_table(field, part)
-    closed = closed_rep_class_table(field, part)[part.labels[1:]]
-    bad = np.argwhere(closed != brute[:, :, 1:].transpose(2, 0, 1))
+    table = closed_rep_class_table(field, part)
+    results = {"classes": [
+        {"beta_label": c, "i": i, "j": j, "count": int(table[c, i, j])}
+        for c in range(n) for i in range(n) for j in range(n)]}
+    bad = np.argwhere(table[part.labels[1:]] != brute[:, :, 1:].transpose(2, 0, 1))
     found = [holds("closed_equals_brute_all_beta", not len(bad),
                    _mismatches(bad, lambda b: f"beta={b[0] + 1} i={b[1]} j={b[2]}"),
                    count=n * n * (q - 1))]
@@ -84,19 +106,25 @@ def rep_table(field, part) -> list[Check]:
                        np.array_equal(brute, brute.transpose(1, 0, 2))))
     found.append(holds("counts_sum_to_q_minus_2",
                        np.all(brute[:, :, 1:].sum(axis=(0, 1)) == q - 2)))
-    return found
+    return results, found, []
 
 
-def zero_sum(field, part) -> list[Check]:
+def zero_sum(field, part):
     """Zero-sum counts: closed (q-1)/n rule == enumeration, all (i, j)."""
-    return [equal(f"zero_sum_count_i{i}_j{j}",
-                  rep_count_zero_brute(field, part, i, j),
-                  rep_count_zero(field, part, i, j))
-            for i in range(part.n) for j in range(part.n)]
+    n, q, p = part.n, field.q, field.p
+    found = [equal(f"zero_sum_count_i{i}_j{j}", rep_count_zero_brute(field, part, i, j),
+                   rep_count_zero(field, part, i, j))
+             for i in range(n) for j in range(n)]
+    note = (f"nonzero cells are (q-1)/{n} = {(q - 1) // n}, "
+            f"not the prime-field-literal (p-1)/{n} = {(p - 1) // n}")
+    return {}, found, [note] if field.m > 1 else []
 
 
-def perron(field, part) -> list[Check]:
-    """Prime-field counts against the floor((p+1)/4) pattern, plus brute force."""
+def perron(field, part):
+    """Prime-field counts against the floor((p+1)/4) pattern, plus brute force;
+    nothing to check unless the field is prime and n = 2."""
+    if field.m > 1 or part.n != 2:
+        return {}, [], []
     table = perron_table(field.p)
     floor = (field.p + 1) // 4
     qr, nr = int(part.cosets[0][0]), int(part.cosets[1][0])
@@ -104,16 +132,16 @@ def perron(field, part) -> list[Check]:
              ("qr_as_two_nonres", floor, qr, 1),
              ("nonres_as_two_nonres", floor - 1, nr, 1),
              ("nonres_as_two_qr", floor, nr, 0))
-    return ([equal(key, want, table[key]) for key, want, _, _ in cases]
-            + [equal(f"{key}_matches_brute",
-                     brute_rep_count(field, part, beta, ij, ij), table[key])
-               for key, _, beta, ij in cases])
+    return table, ([equal(key, want, table[key]) for key, want, _, _ in cases]
+                   + [equal(f"{key}_matches_brute",
+                            brute_rep_count(field, part, beta, ij, ij), table[key])
+                      for key, _, beta, ij in cases]), []
 
 
 # ---------------------------------------------------------------------------
 # character sums
 
-def sigma_chain(field, part) -> list[Check]:
+def sigma_chain(field, part):
     """First moment 0, shifted correlation -1, sigma chain, all exhaustive."""
     n, q = part.n, field.q
     found = [equal("coset_0_dlog_mod_n", 0, field.dlog(int(part.cosets[0][0])) % n),
@@ -134,22 +162,26 @@ def sigma_chain(field, part) -> list[Check]:
                            winterhof_counts(field, part, g)))
         found.append(equal(f"shifted_moment_at_{g}", -1,
                            char_sum_moment(field, part, g)))
-    return found
+    return {}, found, []
 
 
-def jacobi(field, part) -> list[Check]:
+def jacobi(field, part):
     """Exact Jacobi identities plus numeric Gauss-sum cross-checks (cubic)."""
     q = field.q
     jac = jacobi_cubic(field, part)           # raises unless norm == q
+    trace = jac + jac.conj()
+    quotient = jacobi_from_gauss(field, conjugate=part.conjugate)
+    results = {"jacobi": jac.to_json(), "jacobi_plus_conj": trace.a,
+               "gauss_quotient_numeric": complex_json(quotient)}
     found = [equal("norm_equals_q", q, jac.norm()),
-             holds("j_plus_conj_rational", (jac + jac.conj()).is_rational())]
+             holds("j_plus_conj_rational", trace.is_rational())]
     if field.p == 2:
         closed = jacobi_char2_closed_form(field.m)
         found.append(equal("char2_closed_form", closed, jac))
         found.append(equal("exact_gauss_equals_closed_form", closed,
                            gauss_sum(field, 3, mode="exact",
                                      conjugate=part.conjugate)))
-    delta = abs(jacobi_from_gauss(field, conjugate=part.conjugate) - jac.to_complex())
+    delta = abs(quotient - jac.to_complex())
     found.append(holds("matches_gauss_quotient", delta < JACOBI_NUM_TOL,
                        f"|delta| = {delta:.3e}"))
     g2 = abs(gauss_sum(field, 3, mode="numeric", conjugate=part.conjugate)) ** 2
@@ -167,13 +199,13 @@ def jacobi(field, part) -> list[Check]:
     for beta in np.random.default_rng(q + 2).integers(1, q, 2).tolist():
         found.append(equal(f"a_beta_at_{beta}", chi_bar_times(part, beta, jac),
                            a_beta(field, part, beta)))
-    return found
+    return results, found, []
 
 
 # ---------------------------------------------------------------------------
 # characteristic-function equations
 
-def charpoly(field, part) -> list[Check]:
+def charpoly(field, part):
     """The coset characteristic functions are the roots of their equation
     X^n - sigma1 X^(n-1) + ... = 0, with closed-form coefficients."""
     fs = [characteristic_fn(field, part, j) for j in range(part.n)]
@@ -182,11 +214,12 @@ def charpoly(field, part) -> list[Check]:
     if part.n == 2:
         found.append(holds("phi_squared_equals_q_phi",
                            gr_mul(ph, ph) == field.q * ph))
-        sigmas = quadratic_sigma(field, part)
+        jac, sigmas = None, quadratic_sigma(field, part)
         products = {"sigma1_matches_sum": fs[0] + fs[1],
                     "sigma2_matches_product": gr_mul(fs[0], fs[1])}
     else:
-        sigmas = cubic_sigma(field, part, jacobi_cubic(field, part))
+        jac = jacobi_cubic(field, part)
+        sigmas = cubic_sigma(field, part, jac)
         products = {"sigma1_matches_sum": fs[0] + fs[1] + fs[2],
                     "sigma2_matches_pair_sum": (gr_mul(fs[0], fs[1])
                                                 + gr_mul(fs[1], fs[2])
@@ -198,4 +231,32 @@ def charpoly(field, part) -> list[Check]:
         for k, s in enumerate(sigmas[1:], 2):
             residual = gr_mul(residual, f) + (-1) ** k * s
         found.append(holds(f"residual_zero_at_f{j}", residual.is_zero()))
-    return found
+    results = {"n": part.n,
+               **{f"sigma{k}": _sigma_json(s) for k, s in enumerate(sigmas, 1)}}
+    if jac is not None:
+        results["jacobi"] = jac.to_json()
+    return results, found, []
+
+
+# ---------------------------------------------------------------------------
+# shift-count duality
+
+def duality(field, part):
+    """max R == 1 + max N(3), the searched max N(3) against its witness, the
+    affine route and the closed form; nothing to check below 3-element cosets."""
+    if len(part.cosets[0]) < 3:
+        return {}, [], ["coset smaller than 3, skipped"]
+    report = verify_duality(field, part.n, part)
+    max_n3 = report.max_shift3
+    found = [equal("witness_reproduces_max", max_n3,
+                   shift_count(field, part, report.max_shift3_witness)),
+             equal("affine_max_N3_matches_search", max_n3,
+                   affine_max_shift3(field, part)),
+             holds("duality_holds", report.holds,
+                   f"max_R = {report.max_rep}, 1 + max_N3 = {1 + max_n3}")]
+    notes = []
+    if report.closed_form is None:
+        notes.append(f"no closed form stated for this case (exhaustive max N = {max_n3})")
+    else:
+        found.append(equal("closed_form_matches", report.closed_form, 1 + max_n3))
+    return report.to_json(), found, notes

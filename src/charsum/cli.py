@@ -23,14 +23,13 @@ import numpy as np
 
 from . import checks, registry
 from .characters import partition
-from .checks import GAUSS_ABS_REL_TOL, equal, holds
-from .cyclotomic import gauss_sum, jacobi_cubic, jacobi_from_gauss
+from .checks import GAUSS_ABS_REL_TOL, complex_json, equal, holds
+from .cyclotomic import gauss_sum
 from .errors import IdentityViolation, UnsupportedCharacterError
-from .field import (DEFAULT_SIZE_CAP, FieldTable, build_field,
-                    parse_field_spec, prime_factors)
-from .groupring import cubic_sigma, quadratic_sigma
-from .repcount import closed_rep_class_table, perron_table, rep_count
-from .shiftcount import closed_form_max3, max_shift_count, shift_count, verify_duality
+from .field import (FieldTable, build_field, env_size_cap, parse_field_spec,
+                    prime_factors)
+from .repcount import rep_count
+from .shiftcount import closed_form_max3, max_shift_count, shift_count
 from . import verify as verify_mod
 
 SCOPES = ("all", "repcount", "charpoly", "sums", "duality")
@@ -89,13 +88,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _size_cap() -> int:
-    return int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
-
-
 def _get_field(args) -> FieldTable:
     p, m, modulus = parse_field_spec(args.field)
-    return build_field(p, m, modulus=modulus, size_cap=_size_cap())
+    return build_field(p, m, modulus=modulus, size_cap=env_size_cap())
 
 
 def _field_part(args, n):
@@ -114,24 +109,23 @@ def _field_meta(field: FieldTable) -> dict:
     }
 
 
-def _complex_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-def _sigma_json(sig) -> dict:
-    """Compact form: every sigma here is uniform away from the origin."""
-    coeffs = sig.coeffs
-    body = {"coeff_at_zero": int(coeffs[0])}
-    rest = coeffs[1:]
-    if sig.field.q > 1 and np.all(rest == rest[0]):
-        body["coeff_elsewhere"] = int(rest[0])
-    if sig.field.q <= 64:
-        body["coeffs"] = sig.to_json()
-    return body
-
-
 # ---------------------------------------------------------------------------
 # verb runners: each returns (results_dict, list[Check], field_or_None)
+
+def _run_families(args, n, *families):
+    """Call each family once on the field and partition; their results and
+    checks make the report.  A field none of them can check is a usage error."""
+    fld, part = _field_part(args, n)
+    results, found, notes = {}, [], []
+    for family in families:
+        res, chk, note = family(fld, part)
+        results.update(res)
+        found += chk
+        notes += note
+    if not found:
+        raise _UsageError("nothing to check: " + "; ".join(notes))
+    return results, found, fld
+
 
 def _run_field_info(args):
     fld = _get_field(args)
@@ -176,35 +170,18 @@ def _run_partition(args):
 
 
 def _run_repcount(args):
+    if args.beta is None:
+        return _run_families(args, args.n, checks.rep_table, checks.zero_sum,
+                             checks.perron)
     fld, part = _field_part(args, args.n)
-    if args.beta is not None:
-        if not 0 <= args.beta < fld.q:
-            raise _UsageError(f"--beta must lie in [0, {fld.q})")
-        if not (0 <= args.i < args.n and 0 <= args.j < args.n):
-            raise _UsageError("coset indices must lie in [0, n)")
-        closed = rep_count(fld, part, args.beta, args.i, args.j, "closed-form")
-        brute = rep_count(fld, part, args.beta, args.i, args.j, "brute-force")
-        results = {"query": closed.to_json(), "brute_force": brute.count}
-        return results, [equal("closed_equals_brute", brute.count, closed.count)], fld
-    closed = closed_rep_class_table(fld, part)
-    results = {"classes": [
-        {"beta_label": c, "i": i, "j": j, "count": int(closed[c, i, j])}
-        for c in range(args.n) for i in range(args.n) for j in range(args.n)]}
-    found = checks.rep_table(fld, part) + checks.zero_sum(fld, part)
-    if args.n == 2 and fld.m == 1:
-        results.update(perron_table(fld.p))
-        found += checks.perron(fld, part)
-    return results, found, fld
-
-
-def _run_jacobi(args):
-    fld, part = _field_part(args, 3)
-    jac = jacobi_cubic(fld, part)
-    results = {"jacobi": jac.to_json(),
-               "jacobi_plus_conj": (jac + jac.conj()).a,
-               "gauss_quotient_numeric": _complex_json(
-                   jacobi_from_gauss(fld, conjugate=args.conjugate))}
-    return results, checks.jacobi(fld, part), fld
+    if not 0 <= args.beta < fld.q:
+        raise _UsageError(f"--beta must lie in [0, {fld.q})")
+    if not (0 <= args.i < args.n and 0 <= args.j < args.n):
+        raise _UsageError("coset indices must lie in [0, n)")
+    closed = rep_count(fld, part, args.beta, args.i, args.j, "closed-form")
+    brute = rep_count(fld, part, args.beta, args.i, args.j, "brute-force")
+    results = {"query": closed.to_json(), "brute_force": brute.count}
+    return results, [equal("closed_equals_brute", brute.count, closed.count)], fld
 
 
 def _run_gauss(args):
@@ -213,24 +190,13 @@ def _run_gauss(args):
     found = [holds("abs_square_equals_q",
                    abs(abs(g_num) ** 2 - fld.q) <= GAUSS_ABS_REL_TOL * fld.q,
                    f"|G|^2 = {abs(g_num) ** 2:.12g}")]
-    results = {"n": args.n, "numeric": _complex_json(g_num)}
+    results = {"n": args.n, "numeric": complex_json(g_num)}
     if fld.p == 2:
         g_exact = gauss_sum(fld, args.n, mode="exact", conjugate=args.conjugate)
         results["exact"] = g_exact.to_json()
         found.append(holds("exact_matches_numeric",
                            abs(g_exact.to_complex() - g_num) < 1e-6))
     return results, found, fld
-
-
-def _run_charpoly(args):
-    fld, part = _field_part(args, args.n)
-    jac = jacobi_cubic(fld, part) if args.n == 3 else None
-    sigmas = quadratic_sigma(fld, part) if jac is None else cubic_sigma(fld, part, jac)
-    results = {"n": args.n,
-               **{f"sigma{k}": _sigma_json(s) for k, s in enumerate(sigmas, 1)}}
-    if jac is not None:
-        results["jacobi"] = jac.to_json()
-    return results, checks.charpoly(fld, part), fld
 
 
 def _run_shift(args):
@@ -257,27 +223,14 @@ def _run_shift(args):
     return results, found, fld
 
 
-def _run_duality(args):
-    fld, part = _field_part(args, args.n)
-    report = verify_duality(fld, args.n, part)
-    found = [holds("duality_holds", report.holds,
-                   f"max_R = {report.max_rep}, "
-                   f"1 + max_N3 = {1 + report.max_shift3}")]
-    if report.closed_form is not None:
-        found.append(equal("closed_form_matches", report.closed_form,
-                           1 + report.max_shift3))
-    return report.to_json(), found, fld
-
-
 def _run_verify(args):
-    cap = _size_cap()
+    cap = env_size_cap()
     if not 3 <= args.q_max <= cap:
         raise _UsageError(f"--q-max must lie in [3, {cap}]")
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     registry.reset()
     verify_mod.cached_field.cache_clear()
     registry.mark("run")
-    registry.mark("verify_suite")
     sweeps = verify_mod.run_scope(args.scope, args.q_max, threads)
     found = [equal(f"{sw.name}_failures", 0, len(sw.failures)) for sw in sweeps]
     if args.scope == "all":
@@ -300,11 +253,11 @@ _RUNNERS = {
     "field-info": _run_field_info,
     "partition": _run_partition,
     "repcount": _run_repcount,
-    "jacobi": _run_jacobi,
+    "jacobi": lambda args: _run_families(args, 3, checks.jacobi),
     "gauss": _run_gauss,
-    "charpoly": _run_charpoly,
+    "charpoly": lambda args: _run_families(args, args.n, checks.charpoly),
     "shift": _run_shift,
-    "duality": _run_duality,
+    "duality": lambda args: _run_families(args, args.n, checks.duality),
     "verify": _run_verify,
 }
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ from .errors import IdentityViolation
 
 DEFAULT_SIZE_CAP = 1 << 16
 INT64_MAX = 2 ** 63 - 1
+
+
+def env_size_cap() -> int:
+    """The cap the CLI and the sweeps build under: CHARSUM_SIZE_CAP if set."""
+    return int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
 
 
 def is_prime(n: int) -> bool:
@@ -306,17 +312,9 @@ class FieldTable:
 
     def _build_exp(self) -> np.ndarray:
         q, p, m = self.q, self.p, self.m
-        e = np.empty(max(q - 1, 1), dtype=np.int64)
-        if m == 1:
-            cur = 1
-            for h in range(q - 1):
-                e[h] = cur
-                cur = cur * self.alpha % p
-            if cur != 1:
-                raise RuntimeError("alpha does not have order q-1")
-            return e
-        # multiplication by alpha is linear; iterate its matrix on the
-        # coordinate vector to enumerate alpha**h for h = 0..q-2
+        # multiplication by alpha is linear with matrix A; by doubling, the
+        # coordinate rows of alpha**0 .. alpha**(k-1) times (A**k)^T are
+        # those of alpha**k .. alpha**(2k-1), so O(log q) products suffice
         f = list(self.spec.modulus)
         apoly = self._idx_to_poly(self.alpha)
         mat = np.zeros((m, m), dtype=np.int64)
@@ -324,12 +322,17 @@ class FieldTable:
             col = _pmulmod(apoly, [0] * i + [1], f, p)
             for r, c in enumerate(col):
                 mat[r, i] = c
-        cur = np.zeros(m, dtype=np.int64)
-        cur[0] = 1
-        for h in range(q - 1):
-            e[h] = cur @ self._pplace
-            cur = (mat @ cur) % p
-        if e[0] != 1 or cur @ self._pplace != 1:
+        rows = np.zeros((max(q - 1, 1), m), dtype=np.int64)
+        rows[0, 0] = 1
+        power, k = mat, 1
+        while k < len(rows):
+            step = min(k, len(rows) - k)
+            np.matmul(rows[:step], power.T, out=rows[k:k + step])
+            rows[k:k + step] %= p
+            power = power @ power % p
+            k += step
+        e = rows @ self._pplace
+        if e[0] != 1 or (mat @ rows[-1]) % p @ self._pplace != 1:
             raise RuntimeError("alpha does not have order q-1")
         return e
 

@@ -19,9 +19,10 @@ ALL_OPS = frozenset({
     # group ring
     "gr_mul", "characteristic_fn", "phi", "quadratic_sigma", "cubic_sigma",
     # shift counts
-    "shift_count", "max_shift_count", "closed_form_max3", "verify_duality",
+    "shift_count", "max_shift_count", "affine_max_shift3", "closed_form_max3",
+    "verify_duality",
     # cli
-    "run", "verify_suite",
+    "run",
 })
 
 _called: set = set()

@@ -26,8 +26,8 @@ import numpy as np
 from . import registry
 from .characters import CosetPartition, partition
 from .cyclotomic import jacobi_cubic
-from .errors import UnsupportedCharacterError
-from .field import FieldTable
+from .errors import IdentityViolation, UnsupportedCharacterError
+from .field import FieldTable, convolve
 from .repcount import closed_rep_class_table
 
 DEAD = -2  # rows carry labels 0..n-1, -1 at zero elements, DEAD when ruled out
@@ -126,6 +126,23 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     return best, tuple(int(coset0[w]) for w in wit)
 
 
+def affine_max_shift3(field: FieldTable, part: CosetPartition) -> int:
+    """max N(3) by the affine reduction, without a subset search.
+
+    x -> s*x + e maps {0, 1, d} onto the triple {e, e+s, e+s*d}, and scaling
+    by s only permutes coset labels, so that triple has N = M(d), the number
+    of y with y, y+1 and y+d nonzero in one coset; M(d) >= 1 exactly when
+    some same-coset triple realises d.  Hence max N(3) = max over d not in
+    {0, 1} of M(d), where M = sum_c corr(g_c, f_c), f_c = [y in C_c] and
+    g_c(y) = f_c(y) f_c(y + 1): one broadcast convolution of g_c(-y) with f_c.
+    """
+    registry.mark("affine_max_shift3")
+    f = (part.labels == np.arange(part.n)[:, None]).astype(np.int64)
+    g = f * f[:, field.add_row(1)]
+    counts = convolve(field, g[:, field.neg_vec(field._arange)], f).sum(axis=0)
+    return int(counts[2:].max())     # index 0 is d = 0, index 1 is d = 1
+
+
 def closed_form_max3(field: FieldTable, n: int) -> int:
     """Predicted value of 1 + max N(3) from the case closed forms.
 
@@ -143,7 +160,7 @@ def closed_form_max3(field: FieldTable, n: int) -> int:
         else:
             num = q + 1
         if num % 4:
-            raise ArithmeticError("closed form is not an integer")
+            raise IdentityViolation("closed form is not an integer")
         return num // 4
     if n == 3:
         if p != 2:
@@ -154,7 +171,7 @@ def closed_form_max3(field: FieldTable, n: int) -> int:
         h = m // 2
         num = q + 2 ** h - 2 if h % 2 == 0 else q + 2 ** (h + 1) + 1
         if num % 9:
-            raise ArithmeticError("closed form is not an integer")
+            raise IdentityViolation("closed form is not an integer")
         return num // 9
     raise ValueError("n must be 2 or 3")
 

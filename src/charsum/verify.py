@@ -1,9 +1,9 @@
 """Exhaustive verification sweeps over ranges of prime powers.
 
 Each sweep iterates every valid field in its scope, runs one family of
-checks from ``charsum.checks`` on it, and aggregates failures.  The per
-field workers are top-level functions taking one tuple argument so the
-CLI can fan them out over a process pool; results merge by input order,
+checks from ``charsum.checks`` on it, and aggregates failures and notes.
+The per-field worker is a top-level function taking one tuple argument so
+the CLI can fan it out over a process pool; results merge by input order,
 which keeps reports byte-identical regardless of worker count.
 """
 
@@ -14,15 +14,14 @@ from dataclasses import dataclass, field as dc_field
 
 from . import checks, registry
 from .characters import character_exists, partition
-from .checks import Check, equal, holds, violation
+from .checks import violation
 from .errors import IdentityViolation
-from .field import build_field, prime_powers
-from .shiftcount import closed_form_max3, max_shift_count, shift_count, verify_duality
+from .field import build_field, env_size_cap, prime_powers
 
 
 @functools.lru_cache(maxsize=24)
 def cached_field(p: int, m: int):
-    return build_field(p, m)
+    return build_field(p, m, size_cap=env_size_cap())
 
 
 @dataclass
@@ -65,58 +64,24 @@ def _tag(p, m, n) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-field workers
+# the per-field worker
 
-def _tally(p, m, n, found: list[Check], notes=()) -> dict:
-    """One field's checks as assertions, failure lines and notes."""
+def _family_worker(args):
+    """One family's checks on one field as assertions, failure lines and
+    notes.  An IdentityViolation becomes a failed check of this field, so
+    the rest of the sweep is still reported."""
+    family, p, m, n = args
+    fld = cached_field(p, m)
+    try:
+        _, found, notes = family(fld, partition(fld, n))
+    except IdentityViolation as exc:
+        found, notes = [violation(exc)], []
     tag = _tag(p, m, n)
     return {"assertions": sum(c.count for c in found),
             "failures": [f"{tag}: {c.name}: expected {c.expected}, got {c.actual}"
                          for c in found if not c.passed],
             "notes": [f"{tag}: {note}" for note in notes],
             "ops": registry.called()}
-
-
-def _family_worker(args):
-    """One family's checks on one field.  An IdentityViolation becomes a
-    failed check of this field, so the rest of the sweep is still reported."""
-    family, p, m, n = args
-    fld = cached_field(p, m)
-    try:
-        found = family(fld, partition(fld, n))
-    except IdentityViolation as exc:
-        found = [violation(exc)]
-    return _tally(p, m, n, found)
-
-
-def _duality_checks(fld, part) -> tuple[list[Check], list[str]]:
-    """Exhaustive max N(3) against its witness, its closed form and the
-    duality, plus notes on what could not be checked."""
-    if len(part.cosets[0]) < 3:
-        return [], ["coset smaller than 3, skipped"]
-    max_n3, witness = max_shift_count(fld, part, 3)
-    found = [equal("witness_reproduces_max", max_n3, shift_count(fld, part, witness))]
-    notes = []
-    try:
-        found.append(equal("closed_form_matches", closed_form_max3(fld, part.n),
-                           1 + max_n3))
-    except ValueError:
-        notes.append(f"no closed form stated for this case (exhaustive max N = {max_n3})")
-    report = verify_duality(fld, part.n, part)
-    found.append(equal("duality_recomputes_max_N3", max_n3, report.max_shift3))
-    found.append(holds("duality_holds", report.holds,
-                       f"max_R = {report.max_rep}, 1 + max_N3 = {1 + report.max_shift3}"))
-    return found, notes
-
-
-def _duality_worker(args):
-    p, m, n = args
-    fld = cached_field(p, m)
-    try:
-        found, notes = _duality_checks(fld, partition(fld, n))
-    except IdentityViolation as exc:
-        found, notes = [violation(exc)], []
-    return _tally(p, m, n, found, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +95,15 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
-def _aggregate(name: str, outcomes) -> SweepResult:
+def _sweep(name: str, family, items, threads: int) -> SweepResult:
     res = SweepResult(name)
-    for oc in outcomes:
+    for oc in _pmap(_family_worker, [(family, *it) for it in items], threads):
         res.fields += 1
         res.assertions += oc["assertions"]
         res.failures.extend(oc["failures"])
         res.notes.extend(oc["notes"])
-        registry.merge(oc.get("ops", ()))
+        registry.merge(oc["ops"])
     return res
-
-
-def _sweep(name: str, family, items, threads: int) -> SweepResult:
-    return _aggregate(name, _pmap(_family_worker,
-                                  [(family, *it) for it in items], threads))
 
 
 def sweep_quadratic_counts(q_max: int, threads: int = 1) -> SweepResult:
@@ -162,12 +122,8 @@ def sweep_perron(p_max: int, threads: int = 1) -> SweepResult:
 
 
 def sweep_zero_sums(q_max: int, threads: int = 1) -> SweepResult:
-    items = _both_orders(quadratic_fields(q_max), cubic_fields(q_max))
-    res = _sweep("zero_sum_counts", checks.zero_sum, items, threads)
-    res.notes = [f"{_tag(p, m, n)}: nonzero cells are (q-1)/{n} = {(p ** m - 1) // n}, "
-                 f"not the prime-field-literal (p-1)/{n} = {(p - 1) // n}"
-                 for p, m, n in items if m > 1]
-    return res
+    return _sweep("zero_sum_counts", checks.zero_sum,
+                  _both_orders(quadratic_fields(q_max), cubic_fields(q_max)), threads)
 
 
 def sweep_winterhof(q_max: int, threads: int = 1) -> SweepResult:
@@ -191,8 +147,8 @@ def sweep_cubic_charpoly(q_max: int, threads: int = 1) -> SweepResult:
 
 
 def sweep_duality(n2_fields, n3_fields, threads: int = 1) -> SweepResult:
-    return _aggregate("shift_duality", _pmap(
-        _duality_worker, _both_orders(n2_fields, n3_fields), threads))
+    return _sweep("shift_duality", checks.duality,
+                  _both_orders(n2_fields, n3_fields), threads)
 
 
 # scope -> sweeps, with the ceilings used by `--scope all`

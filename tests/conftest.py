@@ -1,4 +1,5 @@
 import functools
+import sys
 
 from charsum import build_field, partition
 
@@ -11,3 +12,16 @@ def get_field(p, m=1):
 @functools.lru_cache(maxsize=None)
 def get_partition(p, m, n, conjugate=False):
     return partition(get_field(p, m), n, conjugate=conjugate)
+
+
+def count_calls(monkeypatch, name):
+    """Calls to the charsum function ``name``, under every name bound to it."""
+    calls = []
+    for mod in [m for k, m in sys.modules.items() if k.startswith("charsum")]:
+        real = getattr(mod, name, None)
+        if callable(real):
+            def counted(*args, _real=real, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import charsum.verify as v
+from charsum import checks
 from charsum.checks import GAUSS_ABS_REL_TOL, JACOBI_NUM_TOL
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
@@ -156,7 +157,7 @@ def test_criterion_10_fails_on_an_identity_violation(monkeypatch, capsys):
     def broken(fld, part):
         raise IdentityViolation("injected")
 
-    monkeypatch.setattr(v, "_duality_checks", broken)
+    monkeypatch.setattr(checks, "duality", broken)
     sweep = v.sweep_duality([(3, 2)], [], threads=1)
     assert sweep.failures == [
         "F_3^2 n=2: IdentityViolation: expected no error, got injected"]

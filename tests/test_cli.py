@@ -5,6 +5,7 @@ import sys
 from charsum import checks
 from charsum.cli import main
 from charsum.errors import IdentityViolation
+from conftest import count_calls
 
 
 def run_cli(capsys, *argv):
@@ -128,8 +129,19 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "repcount", "--field", "3^2:1,1")[0] == 1
     code, _, err = run_cli(capsys, "shift", "--field", "5", "--n", "2", "--t", "3")
     assert code == 1 and "coset size" in err
+    code, out, err = run_cli(capsys, "duality", "--field", "5", "--n", "2")
+    assert code == 1 and "coset smaller than 3" in err and out == ""
     code, out, err = run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "1")
     assert code == 1 and "--q-max" in err and out == ""
+
+
+def test_family_verbs_compute_each_value_once(capsys, monkeypatch):
+    jacobi, quotient, perron = (count_calls(monkeypatch, name) for name in
+                                ("jacobi_cubic", "jacobi_from_gauss", "perron_table"))
+    assert run_cli(capsys, "jacobi", "--field", "7")[0] == 0
+    assert (len(jacobi), len(quotient)) == (1, 1)
+    assert run_cli(capsys, "repcount", "--field", "13", "--n", "2")[0] == 0
+    assert len(perron) == 1
 
 
 def test_tables_and_charpoly_run_above_4096(capsys):

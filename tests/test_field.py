@@ -133,6 +133,15 @@ def test_dlog_exp_are_inverse_bijections(p, m):
     assert all(f.pow_(f.alpha, k) != 1 for k in range(1, f.q - 1))
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 12), (3, 7), (5, 4), (97, 2)])
+def test_exp_table_matches_polynomial_powers(p, m):
+    # the table is built by doubling; check it against square-and-multiply
+    f = get_field(p, m)
+    hs = np.random.default_rng(p * m).integers(0, f.q - 1, 40).tolist()
+    for h in [0, 1, f.q - 2] + hs:
+        assert f.exp[h] == f._raw_pow(f.alpha, h)
+
+
 def test_index_coeffs_bijection():
     f = get_field(3, 3)
     for x in range(f.q):

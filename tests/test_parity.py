@@ -19,7 +19,7 @@ import pytest
 from charsum.cli import main
 
 CASES = json.loads((Path(__file__).parent / "data" / "recorded_stdout.json").read_text())
-FAMILY_VERBS = {"repcount", "jacobi", "charpoly"}
+FAMILY_VERBS = {"repcount", "jacobi", "charpoly", "duality"}
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))

@@ -1,11 +1,21 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from charsum.shiftcount import (closed_form_max3, max_shift_count,
-                                shift_count, verify_duality)
+from charsum.characters import character_exists
+from charsum.errors import IdentityViolation
+from charsum.field import prime_powers
+from charsum.shiftcount import (affine_max_shift3, closed_form_max3,
+                                max_shift_count, shift_count, verify_duality)
 from conftest import get_field, get_partition
+
+# (p, m, n) with a character of order n and cosets of at least 3 elements
+TRIPLE_FIELDS = [(p, m, n) for p, m, q in prime_powers(125) for n in (2, 3)
+                 if character_exists(p, m, n) and (q - 1) // n >= 3]
 
 
 def test_single_element_subsets():
@@ -50,6 +60,21 @@ def test_closed_form_values():
     assert closed_form_max3(get_field(7), 2) == 2          # p = 3 mod 4, m odd
     with pytest.raises(ValueError):
         closed_form_max3(get_field(7), 3)                  # cubic form needs p = 2
+
+
+def test_closed_form_that_is_no_integer_is_an_identity_violation():
+    # q does not match p and m, so (q + 1)/4 is no integer; the CLI and the
+    # sweeps report an IdentityViolation as a failed check
+    with pytest.raises(IdentityViolation, match="not an integer"):
+        closed_form_max3(SimpleNamespace(q=5, p=3, m=1), 2)
+
+
+@given(st.sampled_from(TRIPLE_FIELDS))
+@settings(max_examples=40, deadline=None)
+def test_affine_max_matches_subset_search(case):
+    p, m, n = case
+    f, part = get_field(p, m), get_partition(p, m, n)
+    assert affine_max_shift3(f, part) == max_shift_count(f, part, 3)[0]
 
 
 @pytest.mark.parametrize("p,m,n,t", [(13, 1, 2, 3), (3, 2, 2, 3), (2, 4, 3, 3),

@@ -1,5 +1,7 @@
-from charsum import checks
-from charsum.verify import _family_worker
+from charsum import checks, shiftcount
+from charsum.verify import (_family_worker, cached_field, cubic_fields,
+                            quadratic_fields, sweep_duality)
+from conftest import count_calls
 
 
 def test_jacobi_sweep_checks_every_beta_above_conv_cap():
@@ -10,3 +12,32 @@ def test_jacobi_sweep_checks_every_beta_above_conv_cap():
     assert outcome["failures"] == []
     # norm, J + conj(J), Gauss quotient, |G|^2, two spot A(beta), all beta
     assert outcome["assertions"] == 6 + (q - 1)
+
+
+def test_sweep_fields_obey_the_size_cap_env(monkeypatch):
+    monkeypatch.setenv("CHARSUM_SIZE_CAP", "70000")
+    cached_field.cache_clear()
+    try:
+        assert cached_field(65537, 1).q == 65537
+    finally:
+        cached_field.cache_clear()
+
+
+def test_duality_sweep_runs_the_search_once_per_field(monkeypatch):
+    calls = count_calls(monkeypatch, "max_shift_count")
+    sweep = sweep_duality(quadratic_fields(60), cubic_fields(60))
+    skipped = sum("skipped" in note for note in sweep.notes)
+    assert sweep.ok and len(calls) == sweep.fields - skipped > 0
+
+
+def test_duality_sweep_reports_a_search_off_by_one(monkeypatch):
+    real = shiftcount.max_shift_count
+
+    def one_too_many(field, part, t):
+        best, witness = real(field, part, t)
+        return best + 1, witness
+
+    monkeypatch.setattr(shiftcount, "max_shift_count", one_too_many)
+    sweep = sweep_duality([(13, 1)], [])
+    assert any("affine_max_N3_matches_search: expected 3, got 2" in line
+               for line in sweep.failures), sweep.failures
