@@ -60,6 +60,10 @@ class CosetPartition:
         """Coset index of x, or -1 for the zero element."""
         return int(self.labels[x])
 
+    def indicators(self) -> np.ndarray:
+        """Rows f_c = [x in C_c] of the coset characteristic functions, (n, q)."""
+        return (self.labels == np.arange(self.n)[:, None]).astype(np.int64)
+
     def char_value(self, x: int):
         """Character value: 0/+-1 for n = 2, an EisensteinInt for n = 3."""
         lab = self.label(x)
@@ -152,7 +156,7 @@ def pair_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
 
     out[i, j, beta] = #{(x, y) in C_j x C_i : x + y = beta}; the representation
     counts, the sigma chain and A(beta) are all folds of it."""
-    f = (part.labels == np.arange(part.n)[:, None]).astype(np.int64)
+    f = part.indicators()
     return convolve(field, f[:, None], f[None, :])
 
 

@@ -19,11 +19,12 @@ from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_char2_closed_form, jacobi_cubic,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
+from .field import convolve
 from .groupring import (characteristic_fn, cubic_sigma, gr_mul, phi,
                         quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
                        rep_count_table, rep_count_zero, rep_count_zero_brute)
-from .shiftcount import affine_max_shift3, shift_count, verify_duality
+from .shiftcount import shift_count, triple_counts, verify_duality
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -242,16 +243,16 @@ def charpoly(field, part):
 # shift-count duality
 
 def duality(field, part):
-    """max R == 1 + max N(3), the searched max N(3) against its witness, the
-    affine route and the closed form; nothing to check below 3-element cosets."""
+    """max R == 1 + max N(3), max N(3) against its witness and the closed form,
+    and the reduction behind it against the definition; nothing to check below
+    3-element cosets."""
     if len(part.cosets[0]) < 3:
         return {}, [], ["coset smaller than 3, skipped"]
     report = verify_duality(field, part.n, part)
-    max_n3 = report.max_shift3
+    max_n3, witness = report.max_shift3, report.max_shift3_witness
     found = [equal("witness_reproduces_max", max_n3,
-                   shift_count(field, part, report.max_shift3_witness)),
-             equal("affine_max_N3_matches_search", max_n3,
-                   affine_max_shift3(field, part)),
+                   shift_count(field, part, witness)),
+             reduction_matches_row_counts(field, part, *witness[:2]),
              holds("duality_holds", report.holds,
                    f"max_R = {report.max_rep}, 1 + max_N3 = {1 + max_n3}")]
     notes = []
@@ -260,3 +261,23 @@ def duality(field, part):
     else:
         found.append(equal("closed_form_matches", report.closed_form, 1 + max_n3))
     return report.to_json(), found, notes
+
+
+def reduction_matches_row_counts(field, part, e1: int, e2: int) -> Check:
+    """N({e1, e2, e}) for every other e in C_0, counted from the definition,
+    against M((e - e1)/(e2 - e1)) from the affine reduction.
+
+    The counts never use the reduction: with h_c(beta) = f_c(beta + e1)
+    f_c(beta + e2), N({e1, e2, e}) = sum_c sum_beta h_c(beta) f_c(beta + e),
+    one broadcast convolution of h_c(-beta) with f_c."""
+    f = part.indicators()
+    h = f[:, field.add_row(e1)] * f[:, field.add_row(e2)]
+    rows = convolve(field, h[:, field.neg_vec(field._arange)], f).sum(axis=0)
+    others = np.setdiff1d(part.cosets[0], [e1, e2])
+    d = field.mul_vec(field.inv(field.sub(e2, e1)),
+                      field.add_vec(field.neg(e1), others))
+    reduced = triple_counts(field, part)[d]
+    bad = np.flatnonzero(rows[others] != reduced)
+    return holds("reduction_matches_row_counts", not len(bad),
+                 _mismatches(bad, lambda b: f"e={others[b]}: N = "
+                             f"{rows[others[b]]}, M(d) = {reduced[b]}"))

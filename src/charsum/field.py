@@ -317,12 +317,15 @@ class FieldTable:
         # those of alpha**k .. alpha**(2k-1), so O(log q) products suffice
         f = list(self.spec.modulus)
         apoly = self._idx_to_poly(self.alpha)
-        mat = np.zeros((m, m), dtype=np.int64)
+        # a product entry sums m terms below p^2, an index is below q: int32
+        # halves the rows wherever both fit
+        dtype = np.int32 if max(m * (p - 1) ** 2, q) < 2 ** 31 else np.int64
+        mat = np.zeros((m, m), dtype=dtype)
         for i in range(m):
             col = _pmulmod(apoly, [0] * i + [1], f, p)
             for r, c in enumerate(col):
                 mat[r, i] = c
-        rows = np.zeros((max(q - 1, 1), m), dtype=np.int64)
+        rows = np.zeros((max(q - 1, 1), m), dtype=dtype)
         rows[0, 0] = 1
         power, k = mat, 1
         while k < len(rows):
@@ -331,7 +334,7 @@ class FieldTable:
             rows[k:k + step] %= p
             power = power @ power % p
             k += step
-        e = rows @ self._pplace
+        e = (rows @ self._pplace.astype(dtype)).astype(np.int64)
         if e[0] != 1 or (mat @ rows[-1]) % p @ self._pplace != 1:
             raise RuntimeError("alpha does not have order q-1")
         return e

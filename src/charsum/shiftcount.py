@@ -10,10 +10,14 @@ Maxima are searched over t-subsets of coset 0 only: rescaling a subset of
 coset j by alpha^(-j) is a bijection beta -> beta * alpha^(-j) on the
 solutions, so every coset attains the same maximum.
 
-The search keeps, per candidate prefix, the per-beta "required label" row
-(or a dead marker), which makes the last level a single vectorized
-comparison; subtrees that cannot beat the current best are pruned, and
-the first maximum in lexicographic element order is kept, so the reported
+For t = 3 the maximum comes from the affine reduction: N of a triple
+depends only on its ratio d (``triple_counts``), so max N(3) is the largest
+M(d), one convolution, and the witness is the first triple in lex order
+whose ratio attains it.  Other t run the exhaustive search, which keeps,
+per candidate prefix, the per-beta "required label" row (or a dead
+marker), which makes the last level a single vectorized comparison;
+subtrees that cannot beat the current best are pruned.  Either way the
+first maximum in lexicographic element order is kept, so the reported
 witness is deterministic.
 """
 
@@ -44,20 +48,8 @@ def shift_count(field: FieldTable, part: CosetPartition, elements) -> int:
     labs = {part.label(e) for e in els}
     if len(labs) != 1:
         raise ValueError("elements must share one coset label")
-    lab = part.labels
-    count = 0
-    for beta in range(field.q):
-        first = -1
-        ok = True
-        for e in els:
-            c = lab[field.add(beta, e)]
-            if c < 0 or (first >= 0 and c != first):
-                ok = False
-                break
-            first = int(c)
-        if ok:
-            count += 1
-    return count
+    rows = _label_rows(field, part, np.array(els))
+    return int(((rows[0] >= 0) & (rows == rows[0]).all(axis=0)).sum())
 
 
 def _label_rows(field: FieldTable, part: CosetPartition,
@@ -109,10 +101,11 @@ def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
 
 def max_shift_count(field: FieldTable, part: CosetPartition,
                     t: int) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive maximum of N over t-subsets of coset 0, with witness.
+    """Maximum of N over t-subsets of coset 0, with witness.
 
     The witness is the lexicographically least maximizing subset in
-    element-index order, independent of search parallelization.
+    element-index order.  t = 3 takes the affine reduction
+    (``affine_max_shift3``); every other t runs the exhaustive search.
     """
     registry.mark("max_shift_count")
     if t < 1:
@@ -121,26 +114,53 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     if len(coset0) < t:
         raise ValueError(
             f"coset size {len(coset0)} is too small for t = {t}")
+    if t == 3:
+        return affine_max_shift3(field, part)
     rows = _label_rows(field, part, coset0)
     best, wit = _scan_max(rows, t)
     return best, tuple(int(coset0[w]) for w in wit)
 
 
-def affine_max_shift3(field: FieldTable, part: CosetPartition) -> int:
-    """max N(3) by the affine reduction, without a subset search.
+def triple_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
+    """M(d) for every d: the y with y, y + 1 and y + d nonzero in one coset.
+
+    M = sum_c corr(g_c, f_c) with f_c = [y in C_c] and g_c(y) = f_c(y) f_c(y + 1),
+    one broadcast convolution of g_c(-y) with f_c.
+    """
+    f = part.indicators()
+    g = f * f[:, field.add_row(1)]
+    return convolve(field, g[:, field.neg_vec(field._arange)], f).sum(axis=0)
+
+
+def affine_max_shift3(field: FieldTable, part: CosetPartition
+                      ) -> tuple[int, tuple[int, ...]]:
+    """max N(3) by the affine reduction, with the lex-first witness.
 
     x -> s*x + e maps {0, 1, d} onto the triple {e, e+s, e+s*d}, and scaling
-    by s only permutes coset labels, so that triple has N = M(d), the number
-    of y with y, y+1 and y+d nonzero in one coset; M(d) >= 1 exactly when
-    some same-coset triple realises d.  Hence max N(3) = max over d not in
-    {0, 1} of M(d), where M = sum_c corr(g_c, f_c), f_c = [y in C_c] and
-    g_c(y) = f_c(y) f_c(y + 1): one broadcast convolution of g_c(-y) with f_c.
+    by s only permutes coset labels, so that triple has N = M(d)
+    (``triple_counts``); M(d) >= 1 exactly when some same-coset triple
+    realises d.  Hence max N(3) = max over d not in {0, 1} of M(d).  The
+    witness walks the triples e_i < e_j < e_l of coset 0 in lex order, as
+    d = (e_l - e_i)/(e_j - e_i) by discrete logs, to the first with M(d) = max.
     """
     registry.mark("affine_max_shift3")
-    f = (part.labels == np.arange(part.n)[:, None]).astype(np.int64)
-    g = f * f[:, field.add_row(1)]
-    counts = convolve(field, g[:, field.neg_vec(field._arange)], f).sum(axis=0)
-    return int(counts[2:].max())     # index 0 is d = 0, index 1 is d = 1
+    counts = triple_counts(field, part)
+    best = int(counts[2:].max())     # index 0 is d = 0, index 1 is d = 1
+    top = counts[field.exp] == best  # by discrete log: top[h] = [M(alpha^h) = max]
+    coset0 = part.cosets[0]
+    for i in range(len(coset0) - 2):
+        rest = coset0[i + 1:]
+        logs = field.dlog_table[field.add_vec(field.neg(int(coset0[i])), rest)]
+        step = max(1, (1 << 20) // len(rest))
+        for lo in range(0, len(rest) - 1, step):
+            # rows j, columns l of rest; keep l > j, the first hit is lex-first
+            hit = np.triu(top[(logs - logs[lo:lo + step, None]) % (field.q - 1)],
+                          lo + 1)
+            first = int(np.argmax(hit))
+            if hit.flat[first]:
+                j, l = divmod(first, len(rest))
+                return best, (int(coset0[i]), int(rest[lo + j]), int(rest[l]))
+    raise IdentityViolation("no same-coset triple attains max M(d)")
 
 
 def closed_form_max3(field: FieldTable, n: int) -> int:
@@ -209,8 +229,9 @@ def verify_duality(field: FieldTable, n: int,
     """Compute max R over (beta != 0, i, j) and 1 + max N(3) independently.
 
     The left side sweeps the closed-form class table; the right side is the
-    exhaustive subset search.  The closed-form prediction is attached where
-    its case analysis applies (always for n = 2, characteristic 2 for n = 3).
+    affine reduction of ``max_shift_count``.  The closed-form prediction is
+    attached where its case analysis applies (always for n = 2,
+    characteristic 2 for n = 3).
     """
     registry.mark("verify_duality")
     if part is None:

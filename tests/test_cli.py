@@ -98,6 +98,22 @@ def test_shift_verb(capsys):
     assert report["results"]["closed_form_1_plus_max"] == 9
 
 
+def test_shift_verb_at_t3_has_no_search_bound(capsys):
+    # C(1365, 3) * 4096 > 2e10 bounds the exhaustive search; t = 3 does not run it
+    code, report, _ = run_json(capsys, "shift", "--field", "2^12", "--n", "3")
+    assert code == 0
+    assert {c["name"]: c["pass"] for c in report["checks"]} == {
+        "witness_reproduces_max": True, "closed_form_matches": True}
+    code, _, err = run_cli(capsys, "shift", "--field", "2^12", "--n", "3", "--t", "4")
+    assert code == 1 and "subset search too large" in err
+
+
+def test_duality_verb_at_the_size_cap(capsys):
+    code, report, _ = run_json(capsys, "duality", "--field", "2^16", "--n", "3")
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert report["results"]["max_R"] == 1 + report["results"]["max_N3"] == 7310
+
+
 def test_duality_verb(capsys):
     code, report, _ = run_json(capsys, "duality", "--field", "2^4", "--n", "3")
     assert code == 0

@@ -6,16 +6,41 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from charsum import shiftcount
 from charsum.characters import character_exists
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
-from charsum.shiftcount import (affine_max_shift3, closed_form_max3,
-                                max_shift_count, shift_count, verify_duality)
+from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
+                                closed_form_max3, max_shift_count, shift_count,
+                                verify_duality)
 from conftest import get_field, get_partition
 
-# (p, m, n) with a character of order n and cosets of at least 3 elements
-TRIPLE_FIELDS = [(p, m, n) for p, m, q in prime_powers(125) for n in (2, 3)
-                 if character_exists(p, m, n) and (q - 1) // n >= 3]
+
+def triple_fields(q_max):
+    """(p, m, n) with a character of order n and cosets of at least 3 elements."""
+    return [(p, m, n) for p, m, q in prime_powers(q_max) for n in (2, 3)
+            if character_exists(p, m, n) and (q - 1) // n >= 3]
+
+
+TRIPLE_FIELDS = triple_fields(125)
+MULTI_AXIS_FIELDS = [(p, m, n) for p, m, n in TRIPLE_FIELDS
+                     if m >= 2 and (p ** m - 1) // n >= 4]
+
+
+def searched_max3(f, part):
+    """The exhaustive search's max N(3) and lex-first witness, as elements."""
+    coset0 = part.cosets[0]
+    best, wit = _scan_max(_label_rows(f, part, coset0), 3)
+    return best, tuple(int(coset0[w]) for w in wit)
+
+
+def scalar_shift_count(f, part, els):
+    """N from the definition: one scalar field.add per (beta, e)."""
+    count = 0
+    for beta in range(f.q):
+        labels = {part.label(f.add(beta, e)) for e in els}
+        count += len(labels) == 1 and -1 not in labels
+    return count
 
 
 def test_single_element_subsets():
@@ -74,7 +99,36 @@ def test_closed_form_that_is_no_integer_is_an_identity_violation():
 def test_affine_max_matches_subset_search(case):
     p, m, n = case
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert affine_max_shift3(f, part) == max_shift_count(f, part, 3)[0]
+    assert affine_max_shift3(f, part) == searched_max3(f, part)
+
+
+@pytest.mark.parametrize("p,m,n", triple_fields(200))
+def test_max3_matches_the_search_on_the_sweep_grid(p, m, n):
+    f, part = get_field(p, m), get_partition(p, m, n)
+    assert max_shift_count(f, part, 3) == searched_max3(f, part)
+
+
+def test_max3_never_runs_the_subset_search(monkeypatch):
+    calls = []
+    real = shiftcount._scan_max
+    monkeypatch.setattr(shiftcount, "_scan_max",
+                        lambda *args: calls.append(args) or real(*args))
+    for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
+        max_shift_count(get_field(p, m), get_partition(p, m, n), 3)
+    assert calls == []
+    max_shift_count(get_field(13), get_partition(13, 1, 2), 4)
+    assert len(calls) == 1                  # other t keep the search
+
+
+@given(st.sampled_from(MULTI_AXIS_FIELDS), st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_shift_count_matches_scalar_loop(case, t, data):
+    p, m, n = case
+    f, part = get_field(p, m), get_partition(p, m, n)
+    coset = part.cosets[data.draw(st.integers(0, n - 1))]
+    els = data.draw(st.lists(st.sampled_from(coset.tolist()), min_size=t,
+                             max_size=t, unique=True))
+    assert shift_count(f, part, els) == scalar_shift_count(f, part, els)
 
 
 @pytest.mark.parametrize("p,m,n,t", [(13, 1, 2, 3), (3, 2, 2, 3), (2, 4, 3, 3),

@@ -1,7 +1,7 @@
 from charsum import checks, shiftcount
 from charsum.verify import (_family_worker, cached_field, cubic_fields,
                             quadratic_fields, sweep_duality)
-from conftest import count_calls
+from conftest import count_calls, get_field, get_partition
 
 
 def test_jacobi_sweep_checks_every_beta_above_conv_cap():
@@ -39,5 +39,23 @@ def test_duality_sweep_reports_a_search_off_by_one(monkeypatch):
 
     monkeypatch.setattr(shiftcount, "max_shift_count", one_too_many)
     sweep = sweep_duality([(13, 1)], [])
-    assert any("affine_max_N3_matches_search: expected 3, got 2" in line
-               for line in sweep.failures), sweep.failures
+    assert "F_13 n=2: witness_reproduces_max: expected 3, got 2" in sweep.failures
+
+
+def test_reduction_check_fails_on_a_perturbed_reduction(monkeypatch):
+    field, part = get_field(13), get_partition(13, 1, 2)
+    _, witness = shiftcount.max_shift_count(field, part, 3)
+    e1, e2, e3 = witness
+    d = field.mul(field.sub(e3, e1), field.inv(field.sub(e2, e1)))
+    assert checks.reduction_matches_row_counts(field, part, e1, e2).passed
+    real = shiftcount.triple_counts
+
+    def perturbed(fld, prt):
+        counts = real(fld, prt)
+        counts[d] += 1
+        return counts
+
+    monkeypatch.setattr(checks, "triple_counts", perturbed)
+    check = checks.reduction_matches_row_counts(field, part, e1, e2)
+    assert not check.passed
+    assert check.actual.startswith(f"1 mismatches, first at e={e3}:"), check.actual
