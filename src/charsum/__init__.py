@@ -22,15 +22,17 @@ from .groupring import (GroupRingElement, characteristic_fn, cubic_sigma,
 from .repcount import (brute_rep_count, closed_rep_count_cubic,
                        closed_rep_count_quadratic, perron_table,
                        rep_count_zero)
-from .shiftcount import (DualityReport, affine_max_shift3, closed_form_max3,
-                         max_shift_count, shift_count, verify_duality)
+from .shiftcount import (DualityReport, affine_max_shift3, affine_max_shift4,
+                         closed_form_max3, max_shift_count, shift_count,
+                         verify_duality)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CosetPartition", "DualityReport", "EisensteinInt", "FieldSpec",
     "FieldTable", "GroupRingElement", "IdentityViolation", "OMEGA",
-    "UnsupportedCharacterError", "a_beta", "affine_max_shift3", "brute_rep_count",
+    "UnsupportedCharacterError", "a_beta", "affine_max_shift3",
+    "affine_max_shift4", "brute_rep_count",
     "build_field", "char_sum_moment", "character_exists",
     "characteristic_fn", "closed_form_max3", "closed_rep_count_cubic",
     "closed_rep_count_quadratic", "cubic_sigma", "find_irreducible",

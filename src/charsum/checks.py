@@ -24,7 +24,7 @@ from .groupring import (characteristic_fn, cubic_sigma, gr_mul, phi,
                         quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
                        rep_count_table, rep_count_zero, rep_count_zero_brute)
-from .shiftcount import shift_count, triple_counts, verify_duality
+from .shiftcount import shift_count, verify_duality
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -252,7 +252,8 @@ def duality(field, part):
     max_n3, witness = report.max_shift3, report.max_shift3_witness
     found = [equal("witness_reproduces_max", max_n3,
                    shift_count(field, part, witness)),
-             reduction_matches_row_counts(field, part, *witness[:2]),
+             reduction_matches_row_counts(field, part, witness[:2],
+                                          report.shift3_counts),
              holds("duality_holds", report.holds,
                    f"max_R = {report.max_rep}, 1 + max_N3 = {1 + max_n3}")]
     notes = []
@@ -263,21 +264,29 @@ def duality(field, part):
     return report.to_json(), found, notes
 
 
-def reduction_matches_row_counts(field, part, e1: int, e2: int) -> Check:
-    """N({e1, e2, e}) for every other e in C_0, counted from the definition,
-    against M((e - e1)/(e2 - e1)) from the affine reduction.
+def reduction_matches_row_counts(field, part, prefix, counts) -> Check:
+    """N(prefix + {e}) for every other e in C_0, counted from the definition,
+    against the affine reduction's table ``counts`` at the ratios
+    d = (x - e1)/(e2 - e1) of the prefix's later elements and of e: M(d) for
+    a prefix (e1, e2) (``triple_counts``), M2(d3, d) for (e1, e2, e3)
+    (``quad_counts``).
 
-    The counts never use the reduction: with h_c(beta) = f_c(beta + e1)
-    f_c(beta + e2), N({e1, e2, e}) = sum_c sum_beta h_c(beta) f_c(beta + e),
-    one broadcast convolution of h_c(-beta) with f_c."""
+    The counts never use the reduction: with h_c(beta) the product of
+    f_c(beta + x) over the prefix, N(prefix + {e}) = sum_c sum_beta h_c(beta)
+    f_c(beta + e), one broadcast convolution of h_c(-beta) with f_c."""
     f = part.indicators()
-    h = f[:, field.add_row(e1)] * f[:, field.add_row(e2)]
+    h = np.prod([f[:, field.add_row(int(x))] for x in prefix], axis=0)
     rows = convolve(field, h[:, field.neg_vec(field._arange)], f).sum(axis=0)
-    others = np.setdiff1d(part.cosets[0], [e1, e2])
-    d = field.mul_vec(field.inv(field.sub(e2, e1)),
-                      field.add_vec(field.neg(e1), others))
-    reduced = triple_counts(field, part)[d]
+    e1, e2 = int(prefix[0]), int(prefix[1])
+    scale = field.inv(field.sub(e2, e1))
+
+    def ratios(xs):
+        return field.mul_vec(scale, field.add_vec(field.neg(e1), xs))
+
+    others = np.setdiff1d(part.cosets[0], prefix)
+    later = ratios(np.array(prefix[2:], dtype=np.int64))
+    reduced = counts[(*later, ratios(others))]
     bad = np.flatnonzero(rows[others] != reduced)
     return holds("reduction_matches_row_counts", not len(bad),
                  _mismatches(bad, lambda b: f"e={others[b]}: N = "
-                             f"{rows[others[b]]}, M(d) = {reduced[b]}"))
+                             f"{rows[others[b]]}, reduced = {reduced[b]}"))

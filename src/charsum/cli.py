@@ -29,7 +29,8 @@ from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import (FieldTable, build_field, env_size_cap, parse_field_spec,
                     prime_factors)
 from .repcount import rep_count
-from .shiftcount import closed_form_max3, max_shift_count, shift_count
+from .shiftcount import (closed_form_max3, max_shift_count, quad_counts,
+                         shift_count)
 from . import verify as verify_mod
 
 SCOPES = ("all", "repcount", "charpoly", "sums", "duality")
@@ -206,12 +207,21 @@ def _run_shift(args):
         raise _UsageError("--t must be positive")
     if coset_size < args.t:
         raise _UsageError(f"coset size {coset_size} < t = {args.t}")
-    # bounds the exhaustive search; t = 3 takes the affine reduction instead
-    if args.t != 3 and math.comb(coset_size, args.t) * fld.q > 2e10:
+    # t = 3 and t = 4 take the affine reduction, whose (q, q) table for t = 4
+    # is bounded in cells; other t run the exhaustive search, bounded in size
+    if args.t == 4:
+        too_large = fld.q ** 2 > 1 << 22
+    else:
+        too_large = args.t != 3 and math.comb(coset_size, args.t) * fld.q > 2e10
+    if too_large:
         raise _UsageError("subset search too large; reduce --t or the field")
-    max_n, witness = max_shift_count(fld, part, args.t)
+    counts = quad_counts(fld, part) if args.t == 4 else None
+    max_n, witness = max_shift_count(fld, part, args.t, counts)
     found = [equal("witness_reproduces_max", max_n,
                    shift_count(fld, part, witness))]
+    if args.t == 4:
+        found.append(checks.reduction_matches_row_counts(fld, part, witness[:3],
+                                                         counts))
     results = {"n": args.n, "t": args.t, "max_N": max_n,
                "witness": [int(e) for e in witness]}
     if args.t == 3:

@@ -269,10 +269,13 @@ class FieldTable:
         self.spec = spec
         self.p, self.m, self.q = spec.p, spec.m, spec.q
         self._pplace = self.p ** np.arange(self.m, dtype=np.int64)
-        self._digits = ((np.arange(self.q, dtype=np.int64)[:, None]
-                         // self._pplace) % self.p).astype(np.int32)
-        self._neg = ((self.p - self._digits) % self.p) @ self._pplace
         self._arange = np.arange(self.q, dtype=np.int64)
+        # column by column, so no (q x m) temporary is ever alive
+        self._digits = np.empty((self.q, self.m), dtype=np.int32)
+        self._neg = np.zeros(self.q, dtype=np.int64)
+        for i, place in enumerate(self._pplace.tolist()):
+            self._digits[:, i] = self._arange // place % self.p
+            self._neg += -self._digits[:, i] % self.p * place
         self._trace = None
         self.alpha = self._find_alpha()
         self.exp = self._build_exp()
@@ -305,8 +308,10 @@ class FieldTable:
         if self.q == 2:
             return 1
         cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
+        # on a prime field the index is the residue, so Python's pow applies
+        power = (lambda g, e: pow(g, e, self.p)) if self.m == 1 else self._raw_pow
         for g in range(2, self.q):
-            if all(self._raw_pow(g, e) != 1 for e in cofactors):
+            if all(power(g, e) != 1 for e in cofactors):
                 return g
         raise RuntimeError("no primitive element found")
 

@@ -121,9 +121,7 @@ def rep_count_zero(field: FieldTable, part: CosetPartition,
 def rep_count_zero_brute(field: FieldTable, part: CosetPartition,
                          i: int, j: int) -> int:
     """Oracle for the zero-sum counts: enumerate x in coset j with -x in coset i."""
-    lab = part.labels
-    return int(sum(1 for x in part.cosets[j]
-                   if lab[field.neg(int(x))] == i))
+    return int((part.labels[field.neg_vec(part.cosets[j])] == i).sum())
 
 
 def closed_rep_class_table(field: FieldTable, part: CosetPartition,

@@ -10,20 +10,21 @@ Maxima are searched over t-subsets of coset 0 only: rescaling a subset of
 coset j by alpha^(-j) is a bijection beta -> beta * alpha^(-j) on the
 solutions, so every coset attains the same maximum.
 
-For t = 3 the maximum comes from the affine reduction: N of a triple
-depends only on its ratio d (``triple_counts``), so max N(3) is the largest
-M(d), one convolution, and the witness is the first triple in lex order
-whose ratio attains it.  Other t run the exhaustive search, which keeps,
-per candidate prefix, the per-beta "required label" row (or a dead
-marker), which makes the last level a single vectorized comparison;
-subtrees that cannot beat the current best are pruned.  Either way the
-first maximum in lexicographic element order is kept, so the reported
-witness is deterministic.
+For t = 3 and t = 4 the maximum comes from the affine reduction: N of a
+subset {e, e + s, e + s*d1, ...} depends only on its ratios d = (e_k - e)/s,
+so max N(3) is the largest M(d) (``triple_counts``, one convolution) and
+max N(4) the largest M2(d1, d2) (``quad_counts``, convolutions chunked over
+d1); the witness is the first subset in lex order whose ratios attain it.
+Other t run the exhaustive search, which keeps, per candidate prefix, the
+per-beta "required label" row (or a dead marker), which makes the last
+level a single vectorized comparison; subtrees that cannot beat the current
+best are pruned.  Either way the first maximum in lexicographic element
+order is kept, so the reported witness is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -99,13 +100,16 @@ def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
     return best, best_wit
 
 
-def max_shift_count(field: FieldTable, part: CosetPartition,
-                    t: int) -> tuple[int, tuple[int, ...]]:
+def max_shift_count(field: FieldTable, part: CosetPartition, t: int,
+                    counts: np.ndarray | None = None
+                    ) -> tuple[int, tuple[int, ...]]:
     """Maximum of N over t-subsets of coset 0, with witness.
 
     The witness is the lexicographically least maximizing subset in
-    element-index order.  t = 3 takes the affine reduction
-    (``affine_max_shift3``); every other t runs the exhaustive search.
+    element-index order.  t = 3 and t = 4 take the affine reduction
+    (``affine_max_shift3``, ``affine_max_shift4``) over ``counts``, the
+    caller's ``triple_counts`` or ``quad_counts`` table when it already
+    holds one; every other t runs the exhaustive search.
     """
     registry.mark("max_shift_count")
     if t < 1:
@@ -115,7 +119,11 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
         raise ValueError(
             f"coset size {len(coset0)} is too small for t = {t}")
     if t == 3:
-        return affine_max_shift3(field, part)
+        return affine_max_shift3(
+            field, part, triple_counts(field, part) if counts is None else counts)
+    if t == 4:
+        return affine_max_shift4(
+            field, part, quad_counts(field, part) if counts is None else counts)
     rows = _label_rows(field, part, coset0)
     best, wit = _scan_max(rows, t)
     return best, tuple(int(coset0[w]) for w in wit)
@@ -132,19 +140,38 @@ def triple_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return convolve(field, g[:, field.neg_vec(field._arange)], f).sum(axis=0)
 
 
-def affine_max_shift3(field: FieldTable, part: CosetPartition
-                      ) -> tuple[int, tuple[int, ...]]:
+def quad_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
+    """M2(d1, d2) for every d1, d2: the y with y, y + 1, y + d1 and y + d2
+    nonzero in one coset, as a (q, q) int32 table (counts are below q).
+
+    M2 = sum_c corr(h_{c,d1}, f_c) with h_{c,d1}(y) = g_c(y) f_c(y + d1), g_c
+    as in ``triple_counts``: broadcast convolutions of h_{c,d1}(-y) with f_c
+    over an (n, d1, q) stack, chunked over d1 at about 2^20 cells per call.
+    """
+    q, neg = field.q, field.neg_vec(field._arange)
+    f = part.indicators()
+    g = (f * f[:, field.add_row(1)])[:, neg]
+    out = np.empty((q, q), dtype=np.int32)
+    step = max(1, (1 << 20) // (part.n * q))
+    for lo in range(0, q, step):
+        h = g[:, None, :] * f[:, field.add_outer(field._arange[lo:lo + step], neg)]
+        out[lo:lo + step] = convolve(field, h, f[:, None, :]).sum(axis=0)
+    return out
+
+
+def affine_max_shift3(field: FieldTable, part: CosetPartition,
+                      counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """max N(3) by the affine reduction, with the lex-first witness.
 
     x -> s*x + e maps {0, 1, d} onto the triple {e, e+s, e+s*d}, and scaling
     by s only permutes coset labels, so that triple has N = M(d)
-    (``triple_counts``); M(d) >= 1 exactly when some same-coset triple
-    realises d.  Hence max N(3) = max over d not in {0, 1} of M(d).  The
-    witness walks the triples e_i < e_j < e_l of coset 0 in lex order, as
-    d = (e_l - e_i)/(e_j - e_i) by discrete logs, to the first with M(d) = max.
+    (``counts``, from ``triple_counts``); M(d) >= 1 exactly when some
+    same-coset triple realises d.  Hence max N(3) = max over d not in
+    {0, 1} of M(d).  The witness walks the triples e_i < e_j < e_l of coset 0
+    in lex order, as d = (e_l - e_i)/(e_j - e_i) by discrete logs, to the
+    first with M(d) = max.
     """
     registry.mark("affine_max_shift3")
-    counts = triple_counts(field, part)
     best = int(counts[2:].max())     # index 0 is d = 0, index 1 is d = 1
     top = counts[field.exp] == best  # by discrete log: top[h] = [M(alpha^h) = max]
     coset0 = part.cosets[0]
@@ -161,6 +188,46 @@ def affine_max_shift3(field: FieldTable, part: CosetPartition
                 j, l = divmod(first, len(rest))
                 return best, (int(coset0[i]), int(rest[lo + j]), int(rest[l]))
     raise IdentityViolation("no same-coset triple attains max M(d)")
+
+
+def affine_max_shift4(field: FieldTable, part: CosetPartition,
+                      counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """max N(4) by the affine reduction, with the lex-first witness.
+
+    As for t = 3: x -> s*x + e maps {0, 1, d1, d2} onto {e, e+s, e+s*d1,
+    e+s*d2}, which therefore has N = M2(d1, d2) (``counts``, from
+    ``quad_counts``), so max N(4) = max over distinct d1, d2 not in
+    {0, 1} of M2.  The witness walks the prefixes e_i < e_j of coset 0 in lex
+    order and, per prefix, the pairs e_l < e_r after e_j, as ratios
+    d = (e - e_i)/(e_j - e_i) by discrete logs, to the first with
+    M2(d_l, d_r) = max; rows d_l with no maximum in M2 are skipped.
+    """
+    masked = np.array(counts)
+    masked[:2] = masked[:, :2] = -1  # d1 or d2 in {0, 1}
+    np.fill_diagonal(masked, -1)     # d1 = d2
+    best = int(masked.max())
+    top = masked == best
+    live = top.any(axis=1)
+    coset0 = part.cosets[0]
+    for i in range(len(coset0) - 3):
+        logs = field.dlog_table[field.add_vec(field.neg(int(coset0[i])),
+                                              coset0[i + 1:])]
+        for j in range(len(logs) - 2):
+            # d[x] is the ratio of coset0[i + j + 2 + x]
+            d = field.exp[(logs[j + 1:] - logs[j]) % (field.q - 1)]
+            rows = np.flatnonzero(live[d[:-1]])
+            step = max(1, (1 << 20) // len(d))
+            for lo in range(0, len(rows), step):
+                ls = rows[lo:lo + step, None]
+                # rows l, columns r; keep r > l, the first hit is lex-first
+                hit = top[d[ls], d] & (np.arange(len(d)) > ls)
+                first = int(np.argmax(hit))
+                if hit.flat[first]:
+                    a, r = divmod(first, len(d))
+                    base = i + j + 2
+                    return best, tuple(int(coset0[x]) for x in
+                                       (i, i + j + 1, base + ls[a, 0], base + r))
+    raise IdentityViolation("no same-coset 4-set attains max M2(d1, d2)")
 
 
 def closed_form_max3(field: FieldTable, n: int) -> int:
@@ -210,6 +277,7 @@ class DualityReport:
     max_shift3_witness: tuple[int, ...]
     closed_form: int | None
     holds: bool
+    shift3_counts: np.ndarray = dataclass_field(repr=False, compare=False)  # M(d)
 
     def to_json(self) -> dict:
         return {
@@ -229,9 +297,9 @@ def verify_duality(field: FieldTable, n: int,
     """Compute max R over (beta != 0, i, j) and 1 + max N(3) independently.
 
     The left side sweeps the closed-form class table; the right side is the
-    affine reduction of ``max_shift_count``.  The closed-form prediction is
-    attached where its case analysis applies (always for n = 2,
-    characteristic 2 for n = 3).
+    affine reduction of ``max_shift_count``, whose table M(d) the report
+    keeps for checks.  The closed-form prediction is attached where its case
+    analysis applies (always for n = 2, characteristic 2 for n = 3).
     """
     registry.mark("verify_duality")
     if part is None:
@@ -245,10 +313,11 @@ def verify_duality(field: FieldTable, n: int,
     max_rep = int(table[c, i, j])
     witness = {"beta_label": int(c), "beta": int(part.cosets[c][0]),
                "i": int(i), "j": int(j)}
-    max_n3, wit3 = max_shift_count(field, part, 3)
+    counts = triple_counts(field, part)
+    max_n3, wit3 = max_shift_count(field, part, 3, counts)
     try:
         closed = closed_form_max3(field, n)
     except ValueError:
         closed = None
     return DualityReport(field.p, field.m, field.q, n, max_rep, witness,
-                         max_n3, wit3, closed, max_rep == 1 + max_n3)
+                         max_n3, wit3, closed, max_rep == 1 + max_n3, counts)

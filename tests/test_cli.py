@@ -108,6 +108,18 @@ def test_shift_verb_at_t3_has_no_search_bound(capsys):
     assert code == 1 and "subset search too large" in err
 
 
+def test_shift_verb_at_t4_bounds_the_table_instead(capsys):
+    # C(312, 4) * 625 > 2e10 bounded the exhaustive search; t = 4 takes the
+    # affine reduction, whose (q, q) table is bounded to q <= 2048
+    code, report, _ = run_json(capsys, "shift", "--field", "5^4", "--n", "2",
+                               "--t", "4")
+    assert code == 0
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("witness_reproduces_max", True), ("reduction_matches_row_counts", True)]
+    code, _, err = run_cli(capsys, "shift", "--field", "3^7", "--n", "2", "--t", "4")
+    assert code == 1 and "subset search too large" in err
+
+
 def test_duality_verb_at_the_size_cap(capsys):
     code, report, _ = run_json(capsys, "duality", "--field", "2^16", "--n", "3")
     assert code == 0 and all(c["pass"] for c in report["checks"])

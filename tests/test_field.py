@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from charsum.field import (FieldSpec, build_field, find_irreducible,
                            is_irreducible, is_prime, parse_field_spec,
-                           prime_powers)
+                           prime_factors, prime_powers)
 from conftest import get_field
 
 
@@ -61,6 +61,17 @@ def test_alpha_canonical_values():
     assert get_field(3).alpha == 2
     assert get_field(7).alpha == 3
     assert get_field(2, 2).alpha == 2           # eta
+
+
+def test_prime_field_alpha_matches_the_polynomial_search():
+    # prime fields search with pow(g, e, p); the polynomial _raw_pow is the
+    # reference, the least g of order p - 1 either way
+    for p in filter(is_prime, range(3, 2000)):
+        f = build_field(p)
+        cofactors = [(p - 1) // ell for ell in prime_factors(p - 1)]
+        alpha = next(g for g in range(2, p)
+                     if all(f._raw_pow(g, e) != 1 for e in cofactors))
+        assert f.alpha == alpha, p
 
 
 def test_f4_dlog_table():

@@ -75,6 +75,15 @@ def test_zero_sum_examples():
     assert rep_count_zero(f4, p4, 1, 2) == 0
 
 
+@pytest.mark.parametrize("p,m,n", [(13, 1, 2), (3, 4, 2), (2, 6, 3), (7, 2, 3)])
+def test_zero_sum_oracle_matches_a_scalar_loop(p, m, n):
+    f, part = get_field(p, m), get_partition(p, m, n)
+    for i in range(n):
+        for j in range(n):
+            loop = sum(part.label(f.neg(int(x))) == i for x in part.cosets[j])
+            assert rep_count_zero_brute(f, part, i, j) == loop
+
+
 @pytest.mark.parametrize("p,m,n", [(5, 1, 2), (13, 1, 2), (3, 2, 2), (7, 2, 2),
                                    (2, 2, 3), (2, 4, 3), (7, 1, 3), (13, 1, 3),
                                    (5, 2, 3)])

@@ -11,26 +11,26 @@ from charsum.characters import character_exists
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
 from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
-                                closed_form_max3, max_shift_count, shift_count,
-                                verify_duality)
+                                closed_form_max3, max_shift_count, quad_counts,
+                                shift_count, triple_counts, verify_duality)
 from conftest import get_field, get_partition
 
 
-def triple_fields(q_max):
-    """(p, m, n) with a character of order n and cosets of at least 3 elements."""
+def triple_fields(q_max, t=3):
+    """(p, m, n) with a character of order n and cosets of at least t elements."""
     return [(p, m, n) for p, m, q in prime_powers(q_max) for n in (2, 3)
-            if character_exists(p, m, n) and (q - 1) // n >= 3]
+            if character_exists(p, m, n) and (q - 1) // n >= t]
 
 
 TRIPLE_FIELDS = triple_fields(125)
-MULTI_AXIS_FIELDS = [(p, m, n) for p, m, n in TRIPLE_FIELDS
-                     if m >= 2 and (p ** m - 1) // n >= 4]
+QUAD_FIELDS = triple_fields(125, 4)
+MULTI_AXIS_FIELDS = [(p, m, n) for p, m, n in QUAD_FIELDS if m >= 2]
 
 
-def searched_max3(f, part):
-    """The exhaustive search's max N(3) and lex-first witness, as elements."""
+def searched_max(f, part, t=3):
+    """The exhaustive search's max N(t) and lex-first witness, as elements."""
     coset0 = part.cosets[0]
-    best, wit = _scan_max(_label_rows(f, part, coset0), 3)
+    best, wit = _scan_max(_label_rows(f, part, coset0), t)
     return best, tuple(int(coset0[w]) for w in wit)
 
 
@@ -99,13 +99,13 @@ def test_closed_form_that_is_no_integer_is_an_identity_violation():
 def test_affine_max_matches_subset_search(case):
     p, m, n = case
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert affine_max_shift3(f, part) == searched_max3(f, part)
+    assert affine_max_shift3(f, part, triple_counts(f, part)) == searched_max(f, part)
 
 
 @pytest.mark.parametrize("p,m,n", triple_fields(200))
 def test_max3_matches_the_search_on_the_sweep_grid(p, m, n):
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert max_shift_count(f, part, 3) == searched_max3(f, part)
+    assert max_shift_count(f, part, 3) == searched_max(f, part)
 
 
 def test_max3_never_runs_the_subset_search(monkeypatch):
@@ -116,8 +116,40 @@ def test_max3_never_runs_the_subset_search(monkeypatch):
     for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
         max_shift_count(get_field(p, m), get_partition(p, m, n), 3)
     assert calls == []
-    max_shift_count(get_field(13), get_partition(13, 1, 2), 4)
-    assert len(calls) == 1                  # other t keep the search
+    max_shift_count(get_field(13), get_partition(13, 1, 2), 5)
+    assert len(calls) == 1                  # t outside {3, 4} keeps the search
+
+
+@given(st.sampled_from(QUAD_FIELDS))
+@settings(max_examples=15, deadline=None)   # the t = 4 search is the cost
+def test_max4_matches_subset_search(case):
+    p, m, n = case
+    f, part = get_field(p, m), get_partition(p, m, n)
+    assert max_shift_count(f, part, 4) == searched_max(f, part, 4)
+
+
+# max N(4) and the lex-first witness, as _scan_max reports them (2^8 and
+# 3^5 take it 2-7 s, so its results are written down here)
+@pytest.mark.parametrize("p,m,n,expected", [
+    (2, 8, 3, (16, (1, 7, 10, 176))), (2, 6, 3, (4, (1, 3, 13, 15))),
+    (37, 1, 3, (3, (1, 6, 11, 14))), (5, 2, 3, (3, (1, 2, 5, 20))),
+    (13, 1, 2, (1, (1, 3, 4, 9))), (7, 2, 2, (7, (1, 2, 13, 48))),
+    (101, 1, 2, (14, (1, 4, 5, 56))), (3, 5, 2, (33, (1, 6, 7, 41)))])
+def test_max4_matches_the_recorded_search(p, m, n, expected):
+    f, part = get_field(p, m), get_partition(p, m, n)
+    assert max_shift_count(f, part, 4) == expected
+    counts = quad_counts(f, part)
+    assert max_shift_count(f, part, 4, counts) == expected
+
+
+def test_max4_never_runs_the_subset_search(monkeypatch):
+    calls = []
+    real = shiftcount._scan_max
+    monkeypatch.setattr(shiftcount, "_scan_max",
+                        lambda *args: calls.append(args) or real(*args))
+    for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
+        max_shift_count(get_field(p, m), get_partition(p, m, n), 4)
+    assert calls == []
 
 
 @given(st.sampled_from(MULTI_AXIS_FIELDS), st.integers(1, 4), st.data())
