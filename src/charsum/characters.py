@@ -46,7 +46,7 @@ def require_character(field: FieldTable, n: int) -> None:
 class CosetPartition:
     """Kernel-coset partition of F_q* under a character of order n."""
 
-    __slots__ = ("field", "n", "conjugate", "labels", "cosets")
+    __slots__ = ("field", "n", "conjugate", "labels", "cosets", "_memo")
 
     def __init__(self, field: FieldTable, n: int, conjugate: bool,
                  labels: np.ndarray, cosets: tuple):
@@ -55,6 +55,7 @@ class CosetPartition:
         self.conjugate = conjugate
         self.labels = labels
         self.cosets = cosets
+        self._memo = {}     # see ``memo``
 
     def label(self, x: int) -> int:
         """Coset index of x, or -1 for the zero element."""
@@ -101,6 +102,23 @@ def partition(field: FieldTable, n: int, conjugate: bool = False) -> CosetPartit
         raise IdentityViolation(
             f"label(-1) = {lab_m1}, expected {expected} for n={n}, q={field.q}")
     return CosetPartition(field, n, bool(conjugate), labels, cosets)
+
+
+def memo(part: CosetPartition, compute):
+    """``compute(part.field, part)``, computed once per partition and kept on it.
+
+    The tables several checks of one character read (``pair_table``,
+    ``jacobi_cubic``, ``closed_rep_class_table``, ``triple_counts``,
+    ``quad_counts``) are taken through here.  Arrays come back read-only, as
+    every caller shares them; an exception is not kept, so the next call
+    computes again.
+    """
+    if compute not in part._memo:
+        value = compute(part.field, part)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        part._memo[compute] = value
+    return part._memo[compute]
 
 
 def _shift_diff_counts(field: FieldTable, part: CosetPartition,
@@ -167,7 +185,7 @@ def winterhof_sweep(field: FieldTable, part: CosetPartition) -> np.ndarray:
     as -x lies in C_(i + l(-1)), that is (f_(i + l(-1)) * f_(i-k))(gamma).
     """
     n = part.n
-    table = pair_table(field, part)
+    table = memo(part, pair_table)
     i = np.arange(n)
     shift = part.label(field.neg(1))
     out = np.stack([table[(i + shift) % n, (i - k) % n].sum(axis=0)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import char_sum_moment, winterhof_counts, winterhof_sweep
+from .characters import (char_sum_moment, memo, winterhof_counts,
+                         winterhof_sweep)
 from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_char2_closed_form, jacobi_cubic,
                          jacobi_from_gauss)
@@ -24,7 +25,7 @@ from .groupring import (characteristic_fn, cubic_sigma, gr_mul, phi,
                         quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
                        rep_count_table, rep_count_zero, rep_count_zero_brute)
-from .shiftcount import shift_count, verify_duality
+from .shiftcount import shift_count, triple_counts, verify_duality
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -87,7 +88,7 @@ def rep_table(field, part):
     """Closed form == pair histogram for every beta != 0 and every (i, j)."""
     n, q = part.n, field.q
     brute = rep_count_table(field, part)
-    table = closed_rep_class_table(field, part)
+    table = memo(part, closed_rep_class_table)
     results = {"classes": [
         {"beta_label": c, "i": i, "j": j, "count": int(table[c, i, j])}
         for c in range(n) for i in range(n) for j in range(n)]}
@@ -126,7 +127,7 @@ def perron(field, part):
     nothing to check unless the field is prime and n = 2."""
     if field.m > 1 or part.n != 2:
         return {}, [], []
-    table = perron_table(field.p)
+    table = perron_table(field, part)
     floor = (field.p + 1) // 4
     qr, nr = int(part.cosets[0][0]), int(part.cosets[1][0])
     cases = (("qr_as_two_qr", floor - 1, qr, 0),
@@ -169,9 +170,9 @@ def sigma_chain(field, part):
 def jacobi(field, part):
     """Exact Jacobi identities plus numeric Gauss-sum cross-checks (cubic)."""
     q = field.q
-    jac = jacobi_cubic(field, part)           # raises unless norm == q
+    jac = memo(part, jacobi_cubic)            # raises unless norm == q
     trace = jac + jac.conj()
-    quotient = jacobi_from_gauss(field, conjugate=part.conjugate)
+    quotient = jacobi_from_gauss(field, part)
     results = {"jacobi": jac.to_json(), "jacobi_plus_conj": trace.a,
                "gauss_quotient_numeric": complex_json(quotient)}
     found = [equal("norm_equals_q", q, jac.norm()),
@@ -180,12 +181,11 @@ def jacobi(field, part):
         closed = jacobi_char2_closed_form(field.m)
         found.append(equal("char2_closed_form", closed, jac))
         found.append(equal("exact_gauss_equals_closed_form", closed,
-                           gauss_sum(field, 3, mode="exact",
-                                     conjugate=part.conjugate)))
+                           gauss_sum(field, part, mode="exact")))
     delta = abs(quotient - jac.to_complex())
     found.append(holds("matches_gauss_quotient", delta < JACOBI_NUM_TOL,
                        f"|delta| = {delta:.3e}"))
-    g2 = abs(gauss_sum(field, 3, mode="numeric", conjugate=part.conjugate)) ** 2
+    g2 = abs(gauss_sum(field, part)) ** 2
     found.append(holds("gauss_abs_square_equals_q", abs(g2 - q) <= GAUSS_ABS_REL_TOL * q,
                        f"|G|^2 = {g2:.12g}"))
     a_arr, b_arr = a_beta_sweep(field, part)
@@ -219,8 +219,8 @@ def charpoly(field, part):
         products = {"sigma1_matches_sum": fs[0] + fs[1],
                     "sigma2_matches_product": gr_mul(fs[0], fs[1])}
     else:
-        jac = jacobi_cubic(field, part)
-        sigmas = cubic_sigma(field, part, jac)
+        jac = memo(part, jacobi_cubic)
+        sigmas = cubic_sigma(field, part)
         products = {"sigma1_matches_sum": fs[0] + fs[1] + fs[2],
                     "sigma2_matches_pair_sum": (gr_mul(fs[0], fs[1])
                                                 + gr_mul(fs[1], fs[2])
@@ -253,7 +253,7 @@ def duality(field, part):
     found = [equal("witness_reproduces_max", max_n3,
                    shift_count(field, part, witness)),
              reduction_matches_row_counts(field, part, witness[:2],
-                                          report.shift3_counts),
+                                          memo(part, triple_counts)),
              holds("duality_holds", report.holds,
                    f"max_R = {report.max_rep}, 1 + max_N3 = {1 + max_n3}")]
     notes = []

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import checks, registry
-from .characters import partition
+from .characters import memo, partition
 from .checks import GAUSS_ABS_REL_TOL, complex_json, equal, holds
 from .cyclotomic import gauss_sum
 from .errors import IdentityViolation, UnsupportedCharacterError
@@ -186,14 +186,14 @@ def _run_repcount(args):
 
 
 def _run_gauss(args):
-    fld = _get_field(args)
-    g_num = gauss_sum(fld, args.n, mode="numeric", conjugate=args.conjugate)
+    fld, part = _field_part(args, args.n)
+    g_num = gauss_sum(fld, part)
     found = [holds("abs_square_equals_q",
                    abs(abs(g_num) ** 2 - fld.q) <= GAUSS_ABS_REL_TOL * fld.q,
                    f"|G|^2 = {abs(g_num) ** 2:.12g}")]
     results = {"n": args.n, "numeric": complex_json(g_num)}
     if fld.p == 2:
-        g_exact = gauss_sum(fld, args.n, mode="exact", conjugate=args.conjugate)
+        g_exact = gauss_sum(fld, part, mode="exact")
         results["exact"] = g_exact.to_json()
         found.append(holds("exact_matches_numeric",
                            abs(g_exact.to_complex() - g_num) < 1e-6))
@@ -215,13 +215,12 @@ def _run_shift(args):
         too_large = args.t != 3 and math.comb(coset_size, args.t) * fld.q > 2e10
     if too_large:
         raise _UsageError("subset search too large; reduce --t or the field")
-    counts = quad_counts(fld, part) if args.t == 4 else None
-    max_n, witness = max_shift_count(fld, part, args.t, counts)
+    max_n, witness = max_shift_count(fld, part, args.t)
     found = [equal("witness_reproduces_max", max_n,
                    shift_count(fld, part, witness))]
     if args.t == 4:
-        found.append(checks.reduction_matches_row_counts(fld, part, witness[:3],
-                                                         counts))
+        found.append(checks.reduction_matches_row_counts(
+            fld, part, witness[:3], memo(part, quad_counts)))
     results = {"n": args.n, "t": args.t, "max_N": max_n,
                "witness": [int(e) for e in witness]}
     if args.t == 3:

@@ -17,7 +17,7 @@ import cmath
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, pair_table, partition
+from .characters import CosetPartition, memo, pair_table, partition
 from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
 from .errors import IdentityViolation
 from .field import FieldTable
@@ -61,7 +61,7 @@ def a_beta_sweep(field: FieldTable,
     sum over i + j = k (mod 3) of (f_i * f_j)(beta), so a = N_0 - N_2 and
     b = N_1 - N_2.
     """
-    table = pair_table(field, part)
+    table = memo(part, pair_table)
     i = np.arange(3)
     k = (i[:, None] + i[None, :]) % 3
     n0, n1, n2 = (table[k == s].sum(axis=0) for s in range(3))
@@ -70,15 +70,13 @@ def a_beta_sweep(field: FieldTable,
     return a_out, b_out
 
 
-def gauss_sum(field: FieldTable, n: int, mode: str = "numeric",
-              conjugate: bool = False):
-    """Gauss sum of the order-n character against the canonical psi.
+def gauss_sum(field: FieldTable, part: CosetPartition, mode: str = "numeric"):
+    """Gauss sum of the partition's character against the canonical psi.
 
     mode="exact" is only available for p = 2 (returns an EisensteinInt);
     mode="numeric" works for any p and returns a complex value.
     """
     registry.mark("gauss_sum")
-    part = partition(field, n, conjugate=conjugate)
     lab = part.labels
     tr = field.trace_vec()
     nz = field._arange[1:]
@@ -91,7 +89,7 @@ def gauss_sum(field: FieldTable, n: int, mode: str = "numeric",
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     psi = np.exp(2j * np.pi * tr[nz] / field.p)
-    if n == 2:
+    if part.n == 2:
         chi = 1.0 - 2.0 * lab[nz]
     else:
         w = cmath.exp(2j * cmath.pi / 3)
@@ -99,11 +97,13 @@ def gauss_sum(field: FieldTable, n: int, mode: str = "numeric",
     return complex(np.sum(chi * psi))
 
 
-def jacobi_from_gauss(field: FieldTable, conjugate: bool = False) -> complex:
+def jacobi_from_gauss(field: FieldTable, part: CosetPartition) -> complex:
     """Numeric J(chi, chi) = G(chi)^2 / G(conj chi); cross-check path only."""
     registry.mark("jacobi_from_gauss")
-    g = gauss_sum(field, 3, mode="numeric", conjugate=conjugate)
-    g_bar = gauss_sum(field, 3, mode="numeric", conjugate=not conjugate)
+    if part.n != 3:
+        raise ValueError("cubic partition expected")
+    g = gauss_sum(field, part)
+    g_bar = gauss_sum(field, partition(field, 3, conjugate=not part.conjugate))
     return g * g / g_bar
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition
-from .eisenstein import EisensteinInt
+from .characters import CosetPartition, memo
+from .cyclotomic import jacobi_cubic
 from .errors import IdentityViolation
 from .field import INT64_MAX, FieldTable, convolve, max_abs
 
@@ -183,9 +183,8 @@ def quadratic_sigma(field: FieldTable,
     return GroupRingElement(field, s1), s2
 
 
-def cubic_sigma(field: FieldTable, part: CosetPartition,
-                jac: EisensteinInt) -> tuple[GroupRingElement, GroupRingElement,
-                                             GroupRingElement]:
+def cubic_sigma(field: FieldTable, part: CosetPartition
+                ) -> tuple[GroupRingElement, GroupRingElement, GroupRingElement]:
     """Closed-form elementary symmetric functions of the three cubic
     characteristic functions.
 
@@ -196,6 +195,7 @@ def cubic_sigma(field: FieldTable, part: CosetPartition,
     if part.n != 3:
         raise ValueError("cubic partition expected")
     q = field.q
+    jac = memo(part, jacobi_cubic)
     jj = jac + jac.conj()
     if not jj.is_rational():
         raise IdentityViolation("J + conj(J) is not a rational integer")

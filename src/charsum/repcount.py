@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, pair_table, partition
+from .characters import CosetPartition, memo, pair_table
 from .cyclotomic import jacobi_cubic
 from .eisenstein import EisensteinInt, omega_pow
 from .errors import IdentityViolation
-from .field import FieldTable, build_field, is_prime
+from .field import FieldTable
 
 
 def _exact_div(value: int, k: int, what: str) -> int:
@@ -58,7 +58,7 @@ def brute_rep_count(field: FieldTable, part: CosetPartition,
 def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
     """Pair table f_i * f_j: out[i, j, beta] = #{(x, y) in C_j x C_i : x+y = beta}.
     brute_rep_count is its oracle; its beta = 0 column checks rep_count_zero."""
-    return pair_table(field, part)
+    return memo(part, pair_table)
 
 
 def closed_rep_count_quadratic(field: FieldTable, part: CosetPartition,
@@ -90,16 +90,13 @@ def cubic_K(part: CosetPartition, beta: int, i: int, j: int,
 
 
 def closed_rep_count_cubic(field: FieldTable, part: CosetPartition,
-                           beta: int, i: int, j: int,
-                           jac: EisensteinInt | None = None) -> int:
+                           beta: int, i: int, j: int) -> int:
     registry.mark("closed_rep_count_cubic")
     if part.n != 3:
         raise ValueError("cubic closed form needs a cubic partition")
     if beta == 0:
         raise ValueError("beta = 0 is handled by rep_count_zero")
-    if jac is None:
-        jac = jacobi_cubic(field, part)
-    k = cubic_K(part, beta, i, j, jac)
+    k = cubic_K(part, beta, i, j, memo(part, jacobi_cubic))
     k_plus_conj = k + k.conj()
     if not k_plus_conj.is_rational():
         raise IdentityViolation("K + conj(K) has a nonzero w coordinate")
@@ -124,12 +121,9 @@ def rep_count_zero_brute(field: FieldTable, part: CosetPartition,
     return int((part.labels[field.neg_vec(part.cosets[j])] == i).sum())
 
 
-def closed_rep_class_table(field: FieldTable, part: CosetPartition,
-                           jac: EisensteinInt | None = None) -> np.ndarray:
+def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
     """Closed-form counts per class: out[label(beta), i, j]."""
     n = part.n
-    if n == 3 and jac is None:
-        jac = jacobi_cubic(field, part)
     reps = [int(part.cosets[c][0]) for c in range(n)]
     out = np.empty((n, n, n), dtype=np.int64)
     for c in range(n):
@@ -140,7 +134,7 @@ def closed_rep_class_table(field: FieldTable, part: CosetPartition,
                         field, part, reps[c], i, j)
                 else:
                     out[c, i, j] = closed_rep_count_cubic(
-                        field, part, reps[c], i, j, jac)
+                        field, part, reps[c], i, j)
     return out
 
 
@@ -179,23 +173,20 @@ def rep_count(field: FieldTable, part: CosetPartition, beta: int,
         return RepCountResult(part.n, beta, i, j,
                               closed_rep_count_quadratic(field, part, beta, i, j),
                               method)
-    jac = jacobi_cubic(field, part)
     return RepCountResult(part.n, beta, i, j,
-                          closed_rep_count_cubic(field, part, beta, i, j, jac),
-                          method, K=cubic_K(part, beta, i, j, jac))
+                          closed_rep_count_cubic(field, part, beta, i, j), method,
+                          K=cubic_K(part, beta, i, j, memo(part, jacobi_cubic)))
 
 
-def perron_table(p: int) -> dict[str, int]:
+def perron_table(field: FieldTable, part: CosetPartition) -> dict[str, int]:
     """The four prime-field decomposition counts by residuacity class.
 
     Keys: <class of beta>_as_two_<class of summands>; both diagonal cases
     equal floor((p+1)/4) - 1 and both mixed-class cases floor((p+1)/4).
     """
     registry.mark("perron_table")
-    if p == 2 or not is_prime(p):
-        raise ValueError("odd prime expected")
-    field = build_field(p, 1)
-    part = partition(field, 2)
+    if field.m != 1 or part.n != 2:
+        raise ValueError("prime field and quadratic partition expected")
     qr = int(part.cosets[0][0])
     nr = int(part.cosets[1][0])
     return {

@@ -24,13 +24,12 @@ order is kept, so the reported witness is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, partition
-from .cyclotomic import jacobi_cubic
+from .characters import CosetPartition, memo, partition
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import FieldTable, convolve
 from .repcount import closed_rep_class_table
@@ -100,16 +99,14 @@ def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
     return best, best_wit
 
 
-def max_shift_count(field: FieldTable, part: CosetPartition, t: int,
-                    counts: np.ndarray | None = None
-                    ) -> tuple[int, tuple[int, ...]]:
+def max_shift_count(field: FieldTable, part: CosetPartition,
+                    t: int) -> tuple[int, tuple[int, ...]]:
     """Maximum of N over t-subsets of coset 0, with witness.
 
     The witness is the lexicographically least maximizing subset in
     element-index order.  t = 3 and t = 4 take the affine reduction
-    (``affine_max_shift3``, ``affine_max_shift4``) over ``counts``, the
-    caller's ``triple_counts`` or ``quad_counts`` table when it already
-    holds one; every other t runs the exhaustive search.
+    (``affine_max_shift3``, ``affine_max_shift4``); every other t runs the
+    exhaustive search.
     """
     registry.mark("max_shift_count")
     if t < 1:
@@ -119,11 +116,9 @@ def max_shift_count(field: FieldTable, part: CosetPartition, t: int,
         raise ValueError(
             f"coset size {len(coset0)} is too small for t = {t}")
     if t == 3:
-        return affine_max_shift3(
-            field, part, triple_counts(field, part) if counts is None else counts)
+        return affine_max_shift3(field, part)
     if t == 4:
-        return affine_max_shift4(
-            field, part, quad_counts(field, part) if counts is None else counts)
+        return affine_max_shift4(field, part)
     rows = _label_rows(field, part, coset0)
     best, wit = _scan_max(rows, t)
     return best, tuple(int(coset0[w]) for w in wit)
@@ -159,50 +154,56 @@ def quad_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return out
 
 
-def affine_max_shift3(field: FieldTable, part: CosetPartition,
-                      counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
+def affine_max_shift3(field: FieldTable,
+                      part: CosetPartition) -> tuple[int, tuple[int, ...]]:
     """max N(3) by the affine reduction, with the lex-first witness.
 
     x -> s*x + e maps {0, 1, d} onto the triple {e, e+s, e+s*d}, and scaling
     by s only permutes coset labels, so that triple has N = M(d)
-    (``counts``, from ``triple_counts``); M(d) >= 1 exactly when some
-    same-coset triple realises d.  Hence max N(3) = max over d not in
-    {0, 1} of M(d).  The witness walks the triples e_i < e_j < e_l of coset 0
-    in lex order, as d = (e_l - e_i)/(e_j - e_i) by discrete logs, to the
-    first with M(d) = max.
+    (``triple_counts``); M(d) >= 1 exactly when some same-coset triple
+    realises d.  Hence max N(3) = max over d not in {0, 1} of M(d).  The
+    witness walks the triples e_i < e_j < e_l of coset 0 in lex order, as
+    d = (e_l - e_i)/(e_j - e_i) by discrete logs, to the first with
+    M(d) = max.  The walk takes one row j first and doubles its blocks up
+    to about 2^20 cells, as the first row almost always holds the witness.
     """
     registry.mark("affine_max_shift3")
+    counts = memo(part, triple_counts)
     best = int(counts[2:].max())     # index 0 is d = 0, index 1 is d = 1
     top = counts[field.exp] == best  # by discrete log: top[h] = [M(alpha^h) = max]
     coset0 = part.cosets[0]
+    rows = 1
     for i in range(len(coset0) - 2):
         rest = coset0[i + 1:]
         logs = field.dlog_table[field.add_vec(field.neg(int(coset0[i])), rest)]
-        step = max(1, (1 << 20) // len(rest))
-        for lo in range(0, len(rest) - 1, step):
+        cap = max(1, (1 << 20) // len(rest))
+        lo = 0
+        while lo < len(rest) - 1:
+            rows = min(rows, cap)
             # rows j, columns l of rest; keep l > j, the first hit is lex-first
-            hit = np.triu(top[(logs - logs[lo:lo + step, None]) % (field.q - 1)],
+            hit = np.triu(top[(logs - logs[lo:lo + rows, None]) % (field.q - 1)],
                           lo + 1)
             first = int(np.argmax(hit))
             if hit.flat[first]:
                 j, l = divmod(first, len(rest))
                 return best, (int(coset0[i]), int(rest[lo + j]), int(rest[l]))
+            lo, rows = lo + rows, 2 * rows
     raise IdentityViolation("no same-coset triple attains max M(d)")
 
 
-def affine_max_shift4(field: FieldTable, part: CosetPartition,
-                      counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
+def affine_max_shift4(field: FieldTable,
+                      part: CosetPartition) -> tuple[int, tuple[int, ...]]:
     """max N(4) by the affine reduction, with the lex-first witness.
 
     As for t = 3: x -> s*x + e maps {0, 1, d1, d2} onto {e, e+s, e+s*d1,
-    e+s*d2}, which therefore has N = M2(d1, d2) (``counts``, from
-    ``quad_counts``), so max N(4) = max over distinct d1, d2 not in
-    {0, 1} of M2.  The witness walks the prefixes e_i < e_j of coset 0 in lex
-    order and, per prefix, the pairs e_l < e_r after e_j, as ratios
-    d = (e - e_i)/(e_j - e_i) by discrete logs, to the first with
-    M2(d_l, d_r) = max; rows d_l with no maximum in M2 are skipped.
+    e+s*d2}, which therefore has N = M2(d1, d2) (``quad_counts``), so
+    max N(4) = max over distinct d1, d2 not in {0, 1} of M2.  The witness
+    walks the prefixes e_i < e_j of coset 0 in lex order and, per prefix,
+    the pairs e_l < e_r after e_j, as ratios d = (e - e_i)/(e_j - e_i) by
+    discrete logs, to the first with M2(d_l, d_r) = max; rows d_l with no
+    maximum in M2 are skipped.
     """
-    masked = np.array(counts)
+    masked = np.array(memo(part, quad_counts))
     masked[:2] = masked[:, :2] = -1  # d1 or d2 in {0, 1}
     np.fill_diagonal(masked, -1)     # d1 = d2
     best = int(masked.max())
@@ -277,7 +278,6 @@ class DualityReport:
     max_shift3_witness: tuple[int, ...]
     closed_form: int | None
     holds: bool
-    shift3_counts: np.ndarray = dataclass_field(repr=False, compare=False)  # M(d)
 
     def to_json(self) -> dict:
         return {
@@ -297,27 +297,25 @@ def verify_duality(field: FieldTable, n: int,
     """Compute max R over (beta != 0, i, j) and 1 + max N(3) independently.
 
     The left side sweeps the closed-form class table; the right side is the
-    affine reduction of ``max_shift_count``, whose table M(d) the report
-    keeps for checks.  The closed-form prediction is attached where its case
-    analysis applies (always for n = 2, characteristic 2 for n = 3).
+    affine reduction of ``max_shift_count``.  The closed-form prediction is
+    attached where its case analysis applies (always for n = 2,
+    characteristic 2 for n = 3).
     """
     registry.mark("verify_duality")
     if part is None:
         part = partition(field, n)
     if len(part.cosets[0]) < 3:
         raise ValueError("cosets too small: no 3-element subsets exist")
-    jac = jacobi_cubic(field, part) if n == 3 else None
-    table = closed_rep_class_table(field, part, jac)
+    table = memo(part, closed_rep_class_table)
     flat = int(np.argmax(table))
     c, i, j = np.unravel_index(flat, table.shape)
     max_rep = int(table[c, i, j])
     witness = {"beta_label": int(c), "beta": int(part.cosets[c][0]),
                "i": int(i), "j": int(j)}
-    counts = triple_counts(field, part)
-    max_n3, wit3 = max_shift_count(field, part, 3, counts)
+    max_n3, wit3 = max_shift_count(field, part, 3)
     try:
         closed = closed_form_max3(field, n)
     except ValueError:
         closed = None
     return DualityReport(field.p, field.m, field.q, n, max_rep, witness,
-                         max_n3, wit3, closed, max_rep == 1 + max_n3, counts)
+                         max_n3, wit3, closed, max_rep == 1 + max_n3)

@@ -1,16 +1,21 @@
 """Exhaustive verification sweeps over ranges of prime powers.
 
-Each sweep iterates every valid field in its scope, runs one family of
-checks from ``charsum.checks`` on it, and aggregates failures and notes.
-The per-field worker is a top-level function taking one tuple argument so
-the CLI can fan it out over a process pool; results merge by input order,
-which keeps reports byte-identical regardless of worker count.
+A sweep runs one family of checks from ``charsum.checks`` on every field
+of its range; ``SWEEPS`` names each sweep's family and fields.  Sweeps run
+field-major: one worker per distinct field builds it once, builds one
+partition per character order and runs every (sweep, n) job on it, so the
+tables several families read are computed once per partition
+(``characters.memo``).  The worker is a top-level function taking one
+tuple argument so the CLI can fan it out over a process pool; the parent
+regroups the outcomes per sweep in input order, which keeps reports
+byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from . import checks, registry
 from .characters import character_exists, partition
@@ -44,19 +49,12 @@ class SweepResult:
                 "notes": self.notes}
 
 
-def quadratic_fields(q_max: int, q_min: int = 3) -> list[tuple[int, int]]:
-    return [(p, m) for p, m, q in prime_powers(q_max, q_min) if p != 2]
-
-
-def cubic_fields(q_max: int, q_min: int = 4) -> list[tuple[int, int]]:
-    return [(p, m) for p, m, q in prime_powers(q_max, q_min)
-            if character_exists(p, m, 3)]
-
-
-def _both_orders(n2_fields, n3_fields) -> list[tuple[int, int, int]]:
-    """(p, m, n) for both character orders, ordered by q, then n."""
-    items = [(p, m, 2) for p, m in n2_fields] + [(p, m, 3) for p, m in n3_fields]
-    return sorted(items, key=lambda t: (t[0] ** t[1], t[2]))
+def character_fields(q_max: int, orders=(2, 3),
+                     q_min: int = 3) -> list[tuple[int, int, int]]:
+    """(p, m, n) for each q_min <= q = p^m <= q_max and each order n of a
+    character on F_q, ordered by q, then n."""
+    return [(p, m, n) for p, m, _ in prime_powers(q_max, q_min) for n in orders
+            if character_exists(p, m, n)]
 
 
 def _tag(p, m, n) -> str:
@@ -64,24 +62,59 @@ def _tag(p, m, n) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the sweeps
+
+class Sweep(NamedTuple):
+    scope: str
+    family: str         # a family of charsum.checks, looked up per job
+    fields: Callable    # q_max -> its (p, m, n) items, in report order
+    heavy: bool = False     # capped at HEAVY_Q_CEILING under --scope all
+
+
+SWEEPS = {
+    "quadratic_rep_counts": Sweep("repcount", "rep_table",
+                                  lambda q: character_fields(q, (2,))),
+    "cubic_rep_counts": Sweep("repcount", "rep_table",
+                              lambda q: character_fields(q, (3,))),
+    "zero_sum_counts": Sweep("repcount", "zero_sum", character_fields),
+    "prime_field_counts": Sweep("repcount", "perron", lambda q: [
+        (p, m, n) for p, m, n in character_fields(min(q, 200), (2,)) if m == 1]),
+    "character_sums": Sweep("sums", "sigma_chain", character_fields),
+    "jacobi_gauss": Sweep("sums", "jacobi", lambda q: character_fields(q, (3,))),
+    "quadratic_charpoly": Sweep("charpoly", "charpoly",
+                                lambda q: character_fields(q, (2,)), heavy=True),
+    "cubic_charpoly": Sweep("charpoly", "charpoly",
+                            lambda q: character_fields(q, (3,)), heavy=True),
+    # fields whose cosets are smaller than 3 stay in: the family reports
+    # them as explicit skips instead of silently dropping them
+    "shift_duality": Sweep("duality", "duality", character_fields, heavy=True),
+}
+HEAVY_Q_CEILING = 343
+
+
+# ---------------------------------------------------------------------------
 # the per-field worker
 
-def _family_worker(args):
-    """One family's checks on one field as assertions, failure lines and
-    notes.  An IdentityViolation becomes a failed check of this field, so
-    the rest of the sweep is still reported."""
-    family, p, m, n = args
+def _field_worker(args):
+    """Every (sweep, n) job of one field as assertions, failure lines and
+    notes.  An IdentityViolation becomes a failed check of that job alone,
+    so the field's other jobs and the rest of the sweep are still reported."""
+    p, m, jobs = args
     fld = cached_field(p, m)
-    try:
-        _, found, notes = family(fld, partition(fld, n))
-    except IdentityViolation as exc:
-        found, notes = [violation(exc)], []
-    tag = _tag(p, m, n)
-    return {"assertions": sum(c.count for c in found),
-            "failures": [f"{tag}: {c.name}: expected {c.expected}, got {c.actual}"
-                         for c in found if not c.passed],
-            "notes": [f"{tag}: {note}" for note in notes],
-            "ops": registry.called()}
+    parts, out = {}, []
+    for name, n in jobs:
+        try:
+            if n not in parts:
+                parts[n] = partition(fld, n)
+            _, found, notes = getattr(checks, SWEEPS[name].family)(fld, parts[n])
+        except IdentityViolation as exc:
+            found, notes = [violation(exc)], []
+        tag = _tag(p, m, n)
+        out.append({"assertions": sum(c.count for c in found),
+                    "failures": [f"{tag}: {c.name}: expected {c.expected}, "
+                                 f"got {c.actual}" for c in found if not c.passed],
+                    "notes": [f"{tag}: {note}" for note in notes]})
+    return {"jobs": out, "ops": registry.called()}
 
 
 # ---------------------------------------------------------------------------
@@ -95,85 +128,39 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
-def _sweep(name: str, family, items, threads: int) -> SweepResult:
-    res = SweepResult(name)
-    for oc in _pmap(_family_worker, [(family, *it) for it in items], threads):
-        res.fields += 1
-        res.assertions += oc["assertions"]
-        res.failures.extend(oc["failures"])
-        res.notes.extend(oc["notes"])
+def run_sweeps(jobs: dict, threads: int = 1) -> list[SweepResult]:
+    """One result per sweep of ``jobs`` ({sweep name: (p, m, n) items}),
+    in that order, each field in its sweep's item order.  One worker per
+    distinct field, in q order, runs all of that field's jobs."""
+    per_field: dict = {}
+    for name, items in jobs.items():
+        for p, m, n in items:
+            per_field.setdefault((p, m), []).append((name, n))
+    fields = sorted(per_field, key=lambda pm: pm[0] ** pm[1])
+    done = {}
+    for (p, m), oc in zip(fields, _pmap(
+            _field_worker, [(p, m, per_field[p, m]) for p, m in fields], threads)):
         registry.merge(oc["ops"])
-    return res
-
-
-def sweep_quadratic_counts(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("quadratic_rep_counts", checks.rep_table,
-                  [(p, m, 2) for p, m in quadratic_fields(q_max)], threads)
-
-
-def sweep_cubic_counts(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("cubic_rep_counts", checks.rep_table,
-                  [(p, m, 3) for p, m in cubic_fields(q_max)], threads)
-
-
-def sweep_perron(p_max: int, threads: int = 1) -> SweepResult:
-    items = [(p, 1, 2) for p, m, q in prime_powers(p_max, 3) if m == 1 and p != 2]
-    return _sweep("prime_field_counts", checks.perron, items, threads)
-
-
-def sweep_zero_sums(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("zero_sum_counts", checks.zero_sum,
-                  _both_orders(quadratic_fields(q_max), cubic_fields(q_max)), threads)
-
-
-def sweep_winterhof(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("character_sums", checks.sigma_chain,
-                  _both_orders(quadratic_fields(q_max), cubic_fields(q_max)), threads)
-
-
-def sweep_jacobi_gauss(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("jacobi_gauss", checks.jacobi,
-                  [(p, m, 3) for p, m in cubic_fields(q_max)], threads)
-
-
-def sweep_quadratic_charpoly(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("quadratic_charpoly", checks.charpoly,
-                  [(p, m, 2) for p, m in quadratic_fields(q_max)], threads)
-
-
-def sweep_cubic_charpoly(q_max: int, threads: int = 1) -> SweepResult:
-    return _sweep("cubic_charpoly", checks.charpoly,
-                  [(p, m, 3) for p, m in cubic_fields(q_max)], threads)
-
-
-def sweep_duality(n2_fields, n3_fields, threads: int = 1) -> SweepResult:
-    return _sweep("shift_duality", checks.duality,
-                  _both_orders(n2_fields, n3_fields), threads)
-
-
-# scope -> sweeps, with the ceilings used by `--scope all`
-HEAVY_Q_CEILING = 343
+        for (name, n), job in zip(per_field[p, m], oc["jobs"]):
+            done[name, p, m, n] = job
+    results = []
+    for name, items in jobs.items():
+        res = SweepResult(name, fields=len(items))
+        for p, m, n in items:
+            job = done[name, p, m, n]
+            res.assertions += job["assertions"]
+            res.failures.extend(job["failures"])
+            res.notes.extend(job["notes"])
+        results.append(res)
+    return results
 
 
 def run_scope(scope: str, q_max: int, threads: int = 1) -> list[SweepResult]:
+    """Every sweep of ``scope``; under "all", the heavy ones stop at
+    HEAVY_Q_CEILING."""
     heavy = min(q_max, HEAVY_Q_CEILING) if scope == "all" else q_max
-    results = []
-    if scope in ("repcount", "all"):
-        results.append(sweep_quadratic_counts(q_max, threads))
-        results.append(sweep_cubic_counts(q_max, threads))
-        results.append(sweep_zero_sums(q_max, threads))
-        results.append(sweep_perron(min(q_max, 200), threads))
-    if scope in ("sums", "all"):
-        results.append(sweep_winterhof(q_max, threads))
-        results.append(sweep_jacobi_gauss(q_max, threads))
-    if scope in ("charpoly", "all"):
-        results.append(sweep_quadratic_charpoly(heavy, threads))
-        results.append(sweep_cubic_charpoly(heavy, threads))
-    if scope in ("duality", "all"):
-        # fields whose cosets are smaller than 3 stay in: the worker
-        # reports them as explicit skips instead of silently dropping them
-        results.append(sweep_duality(quadratic_fields(heavy), cubic_fields(heavy),
-                                     threads))
-    if not results:
+    jobs = {name: sw.fields(heavy if sw.heavy else q_max)
+            for name, sw in SWEEPS.items() if scope in ("all", sw.scope)}
+    if not jobs:
         raise ValueError(f"unknown scope {scope!r}")
-    return results
+    return run_sweeps(jobs, threads)

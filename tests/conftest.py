@@ -15,13 +15,18 @@ def get_partition(p, m, n, conjugate=False):
 
 
 def count_calls(monkeypatch, name):
-    """Calls to the charsum function ``name``, under every name bound to it."""
-    calls = []
+    """Calls to the charsum function ``name``, under every name bound to it.
+
+    Every module bound to one function gets the same counting wrapper, so
+    ``characters.memo``, which keys on the function, still sees one."""
+    calls, wrappers = [], {}
     for mod in [m for k, m in sys.modules.items() if k.startswith("charsum")]:
         real = getattr(mod, name, None)
         if callable(real):
-            def counted(*args, _real=real, **kwargs):
-                calls.append(args)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(mod, name, counted)
+            if real not in wrappers:
+                def counted(*args, _real=real, **kwargs):
+                    calls.append(args)
+                    return _real(*args, **kwargs)
+                wrappers[real] = counted
+            monkeypatch.setattr(mod, name, wrappers[real])
     return calls

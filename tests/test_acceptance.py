@@ -24,6 +24,13 @@ SHIFT_N2_MIN, SHIFT_N2_MAX = 9, 343
 SHIFT_N3_FIELDS = [(2, 4), (2, 6), (2, 8)]      # q = 16, 64, 256
 
 
+def _sweep(name, q_max=None, items=None):
+    """One sweep of ``verify.SWEEPS``, over its own fields up to ``q_max``
+    or over ``items``."""
+    return v.run_sweeps({name: v.SWEEPS[name].fields(q_max) if items is None
+                         else items})[0]
+
+
 def _line(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
 
@@ -42,9 +49,9 @@ def _finish(num, name, sweep, elapsed, limit_s=None, extra=""):
 
 def test_criterion_1_quadratic_rep_counts():
     t0 = time.perf_counter()
-    sweep = v.sweep_quadratic_counts(Q_MAX_REP)
+    sweep = _sweep("quadratic_rep_counts", Q_MAX_REP)
     elapsed = time.perf_counter() - t0
-    expected_fields = len(v.quadratic_fields(Q_MAX_REP))
+    expected_fields = len([p for p, m, q in prime_powers(Q_MAX_REP, 3) if p != 2])
     assert sweep.fields == expected_fields
     _finish(1, "quadratic closed form == brute force, odd q <= 2000",
             sweep, elapsed, limit_s=120)
@@ -52,19 +59,19 @@ def test_criterion_1_quadratic_rep_counts():
 
 def test_criterion_2_cubic_rep_counts():
     t0 = time.perf_counter()
-    sweep = v.sweep_cubic_counts(Q_MAX_REP)
+    sweep = _sweep("cubic_rep_counts", Q_MAX_REP)
     elapsed = time.perf_counter() - t0
-    fields = v.cubic_fields(Q_MAX_REP)
+    fields = v.SWEEPS["cubic_rep_counts"].fields(Q_MAX_REP)
     for pm in [(2, 2), (2, 4), (2, 6), (2, 8), (2, 10)]:
-        assert pm in fields                     # q = 4, 16, 64, 256, 1024
-    assert all((p ** m - 1) % 3 == 0 for p, m in fields)
+        assert (*pm, 3) in fields               # q = 4, 16, 64, 256, 1024
+    assert all((p ** m - 1) % 3 == 0 for p, m, n in fields)
     _finish(2, "cubic closed form == brute force, 3 | q - 1, q <= 2000",
             sweep, elapsed, limit_s=180)
 
 
 def test_criterion_3_prime_field_floors():
     t0 = time.perf_counter()
-    sweep = v.sweep_perron(200)
+    sweep = _sweep("prime_field_counts", 200)
     elapsed = time.perf_counter() - t0
     assert sweep.fields == len([p for p, m, q in prime_powers(200, 3)
                                 if m == 1 and p != 2])
@@ -74,7 +81,7 @@ def test_criterion_3_prime_field_floors():
 
 def test_criterion_4_zero_sum_counts():
     t0 = time.perf_counter()
-    sweep = v.sweep_zero_sums(Q_MAX_REP)
+    sweep = _sweep("zero_sum_counts", Q_MAX_REP)
     elapsed = time.perf_counter() - t0
     f9 = cached_field(3, 2)
     p9 = partition(f9, 2)
@@ -89,7 +96,7 @@ def test_criterion_4_zero_sum_counts():
 
 def test_criterion_5_sigma_chain():
     t0 = time.perf_counter()
-    sweep = v.sweep_winterhof(Q_MAX_REP)
+    sweep = _sweep("character_sums", Q_MAX_REP)
     elapsed = time.perf_counter() - t0
     _finish(5, "sigma_0 + 1 = sigma_1 = ... = (q-1)/n for every shift",
             sweep, elapsed)
@@ -97,7 +104,7 @@ def test_criterion_5_sigma_chain():
 
 def test_criterion_6_jacobi_gauss():
     t0 = time.perf_counter()
-    sweep = v.sweep_jacobi_gauss(Q_MAX_REP)
+    sweep = _sweep("jacobi_gauss", Q_MAX_REP)
     elapsed = time.perf_counter() - t0
     extra = (f"norm(J)=q everywhere; char-2 closed forms exact; "
              f"|G|^2 within {GAUSS_ABS_REL_TOL} rel and G^2/conj(G) "
@@ -107,7 +114,7 @@ def test_criterion_6_jacobi_gauss():
 
 def test_criterion_7_quadratic_charpoly():
     t0 = time.perf_counter()
-    sweep = v.sweep_quadratic_charpoly(Q_MAX_CHARPOLY)
+    sweep = _sweep("quadratic_charpoly", Q_MAX_CHARPOLY)
     elapsed = time.perf_counter() - t0
     _finish(7, "quadratic equation of characteristic functions, odd q <= 343",
             sweep, elapsed, limit_s=60)
@@ -115,7 +122,7 @@ def test_criterion_7_quadratic_charpoly():
 
 def test_criterion_8_cubic_charpoly():
     t0 = time.perf_counter()
-    sweep = v.sweep_cubic_charpoly(Q_MAX_CHARPOLY)
+    sweep = _sweep("cubic_charpoly", Q_MAX_CHARPOLY)
     elapsed = time.perf_counter() - t0
     _finish(8, "cubic equation of characteristic functions, 3 | q - 1, q <= 343",
             sweep, elapsed)
@@ -123,10 +130,12 @@ def test_criterion_8_cubic_charpoly():
 
 @pytest.fixture(scope="module")
 def duality_sweep():
-    n2 = [(p, m) for p, m in v.quadratic_fields(SHIFT_N2_MAX, SHIFT_N2_MIN)
-          if (p ** m - 1) // 2 >= 3]
+    items = [(p, m, n) for p, m, n in
+             v.character_fields(SHIFT_N2_MAX, q_min=SHIFT_N2_MIN)
+             if n == 2 and (p ** m - 1) // 2 >= 3
+             or n == 3 and (p, m) in SHIFT_N3_FIELDS]
     t0 = time.perf_counter()
-    sweep = v.sweep_duality(n2, SHIFT_N3_FIELDS)
+    sweep = _sweep("shift_duality", items=items)
     return sweep, time.perf_counter() - t0
 
 
@@ -158,7 +167,7 @@ def test_criterion_10_fails_on_an_identity_violation(monkeypatch, capsys):
         raise IdentityViolation("injected")
 
     monkeypatch.setattr(checks, "duality", broken)
-    sweep = v.sweep_duality([(3, 2)], [], threads=1)
+    sweep = _sweep("shift_duality", items=[(3, 2, 2)])
     assert sweep.failures == [
         "F_3^2 n=2: IdentityViolation: expected no error, got injected"]
     with pytest.raises(AssertionError, match="injected"):

@@ -97,38 +97,39 @@ def test_a_beta_identity_exhaustive(p, m):
 
 
 def test_gauss_exact_char2():
-    assert gauss_sum(get_field(2, 2), 3, mode="exact") == EisensteinInt(2)
-    assert gauss_sum(get_field(2, 4), 3, mode="exact") == EisensteinInt(-4)
-    assert gauss_sum(get_field(2, 6), 3, mode="exact") == EisensteinInt(8)
+    for m, g in ((2, 2), (4, -4), (6, 8)):
+        assert gauss_sum(get_field(2, m), get_partition(2, m, 3),
+                         mode="exact") == EisensteinInt(g)
     with pytest.raises(ValueError):
-        gauss_sum(get_field(5), 2, mode="exact")
+        gauss_sum(get_field(5), get_partition(5, 1, 2), mode="exact")
     with pytest.raises(ValueError):
-        gauss_sum(get_field(5), 2, mode="symbolic")
+        gauss_sum(get_field(5), get_partition(5, 1, 2), mode="symbolic")
 
 
 def test_gauss_numeric_classical_values():
-    g5 = gauss_sum(get_field(5), 2, mode="numeric")
+    g5 = gauss_sum(get_field(5), get_partition(5, 1, 2), mode="numeric")
     assert abs(g5 - cmath.sqrt(5)) < 1e-9
-    g7 = gauss_sum(get_field(7), 2, mode="numeric")
+    g7 = gauss_sum(get_field(7), get_partition(7, 1, 2), mode="numeric")
     assert abs(g7 - 1j * cmath.sqrt(7)) < 1e-9
 
 
 @pytest.mark.parametrize("p,m,n", [(5, 1, 2), (7, 1, 2), (3, 2, 2),
                                    (2, 2, 3), (7, 1, 3), (13, 1, 3), (5, 2, 3)])
 def test_gauss_abs_square_is_q(p, m, n):
-    g = gauss_sum(get_field(p, m), n, mode="numeric")
+    g = gauss_sum(get_field(p, m), get_partition(p, m, n), mode="numeric")
     assert abs(abs(g) ** 2 - p ** m) <= 1e-9 * p ** m
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (7, 1), (13, 1), (5, 2)])
 def test_jacobi_from_gauss_matches_exact(p, m):
     f = get_field(p, m)
-    j = jacobi_cubic(f, get_partition(p, m, 3))
-    assert abs(jacobi_from_gauss(f) - j.to_complex()) < 1e-6
+    part = get_partition(p, m, 3)
+    j = jacobi_cubic(f, part)
+    assert abs(jacobi_from_gauss(f, part) - j.to_complex()) < 1e-6
 
 
 def test_jacobi_from_gauss_f7_embedding():
-    val = jacobi_from_gauss(get_field(7))
+    val = jacobi_from_gauss(get_field(7), get_partition(7, 1, 3))
     assert abs(val - complex(0.5, -3 * cmath.sqrt(3).real / 2)) < 1e-6
 
 
@@ -137,6 +138,6 @@ def test_conjugate_flag_conjugates_sums():
     j = jacobi_cubic(f, get_partition(13, 1, 3))
     j_conj = jacobi_cubic(f, get_partition(13, 1, 3, conjugate=True))
     assert j_conj == j.conj()
-    g = gauss_sum(f, 3, mode="numeric")
-    g_conj = gauss_sum(f, 3, mode="numeric", conjugate=True)
+    g = gauss_sum(f, get_partition(13, 1, 3), mode="numeric")
+    g_conj = gauss_sum(f, get_partition(13, 1, 3, conjugate=True), mode="numeric")
     assert abs(g.conjugate() - g_conj) < 1e-9

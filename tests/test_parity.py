@@ -1,4 +1,4 @@
-"""CLI reports against stdout recorded before the shared check layer.
+"""CLI reports against recorded stdout.
 
 ``data/recorded_stdout.json`` holds the stdout and exit code of each call
 at commit 79c4ffe, before the verbs and the verify sweeps shared one set
@@ -12,6 +12,9 @@ one field, so its check list may have grown; everything else must match:
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,37 @@ def test_stdout_matches_recording(capsys, case):
     for check in old["checks"]:
         assert check in remaining, f"{check['name']} missing or out of order"
     assert all(c["pass"] for c in new["checks"])
+
+
+# ``data/recorded_sweeps.json``: the stdout and exit code of the benchmark's
+# four verify calls at commit 5273746, before the sweeps ran field-major;
+# they must match byte for byte
+SWEEP_CASES = json.loads((Path(__file__).parent / "data"
+                          / "recorded_sweeps.json").read_text())
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda c: " ".join(c["argv"]))
+def test_sweep_stdout_matches_recording(capsys, case):
+    code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+# perfbench/tracer.py wraps charsum's functions from outside the package and
+# must print the CLI's own stdout; the benchmark's traced pass relies on it
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scope", "all", "--q-max", "31", "--threads", "1"],
+    ["shift", "--field", "2^4", "--n", "3", "--t", "4"]], ids=" ".join)
+def test_traced_stdout_matches_the_cli(capsys, argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    code = main(list(argv))
+    assert traced["exit"] == code == 0
+    assert traced["stdout"] == capsys.readouterr().out

@@ -128,15 +128,22 @@ def test_conjugation_invariance(p, m):
 
 
 def test_perron_tables():
-    assert perron_table(13) == {"qr_as_two_qr": 2, "qr_as_two_nonres": 3,
-                                "nonres_as_two_qr": 3, "nonres_as_two_nonres": 2}
-    t7 = perron_table(7)
+    def table(p):
+        return perron_table(get_field(p), get_partition(p, 1, 2))
+
+    assert table(13) == {"qr_as_two_qr": 2, "qr_as_two_nonres": 3,
+                         "nonres_as_two_qr": 3, "nonres_as_two_nonres": 2}
+    t7 = table(7)
     assert t7["qr_as_two_qr"] == 1 and t7["qr_as_two_nonres"] == 2
-    assert perron_table(3)["qr_as_two_qr"] == 0
-    with pytest.raises(ValueError):
-        perron_table(2)
-    with pytest.raises(ValueError):
-        perron_table(15)
+    assert table(3)["qr_as_two_qr"] == 0
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 2, 3), (3, 2, 2), (7, 1, 3)])
+def test_perron_table_needs_a_prime_field_and_a_quadratic_partition(p, m, n):
+    # F_4 has no quadratic character and F_9 is no prime field: the cases
+    # p = 2 and p = 15 stood for when the table took p alone
+    with pytest.raises(ValueError, match="prime field and quadratic partition"):
+        perron_table(get_field(p, m), get_partition(p, m, n))
 
 
 def test_rep_count_result_payload():

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from charsum import shiftcount
-from charsum.characters import character_exists
+from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
 from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
-                                closed_form_max3, max_shift_count, quad_counts,
-                                shift_count, triple_counts, verify_duality)
+                                closed_form_max3, max_shift_count,
+                                shift_count, verify_duality)
 from conftest import get_field, get_partition
 
 
@@ -99,7 +99,7 @@ def test_closed_form_that_is_no_integer_is_an_identity_violation():
 def test_affine_max_matches_subset_search(case):
     p, m, n = case
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert affine_max_shift3(f, part, triple_counts(f, part)) == searched_max(f, part)
+    assert affine_max_shift3(f, part) == searched_max(f, part)
 
 
 @pytest.mark.parametrize("p,m,n", triple_fields(200))
@@ -120,6 +120,23 @@ def test_max3_never_runs_the_subset_search(monkeypatch):
     assert len(calls) == 1                  # t outside {3, 4} keeps the search
 
 
+@pytest.mark.parametrize("p,m,n", [(2, 6, 3), (7, 2, 2), (101, 1, 2)])
+def test_witness_walk_reaches_every_row(monkeypatch, p, m, n):
+    # on real tables the first row holds the witness; a table whose only
+    # maximum is one ratio d puts the lex-first triple of d at any row
+    f = get_field(p, m)
+    coset0 = [int(e) for e in get_partition(p, m, n).cosets[0]]
+    first = {}
+    for triple in itertools.combinations(coset0, 3):
+        e1, e2, e3 = triple
+        first.setdefault(f.mul(f.sub(e3, e1), f.inv(f.sub(e2, e1))), triple)
+    for d, triple in first.items():
+        table = np.zeros(f.q, dtype=np.int64)
+        table[d] = 1
+        monkeypatch.setattr(shiftcount, "triple_counts", lambda field, part: table)
+        assert affine_max_shift3(f, partition(f, n)) == (1, triple)
+
+
 @given(st.sampled_from(QUAD_FIELDS))
 @settings(max_examples=15, deadline=None)   # the t = 4 search is the cost
 def test_max4_matches_subset_search(case):
@@ -138,8 +155,6 @@ def test_max4_matches_subset_search(case):
 def test_max4_matches_the_recorded_search(p, m, n, expected):
     f, part = get_field(p, m), get_partition(p, m, n)
     assert max_shift_count(f, part, 4) == expected
-    counts = quad_counts(f, part)
-    assert max_shift_count(f, part, 4, counts) == expected
 
 
 def test_max4_never_runs_the_subset_search(monkeypatch):
