@@ -107,11 +107,11 @@ def partition(field: FieldTable, n: int, conjugate: bool = False) -> CosetPartit
 def memo(part: CosetPartition, compute):
     """``compute(part.field, part)``, computed once per partition and kept on it.
 
-    The tables several checks of one character read (``pair_table``,
+    The values several checks of one character read (``pair_table``,
     ``jacobi_cubic``, ``closed_rep_class_table``, ``triple_counts``,
-    ``quad_counts``) are taken through here.  Arrays come back read-only, as
-    every caller shares them; an exception is not kept, so the next call
-    computes again.
+    ``quad_counts``, the numeric ``gauss_sum``) are taken through here.
+    Arrays come back read-only, as every caller shares them; an exception
+    is not kept, so the next call computes again.
     """
     if compute not in part._memo:
         value = compute(part.field, part)

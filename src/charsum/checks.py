@@ -185,7 +185,7 @@ def jacobi(field, part):
     delta = abs(quotient - jac.to_complex())
     found.append(holds("matches_gauss_quotient", delta < JACOBI_NUM_TOL,
                        f"|delta| = {delta:.3e}"))
-    g2 = abs(gauss_sum(field, part)) ** 2
+    g2 = abs(memo(part, gauss_sum)) ** 2
     found.append(holds("gauss_abs_square_equals_q", abs(g2 - q) <= GAUSS_ABS_REL_TOL * q,
                        f"|G|^2 = {g2:.12g}"))
     a_arr, b_arr = a_beta_sweep(field, part)

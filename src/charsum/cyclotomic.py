@@ -102,7 +102,7 @@ def jacobi_from_gauss(field: FieldTable, part: CosetPartition) -> complex:
     registry.mark("jacobi_from_gauss")
     if part.n != 3:
         raise ValueError("cubic partition expected")
-    g = gauss_sum(field, part)
+    g = memo(part, gauss_sum)
     g_bar = gauss_sum(field, partition(field, 3, conjugate=not part.conjugate))
     return g * g / g_bar
 

@@ -262,10 +262,7 @@ class FieldTable:
     __slots__ = ("spec", "p", "m", "q", "alpha", "exp", "dlog_table",
                  "_digits", "_pplace", "_neg", "_arange", "_trace")
 
-    def __init__(self, spec: FieldSpec, size_cap: int | None = None):
-        cap = DEFAULT_SIZE_CAP if size_cap is None else int(size_cap)
-        if spec.q > cap:
-            raise ValueError(f"q = {spec.q} exceeds the size cap {cap}")
+    def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p, self.m, self.q = spec.p, spec.m, spec.q
         self._pplace = self.p ** np.arange(self.m, dtype=np.int64)
@@ -472,11 +469,19 @@ class FieldTable:
 
 def build_field(p: int, m: int = 1, modulus=None,
                 size_cap: int | None = None) -> FieldTable:
-    """Construct F_{p^m} with the canonical (or a supplied) modulus."""
+    """Construct F_{p^m} with the canonical (or a supplied) modulus.
+
+    The size cap is checked first, without forming a power far above it, so
+    an oversized p or m never reaches the primality test or the modulus
+    search; an invalid p or m is left to those."""
     registry.mark("build_field")
+    cap = DEFAULT_SIZE_CAP if size_cap is None else int(size_cap)
+    if p >= 2 and m >= 1 and (p > cap or m >= cap.bit_length() or p ** m > cap):
+        q = p if m == 1 else f"{p}^{m}"
+        raise ValueError(f"q = {q} exceeds the size cap {cap}")
     if modulus is None:
         modulus = find_irreducible(p, m)
-    return FieldTable(FieldSpec(p, m, tuple(modulus)), size_cap=size_cap)
+    return FieldTable(FieldSpec(p, m, tuple(modulus)))
 
 
 # ---------------------------------------------------------------------------

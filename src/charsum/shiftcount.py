@@ -24,6 +24,7 @@ order is kept, so the reported witness is deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,42 @@ def quad_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return out
 
 
+def _affine_walk(field: FieldTable, part: CosetPartition,
+                 table: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Max of a reduction table over distinct ratios not in {0, 1}, and the
+    lex-first subset of coset 0 whose ratios attain it.
+
+    ``table`` is M(d) (t = 3) or M2(d1, d2) (t = 4).  The walk takes the
+    prefixes e_i < e_j of coset 0 in lex order; per prefix, d[x] =
+    (e_x - e_i)/(e_j - e_i) for each later e_x, and the first increasing
+    index tuple x with table[d[x]] = max gives the witness.  Rows d_l that
+    hold no maximum are skipped.
+    """
+    masked = np.array(table)
+    masked[:2] = -1                      # a ratio of 0 or 1
+    if masked.ndim == 2:
+        masked[:, :2] = -1
+        np.fill_diagonal(masked, -1)     # d1 = d2
+    best = int(masked.max())
+    top = masked == best
+    live = top.reshape(field.q, -1).any(axis=1)
+    later = top.ndim - 1                 # elements after the row element
+    coset0 = part.cosets[0]
+    for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
+        e = int(coset0[i])
+        d = field.mul_vec(field.inv(field.sub(int(coset0[j]), e)),
+                          field.add_vec(field.neg(e), coset0[j + 1:]))
+        for l in np.flatnonzero(live[d[:len(d) - later]]).tolist():
+            xs = [l]
+            if later:                    # the first r > l on a maximal cell
+                r = np.flatnonzero(top[d[l], d[l + 1:]])
+                if not len(r):
+                    continue
+                xs.append(l + 1 + int(r[0]))
+            return best, tuple(int(coset0[x]) for x in (i, j, *(j + 1 + np.array(xs))))
+    raise IdentityViolation("no same-coset subset attains the reduction's max")
+
+
 def affine_max_shift3(field: FieldTable,
                       part: CosetPartition) -> tuple[int, tuple[int, ...]]:
     """max N(3) by the affine reduction, with the lex-first witness.
@@ -161,74 +198,22 @@ def affine_max_shift3(field: FieldTable,
     x -> s*x + e maps {0, 1, d} onto the triple {e, e+s, e+s*d}, and scaling
     by s only permutes coset labels, so that triple has N = M(d)
     (``triple_counts``); M(d) >= 1 exactly when some same-coset triple
-    realises d.  Hence max N(3) = max over d not in {0, 1} of M(d).  The
-    witness walks the triples e_i < e_j < e_l of coset 0 in lex order, as
-    d = (e_l - e_i)/(e_j - e_i) by discrete logs, to the first with
-    M(d) = max.  The walk takes one row j first and doubles its blocks up
-    to about 2^20 cells, as the first row almost always holds the witness.
+    realises d.  Hence max N(3) = max over d not in {0, 1} of M(d), and
+    ``_affine_walk`` finds the witness.
     """
     registry.mark("affine_max_shift3")
-    counts = memo(part, triple_counts)
-    best = int(counts[2:].max())     # index 0 is d = 0, index 1 is d = 1
-    top = counts[field.exp] == best  # by discrete log: top[h] = [M(alpha^h) = max]
-    coset0 = part.cosets[0]
-    rows = 1
-    for i in range(len(coset0) - 2):
-        rest = coset0[i + 1:]
-        logs = field.dlog_table[field.add_vec(field.neg(int(coset0[i])), rest)]
-        cap = max(1, (1 << 20) // len(rest))
-        lo = 0
-        while lo < len(rest) - 1:
-            rows = min(rows, cap)
-            # rows j, columns l of rest; keep l > j, the first hit is lex-first
-            hit = np.triu(top[(logs - logs[lo:lo + rows, None]) % (field.q - 1)],
-                          lo + 1)
-            first = int(np.argmax(hit))
-            if hit.flat[first]:
-                j, l = divmod(first, len(rest))
-                return best, (int(coset0[i]), int(rest[lo + j]), int(rest[l]))
-            lo, rows = lo + rows, 2 * rows
-    raise IdentityViolation("no same-coset triple attains max M(d)")
+    return _affine_walk(field, part, memo(part, triple_counts))
 
 
 def affine_max_shift4(field: FieldTable,
                       part: CosetPartition) -> tuple[int, tuple[int, ...]]:
     """max N(4) by the affine reduction, with the lex-first witness.
 
-    As for t = 3: x -> s*x + e maps {0, 1, d1, d2} onto {e, e+s, e+s*d1,
-    e+s*d2}, which therefore has N = M2(d1, d2) (``quad_counts``), so
-    max N(4) = max over distinct d1, d2 not in {0, 1} of M2.  The witness
-    walks the prefixes e_i < e_j of coset 0 in lex order and, per prefix,
-    the pairs e_l < e_r after e_j, as ratios d = (e - e_i)/(e_j - e_i) by
-    discrete logs, to the first with M2(d_l, d_r) = max; rows d_l with no
-    maximum in M2 are skipped.
+    As for t = 3: {e, e+s, e+s*d1, e+s*d2} has N = M2(d1, d2)
+    (``quad_counts``), so max N(4) = max over distinct d1, d2 not in {0, 1}
+    of M2, and ``_affine_walk`` finds the witness.
     """
-    masked = np.array(memo(part, quad_counts))
-    masked[:2] = masked[:, :2] = -1  # d1 or d2 in {0, 1}
-    np.fill_diagonal(masked, -1)     # d1 = d2
-    best = int(masked.max())
-    top = masked == best
-    live = top.any(axis=1)
-    coset0 = part.cosets[0]
-    for i in range(len(coset0) - 3):
-        logs = field.dlog_table[field.add_vec(field.neg(int(coset0[i])),
-                                              coset0[i + 1:])]
-        for j in range(len(logs) - 2):
-            # d[x] is the ratio of coset0[i + j + 2 + x]
-            d = field.exp[(logs[j + 1:] - logs[j]) % (field.q - 1)]
-            rows = np.flatnonzero(live[d[:-1]])
-            step = max(1, (1 << 20) // len(d))
-            for lo in range(0, len(rows), step):
-                ls = rows[lo:lo + step, None]
-                # rows l, columns r; keep r > l, the first hit is lex-first
-                hit = top[d[ls], d] & (np.arange(len(d)) > ls)
-                first = int(np.argmax(hit))
-                if hit.flat[first]:
-                    a, r = divmod(first, len(d))
-                    base = i + j + 2
-                    return best, tuple(int(coset0[x]) for x in
-                                       (i, i + j + 1, base + ls[a, 0], base + r))
-    raise IdentityViolation("no same-coset 4-set attains max M2(d1, d2)")
+    return _affine_walk(field, part, memo(part, quad_counts))
 
 
 def closed_form_max3(field: FieldTable, n: int) -> int:

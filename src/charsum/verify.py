@@ -68,7 +68,6 @@ class Sweep(NamedTuple):
     scope: str
     family: str         # a family of charsum.checks, looked up per job
     fields: Callable    # q_max -> its (p, m, n) items, in report order
-    heavy: bool = False     # capped at HEAVY_Q_CEILING under --scope all
 
 
 SWEEPS = {
@@ -82,14 +81,13 @@ SWEEPS = {
     "character_sums": Sweep("sums", "sigma_chain", character_fields),
     "jacobi_gauss": Sweep("sums", "jacobi", lambda q: character_fields(q, (3,))),
     "quadratic_charpoly": Sweep("charpoly", "charpoly",
-                                lambda q: character_fields(q, (2,)), heavy=True),
+                                lambda q: character_fields(q, (2,))),
     "cubic_charpoly": Sweep("charpoly", "charpoly",
-                            lambda q: character_fields(q, (3,)), heavy=True),
+                            lambda q: character_fields(q, (3,))),
     # fields whose cosets are smaller than 3 stay in: the family reports
     # them as explicit skips instead of silently dropping them
-    "shift_duality": Sweep("duality", "duality", character_fields, heavy=True),
+    "shift_duality": Sweep("duality", "duality", character_fields),
 }
-HEAVY_Q_CEILING = 343
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +154,8 @@ def run_sweeps(jobs: dict, threads: int = 1) -> list[SweepResult]:
 
 
 def run_scope(scope: str, q_max: int, threads: int = 1) -> list[SweepResult]:
-    """Every sweep of ``scope``; under "all", the heavy ones stop at
-    HEAVY_Q_CEILING."""
-    heavy = min(q_max, HEAVY_Q_CEILING) if scope == "all" else q_max
-    jobs = {name: sw.fields(heavy if sw.heavy else q_max)
+    """Every sweep of ``scope``, each over its fields up to ``q_max``."""
+    jobs = {name: sw.fields(q_max)
             for name, sw in SWEEPS.items() if scope in ("all", sw.scope)}
     if not jobs:
         raise ValueError(f"unknown scope {scope!r}")

@@ -18,16 +18,13 @@ from charsum.repcount import rep_count_zero, rep_count_zero_brute
 from charsum.verify import cached_field
 from charsum.characters import partition
 
-Q_MAX_REP = 2000
-Q_MAX_CHARPOLY = 343
-SHIFT_N2_MIN, SHIFT_N2_MAX = 9, 343
-SHIFT_N3_FIELDS = [(2, 4), (2, 6), (2, 8)]      # q = 16, 64, 256
+Q_MAX = 2000
 
 
-def _sweep(name, q_max=None, items=None):
-    """One sweep of ``verify.SWEEPS``, over its own fields up to ``q_max``
+def _sweep(name, items=None):
+    """One sweep of ``verify.SWEEPS``, over its own fields up to ``Q_MAX``
     or over ``items``."""
-    return v.run_sweeps({name: v.SWEEPS[name].fields(q_max) if items is None
+    return v.run_sweeps({name: v.SWEEPS[name].fields(Q_MAX) if items is None
                          else items})[0]
 
 
@@ -49,30 +46,31 @@ def _finish(num, name, sweep, elapsed, limit_s=None, extra=""):
 
 def test_criterion_1_quadratic_rep_counts():
     t0 = time.perf_counter()
-    sweep = _sweep("quadratic_rep_counts", Q_MAX_REP)
+    sweep = _sweep("quadratic_rep_counts")
     elapsed = time.perf_counter() - t0
-    expected_fields = len([p for p, m, q in prime_powers(Q_MAX_REP, 3) if p != 2])
+    expected_fields = len([p for p, m, q in prime_powers(Q_MAX, 3) if p != 2])
     assert sweep.fields == expected_fields
-    _finish(1, "quadratic closed form == brute force, odd q <= 2000",
+    _finish(1, f"quadratic closed form == brute force, odd q <= {Q_MAX}",
             sweep, elapsed, limit_s=120)
 
 
 def test_criterion_2_cubic_rep_counts():
     t0 = time.perf_counter()
-    sweep = _sweep("cubic_rep_counts", Q_MAX_REP)
+    sweep = _sweep("cubic_rep_counts")
     elapsed = time.perf_counter() - t0
-    fields = v.SWEEPS["cubic_rep_counts"].fields(Q_MAX_REP)
+    fields = v.SWEEPS["cubic_rep_counts"].fields(Q_MAX)
     for pm in [(2, 2), (2, 4), (2, 6), (2, 8), (2, 10)]:
         assert (*pm, 3) in fields               # q = 4, 16, 64, 256, 1024
     assert all((p ** m - 1) % 3 == 0 for p, m, n in fields)
-    _finish(2, "cubic closed form == brute force, 3 | q - 1, q <= 2000",
+    _finish(2, f"cubic closed form == brute force, 3 | q - 1, q <= {Q_MAX}",
             sweep, elapsed, limit_s=180)
 
 
 def test_criterion_3_prime_field_floors():
     t0 = time.perf_counter()
-    sweep = _sweep("prime_field_counts", 200)
+    sweep = _sweep("prime_field_counts")
     elapsed = time.perf_counter() - t0
+    # the sweep itself stops at p = 200
     assert sweep.fields == len([p for p, m, q in prime_powers(200, 3)
                                 if m == 1 and p != 2])
     _finish(3, "prime-field counts match floor((p+1)/4) pattern, p <= 200",
@@ -81,7 +79,7 @@ def test_criterion_3_prime_field_floors():
 
 def test_criterion_4_zero_sum_counts():
     t0 = time.perf_counter()
-    sweep = _sweep("zero_sum_counts", Q_MAX_REP)
+    sweep = _sweep("zero_sum_counts")
     elapsed = time.perf_counter() - t0
     f9 = cached_field(3, 2)
     p9 = partition(f9, 2)
@@ -96,7 +94,7 @@ def test_criterion_4_zero_sum_counts():
 
 def test_criterion_5_sigma_chain():
     t0 = time.perf_counter()
-    sweep = _sweep("character_sums", Q_MAX_REP)
+    sweep = _sweep("character_sums")
     elapsed = time.perf_counter() - t0
     _finish(5, "sigma_0 + 1 = sigma_1 = ... = (q-1)/n for every shift",
             sweep, elapsed)
@@ -104,7 +102,7 @@ def test_criterion_5_sigma_chain():
 
 def test_criterion_6_jacobi_gauss():
     t0 = time.perf_counter()
-    sweep = _sweep("jacobi_gauss", Q_MAX_REP)
+    sweep = _sweep("jacobi_gauss")
     elapsed = time.perf_counter() - t0
     extra = (f"norm(J)=q everywhere; char-2 closed forms exact; "
              f"|G|^2 within {GAUSS_ABS_REL_TOL} rel and G^2/conj(G) "
@@ -114,28 +112,24 @@ def test_criterion_6_jacobi_gauss():
 
 def test_criterion_7_quadratic_charpoly():
     t0 = time.perf_counter()
-    sweep = _sweep("quadratic_charpoly", Q_MAX_CHARPOLY)
+    sweep = _sweep("quadratic_charpoly")
     elapsed = time.perf_counter() - t0
-    _finish(7, "quadratic equation of characteristic functions, odd q <= 343",
+    _finish(7, f"quadratic equation of characteristic functions, odd q <= {Q_MAX}",
             sweep, elapsed, limit_s=60)
 
 
 def test_criterion_8_cubic_charpoly():
     t0 = time.perf_counter()
-    sweep = _sweep("cubic_charpoly", Q_MAX_CHARPOLY)
+    sweep = _sweep("cubic_charpoly")
     elapsed = time.perf_counter() - t0
-    _finish(8, "cubic equation of characteristic functions, 3 | q - 1, q <= 343",
+    _finish(8, f"cubic equation of characteristic functions, 3 | q - 1, q <= {Q_MAX}",
             sweep, elapsed)
 
 
 @pytest.fixture(scope="module")
 def duality_sweep():
-    items = [(p, m, n) for p, m, n in
-             v.character_fields(SHIFT_N2_MAX, q_min=SHIFT_N2_MIN)
-             if n == 2 and (p ** m - 1) // 2 >= 3
-             or n == 3 and (p, m) in SHIFT_N3_FIELDS]
     t0 = time.perf_counter()
-    sweep = _sweep("shift_duality", items=items)
+    sweep = _sweep("shift_duality")
     return sweep, time.perf_counter() - t0
 
 

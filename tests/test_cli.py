@@ -161,6 +161,12 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "coset smaller than 3" in err and out == ""
     code, out, err = run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "1")
     assert code == 1 and "--q-max" in err and out == ""
+    # the cap comes before the modulus search and the primality test, and
+    # takes no unbounded power
+    for spec in ("2^400", "170141183460469231731687303715884105727",
+                 "2^99999999999"):
+        code, out, err = run_cli(capsys, "field-info", "--field", spec)
+        assert code == 1 and "exceeds the size cap" in err and out == ""
 
 
 def test_family_verbs_compute_each_value_once(capsys, monkeypatch):
@@ -170,6 +176,13 @@ def test_family_verbs_compute_each_value_once(capsys, monkeypatch):
     assert (len(jacobi), len(quotient)) == (1, 1)
     assert run_cli(capsys, "repcount", "--field", "13", "--n", "2")[0] == 0
     assert len(perron) == 1
+
+
+def test_jacobi_computes_each_gauss_sum_once(capsys, monkeypatch):
+    # G(chi) feeds the quotient and the |G|^2 check, G(conj chi) the quotient
+    gauss = count_calls(monkeypatch, "gauss_sum")
+    assert run_cli(capsys, "jacobi", "--field", "7")[0] == 0
+    assert sorted(args[1].conjugate for args in gauss) == [False, True]
 
 
 def test_tables_and_charpoly_run_above_4096(capsys):

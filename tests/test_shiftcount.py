@@ -11,8 +11,8 @@ from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
 from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
-                                closed_form_max3, max_shift_count,
-                                shift_count, verify_duality)
+                                affine_max_shift4, closed_form_max3,
+                                max_shift_count, shift_count, verify_duality)
 from conftest import get_field, get_partition
 
 
@@ -135,6 +135,28 @@ def test_witness_walk_reaches_every_row(monkeypatch, p, m, n):
         table[d] = 1
         monkeypatch.setattr(shiftcount, "triple_counts", lambda field, part: table)
         assert affine_max_shift3(f, partition(f, n)) == (1, triple)
+
+
+@pytest.mark.parametrize("p,m,n", [(5, 2, 3), (17, 1, 2)])
+def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
+    # a table whose only maximum is one ratio pair (d1, d2) puts the lex-first
+    # 4-set of that pair under any prefix and at any row of it
+    f = get_field(p, m)
+    coset0 = [int(e) for e in get_partition(p, m, n).cosets[0]]
+    first = {}
+    for quad in itertools.combinations(coset0, 4):
+        e1, e2, e3, e4 = quad
+        scale = f.inv(f.sub(e2, e1))
+        first.setdefault(tuple(f.mul(f.sub(e, e1), scale) for e in (e3, e4)), quad)
+    # some witnesses lie past the first prefix, some past the first row
+    assert any(quad[:2] != tuple(coset0[:2]) for quad in first.values())
+    assert any(coset0.index(quad[2]) > coset0.index(quad[1]) + 1
+               for quad in first.values())
+    for (d1, d2), quad in first.items():
+        table = np.zeros((f.q, f.q), dtype=np.int32)
+        table[d1, d2] = 1
+        monkeypatch.setattr(shiftcount, "quad_counts", lambda field, part: table)
+        assert affine_max_shift4(f, partition(f, n)) == (1, quad)
 
 
 @given(st.sampled_from(QUAD_FIELDS))
