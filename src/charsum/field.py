@@ -431,21 +431,26 @@ class FieldTable:
         return self.add_vec(x, self._arange)
 
     def trace_vec(self) -> np.ndarray:
-        """Absolute traces of all elements as integers in [0, p)."""
+        """Absolute traces of all elements as integers in [0, p).
+
+        Tr is F_p-linear, so Tr(eta^i) on the basis, each taken from the
+        definition sum_j (eta^i)^(p^j), fixes it: Tr(x) = digits(x) . Tr(eta^i).
+        A nonzero linear functional takes every residue exactly q/p times,
+        which certifies the table."""
         if self._trace is None:
-            acc = self._digits.astype(np.int64)
-            cur = self._arange.copy()
-            for _ in range(1, self.m):
-                nxt = np.zeros(self.q, dtype=np.int64)
-                nz = cur != 0
-                nxt[nz] = self.exp[(self.dlog_table[cur[nz]] * self.p)
-                                   % (self.q - 1)]
-                cur = nxt
-                acc += self._digits[cur]
-            acc %= self.p
-            if self.m > 1 and acc[:, 1:].any():
-                raise RuntimeError("trace left the prime subfield")
-            self._trace = acc[:, 0].copy()
+            basis = np.empty(self.m, dtype=np.int64)
+            for i in range(self.m):
+                acc, cur = 0, self.p ** i           # the index of eta^i
+                for _ in range(self.m):
+                    acc, cur = self.add(acc, cur), self.pow_(cur, self.p)
+                if acc >= self.p:
+                    raise RuntimeError("trace left the prime subfield")
+                basis[i] = acc
+            tr = self._digits @ basis % self.p
+            if np.any(np.bincount(tr, minlength=self.p) != self.q // self.p):
+                raise IdentityViolation(
+                    f"trace over F_{self.spec.label()} is not equidistributed")
+            self._trace = tr
         return self._trace
 
     def poly_str(self, x: int) -> str:
@@ -486,15 +491,29 @@ def build_field(p: int, m: int = 1, modulus=None,
 
 # ---------------------------------------------------------------------------
 # Exact convolution over (Z_p)^m: the index encoding makes v.reshape((p,)*m)
-# that group as a tensor, so additive convolution is irfftn(rfftn * rfftn).
-# Round-off: a radix-2 FFT of length N has relative 2-norm error at most
-# log2(N) * eta, eta ~ (1 + 4 sqrt(2)) u (Higham 2002, Accuracy and Stability
-# of Numerical Algorithms, Sec. 24.1, Thm 24.2).  Two forward transforms, one
-# inverse and Cauchy-Schwarz on its sums give max |error| <= 3 log2(N) eta
-# |a|_2 |b|_2 (the form of Percival 2003, Math. Comp. 72, Thm 5.1); 20 is
-# rounded up to c = 32.  pocketfft runs an axis shorter than 50 as radix
-# passes, generic ones being length-p sums: charged p levels.  A longer prime
-# axis runs Bluestein, a convolution of length < 4p: 3 log2(4p) levels.
+# that group as a tensor.  The path is chosen by p alone.
+#
+# p = 2: the group is (Z_2)^m, the index bits are the coordinates and the
+# convolution is a Walsh-Hadamard one, H(Ha * Hb) = q (a * b) with H the
+# +-1 Sylvester matrix, run as m butterfly passes in int64 and an exact
+# right shift by m.  Overflow: a forward partial sum is bounded by |a|_1 <=
+# sqrt(q) |a|_2; each product |Ha_k Hb_k|, and by Cauchy-Schwarz and
+# Parseval (|Ha|_2 = sqrt(q) |a|_2) each inverse partial sum, is at most
+# |Ha|_2 |Hb|_2 = q |a|_2 |b|_2.  So q |a|_2 |b|_2 < 2^62 keeps every
+# intermediate inside int64 with a factor of two to spare for the float
+# norms; a zero operand gives 0 even if the other one's transform wraps.
+# Certificate: the low m bits of every entry are zero before the shift, and
+# sum(a * b) = sum(a) * sum(b).
+#
+# Odd p: irfftn(rfftn * rfftn).  Round-off: a radix-2 FFT of length N has
+# relative 2-norm error at most log2(N) * eta, eta ~ (1 + 4 sqrt(2)) u
+# (Higham 2002, Accuracy and Stability of Numerical Algorithms, Sec. 24.1,
+# Thm 24.2).  Two forward transforms, one inverse and Cauchy-Schwarz on its
+# sums give max |error| <= 3 log2(N) eta |a|_2 |b|_2 (the form of Percival
+# 2003, Math. Comp. 72, Thm 5.1); 20 is rounded up to c = 32.  pocketfft runs
+# an axis shorter than 50 as radix passes, generic ones being length-p sums:
+# charged p levels.  A longer prime axis runs Bluestein, a convolution of
+# length < 4p: 3 log2(4p) levels.
 
 
 def _fft_error_bound(field: FieldTable, norm_a: float, norm_b: float) -> float:
@@ -513,16 +532,22 @@ def convolve(field: FieldTable, a, b) -> np.ndarray:
     """Exact additive convolution out[..., g] = sum_d a[..., d] * b[..., g - d].
 
     Last axes have length q, leading axes broadcast.  Integer operands within
-    the round-off bound take the transform path, certified by max |x -
-    rint(x)| < 1/4 and sum(a * b) = sum(a) * sum(b), else IdentityViolation.
-    Object operands, or any above the bound, run one dense row loop in Python
-    integers, kept as int64 unless it could wrap."""
+    the a-priori bound take the transform path: for p = 2 an int64
+    Walsh-Hadamard transform, q |a|_2 |b|_2 < 2^62, certified by q dividing
+    every entry before the final shift; for odd p the FFT, within the
+    round-off bound, certified by max |x - rint(x)| < 1/4.  Both also check
+    sum(a * b) = sum(a) * sum(b) and raise IdentityViolation on a failed
+    certificate.  Object operands, or any above the bound, run one dense row
+    loop in Python integers, kept as int64 unless it could wrap."""
     a, b = np.asarray(a), np.asarray(b)
     wide = object in (a.dtype, b.dtype)
     if not wide:
         a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        norms = (np.linalg.norm(v, axis=-1).max() for v in (a, b))
-        if _fft_error_bound(field, *norms) < 1 / 8:
+        norm_a, norm_b = (np.linalg.norm(v, axis=-1).max() for v in (a, b))
+        if field.p == 2:
+            if field.q * norm_a * norm_b < 2.0 ** 62:
+                return _wht_convolve(field, a, b)
+        elif _fft_error_bound(field, norm_a, norm_b) < 1 / 8:
             return _fft_convolve(field, a, b)
     shape = np.broadcast_shapes(a.shape, b.shape)
     wide = wide or field.q * max_abs(a) * max_abs(b) > INT64_MAX
@@ -533,6 +558,39 @@ def convolve(field: FieldTable, a, b) -> np.ndarray:
         # y -> x + y is a bijection, so the fancy index is collision-free
         out[..., field.add_row(int(x))] += a[..., x, None] * b
     return out if wide else out.astype(np.int64)
+
+
+def _wht(v: np.ndarray, m: int) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform over the last axis (length 2^m).
+
+    Each pass butterflies the lowest index bit and rotates it to the top
+    (constant geometry: every read and write runs along the whole axis), so
+    after m passes the bits are back in order.  v, an int64 array the caller
+    owns, is overwritten as the second buffer."""
+    half = v.shape[-1] // 2
+    out = np.empty_like(v)
+    for _ in range(m):
+        lo, hi = v[..., 0::2], v[..., 1::2]
+        np.add(lo, hi, out=out[..., :half])
+        np.subtract(lo, hi, out=out[..., half:])
+        v, out = out, v
+    return v
+
+
+def _wht_convolve(field: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Certified p = 2 path; q |a|_2 |b|_2 < 2^62 keeps every sum in int64."""
+    m = field.m
+    out = _wht(_wht(a.copy(), m) * _wht(b.copy(), m), m)
+    if np.any(out & (field.q - 1)):
+        raise IdentityViolation(
+            f"Walsh-Hadamard convolution over F_{field.spec.label()} failed its"
+            " certificate (low bits: an entry is not a multiple of q)")
+    out >>= m
+    if np.any(out.sum(-1) != a.sum(-1) * b.sum(-1)):
+        raise IdentityViolation(
+            f"Walsh-Hadamard convolution over F_{field.spec.label()} failed its"
+            " certificate (coefficient sums differ)")
+    return out
 
 
 def _fft_convolve(field: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -46,13 +46,9 @@ def brute_rep_count(field: FieldTable, part: CosetPartition,
     registry.mark("brute_rep_count")
     if beta == 0:
         raise ValueError("beta = 0 is handled by rep_count_zero")
-    lab = part.labels
-    count = 0
-    for x in part.cosets[j]:
-        y = field.sub(beta, int(x))
-        if y != 0 and lab[y] == i:
-            count += 1
-    return count
+    # labels[0] is -1, so y = 0 is never counted
+    ys = field.add_vec(beta, field.neg_vec(part.cosets[j]))
+    return int((part.labels[ys] == i).sum())
 
 
 def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from charsum.field import (FieldSpec, build_field, find_irreducible,
+from charsum.errors import IdentityViolation
+from charsum.field import (FieldSpec, FieldTable, build_field, find_irreducible,
                            is_irreducible, is_prime, parse_field_spec,
                            prime_factors, prime_powers)
 from conftest import get_field
@@ -169,6 +170,36 @@ def test_trace_lands_in_prime_field():
     for _ in range(50):
         x, y = (int(v) for v in rng.integers(0, f.q, 2))
         assert (f.trace(x) + f.trace(y)) % f.p == f.trace(f.add(x, y))
+
+
+def frobenius_trace(f):
+    """Oracle: Tr x = x + x^p + ... + x^(p^(m-1)) for every element at once,
+    by m - 1 Frobenius passes through the log tables, summed in coordinates."""
+    digits = np.arange(f.q)[:, None] // f.p ** np.arange(f.m) % f.p
+    acc, cur = digits.copy(), np.arange(f.q)
+    for _ in range(1, f.m):
+        nxt = np.zeros(f.q, dtype=np.int64)
+        nz = cur != 0
+        nxt[nz] = f.exp[f.dlog_table[cur[nz]] * f.p % (f.q - 1)]
+        cur = nxt
+        acc += digits[cur]
+    acc %= f.p
+    assert not acc[:, 1:].any()
+    return acc[:, 0]
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m, _ in prime_powers(729)])
+def test_trace_vec_matches_frobenius_oracle(p, m):
+    f = get_field(p, m)
+    assert np.array_equal(f.trace_vec(), frobenius_trace(f))
+
+
+def test_trace_certificate_rejects_a_zero_functional(monkeypatch):
+    f = build_field(2, 4)
+    # x^p taken as x makes Tr(eta^i) = 4 eta^i = 0 on every basis element
+    monkeypatch.setattr(FieldTable, "pow_", lambda self, x, e: x)
+    with pytest.raises(IdentityViolation, match="equidistributed"):
+        f.trace_vec()
 
 
 @given(st.integers(min_value=0, max_value=48), st.integers(min_value=0, max_value=48))

@@ -46,9 +46,11 @@ def test_stdout_matches_recording(capsys, case):
 
 # ``data/recorded_sweeps.json``: the stdout and exit code of the benchmark's
 # four verify calls at commit 5273746, before the sweeps ran field-major;
-# they must match byte for byte
-SWEEP_CASES = json.loads((Path(__file__).parent / "data"
-                          / "recorded_sweeps.json").read_text())
+# ``data/recorded_cap.json``: five characteristic-2 verbs from 2^8 to the
+# 2^16 size cap at commit 705b425, before convolve took the Walsh-Hadamard
+# path for p = 2.  Both must match byte for byte
+SWEEP_CASES = [case for name in ("recorded_sweeps.json", "recorded_cap.json")
+               for case in json.loads((Path(__file__).parent / "data" / name).read_text())]
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda c: " ".join(c["argv"]))
