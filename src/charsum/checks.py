@@ -21,8 +21,8 @@ from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
 from .field import convolve
-from .groupring import (characteristic_fn, cubic_sigma, gr_mul, phi,
-                        quadratic_sigma)
+from .groupring import (characteristic_fn, cubic_sigma, gr_mul, gr_mul_pairs,
+                        phi, quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
                        rep_count_table, rep_count_zero, rep_count_zero_brute)
 from .shiftcount import shift_count, triple_counts, verify_duality
@@ -221,17 +221,17 @@ def charpoly(field, part):
     else:
         jac = memo(part, jacobi_cubic)
         sigmas = cubic_sigma(field, part)
+        pairs = gr_mul_pairs(fs, fs[1:] + fs[:1])        # f0 f1, f1 f2, f2 f0
         products = {"sigma1_matches_sum": fs[0] + fs[1] + fs[2],
-                    "sigma2_matches_pair_sum": (gr_mul(fs[0], fs[1])
-                                                + gr_mul(fs[1], fs[2])
-                                                + gr_mul(fs[2], fs[0])),
-                    "sigma3_matches_product": gr_mul(gr_mul(fs[0], fs[1]), fs[2])}
+                    "sigma2_matches_pair_sum": pairs[0] + pairs[1] + pairs[2],
+                    "sigma3_matches_product": gr_mul(pairs[0], fs[2])}
     found += [holds(name, s == prod) for (name, prod), s in zip(products.items(), sigmas)]
-    for j, f in enumerate(fs):
-        residual = f - sigmas[0]                # Horner: ((f - s1) f + s2) f - s3
-        for k, s in enumerate(sigmas[1:], 2):
-            residual = gr_mul(residual, f) + (-1) ** k * s
-        found.append(holds(f"residual_zero_at_f{j}", residual.is_zero()))
+    # Horner at every root at once: ((f - s1) f + s2) f - s3
+    residuals = [f - sigmas[0] for f in fs]
+    for k, s in enumerate(sigmas[1:], 2):
+        residuals = [r + (-1) ** k * s for r in gr_mul_pairs(residuals, fs)]
+    found += [holds(f"residual_zero_at_f{j}", r.is_zero())
+              for j, r in enumerate(residuals)]
     results = {"n": part.n,
                **{f"sigma{k}": _sigma_json(s) for k, s in enumerate(sigmas, 1)}}
     if jac is not None:

@@ -183,7 +183,9 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over Z_p.
 
     Candidate tuples are compared leading-coefficient side first, constant
-    term last.  For m == 1 the convention is the identity modulus x.
+    term last.  For m == 1 the convention is the identity modulus x.  For
+    m >= 2 a root means a linear factor, so candidates with f(0) = 0 or
+    f(1) = 0 are skipped before the irreducibility test.
     """
     registry.mark("find_irreducible")
     return _find_irreducible_cached(p, m)
@@ -200,7 +202,7 @@ def _find_irreducible_cached(p: int, m: int) -> tuple[int, ...]:
     for k in range(p ** m):
         low = [(k // p ** i) % p for i in range(m)]
         f = low + [1]
-        if is_irreducible(f, p):
+        if low[0] and sum(f) % p and is_irreducible(f, p):
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {m} over Z_{p}")  # unreachable
 
@@ -267,12 +269,16 @@ class FieldTable:
         self.p, self.m, self.q = spec.p, spec.m, spec.q
         self._pplace = self.p ** np.arange(self.m, dtype=np.int64)
         self._arange = np.arange(self.q, dtype=np.int64)
-        # column by column, so no (q x m) temporary is ever alive
+        # column by column, so no (q x m) temporary is ever alive; for p = 2
+        # the digits are the index bits and -x = x, so there is no table
         self._digits = np.empty((self.q, self.m), dtype=np.int32)
-        self._neg = np.zeros(self.q, dtype=np.int64)
+        self._neg = None if self.p == 2 else np.zeros(self.q, dtype=np.int64)
         for i, place in enumerate(self._pplace.tolist()):
-            self._digits[:, i] = self._arange // place % self.p
-            self._neg += -self._digits[:, i] % self.p * place
+            if self.p == 2:
+                self._digits[:, i] = self._arange >> i & 1
+            else:
+                self._digits[:, i] = self._arange // place % self.p
+                self._neg += -self._digits[:, i] % self.p * place
         self._trace = None
         self.alpha = self._find_alpha()
         self.exp = self._build_exp()
@@ -327,6 +333,8 @@ class FieldTable:
             col = _pmulmod(apoly, [0] * i + [1], f, p)
             for r, c in enumerate(col):
                 mat[r, i] = c
+        if p == 2:
+            return self._build_exp_bits(mat)
         rows = np.zeros((max(q - 1, 1), m), dtype=dtype)
         rows[0, 0] = 1
         power, k = mat, 1
@@ -341,16 +349,35 @@ class FieldTable:
             raise RuntimeError("alpha does not have order q-1")
         return e
 
+    def _build_exp_bits(self, mat: np.ndarray) -> np.ndarray:
+        """The doubling of ``_build_exp`` for p = 2 on indices: an index is
+        its coordinate vector, so its image under a matrix B is the XOR of
+        B's columns, read as indices, over its set bits."""
+        def image(b, xs):
+            out = np.zeros_like(xs)
+            for i, col in enumerate((b.T @ self._pplace).tolist()):
+                out ^= -(xs >> i & 1) & col
+            return out
+
+        e = np.empty(self.q - 1, dtype=np.int64)
+        e[0] = 1
+        power, k = mat, 1
+        while k < len(e):
+            step = min(k, len(e) - k)
+            e[k:k + step] = image(power, e[:step])
+            power = power @ power % 2
+            k += step
+        if e[0] != 1 or image(mat, e[-1:])[0] != 1:
+            raise RuntimeError("alpha does not have order q-1")
+        return e
+
     # -- scalar element operations --
 
     def add(self, x: int, y: int) -> int:
-        if self.m == 1:
-            return (x + y) % self.p
-        return int(((self._digits[x] + self._digits[y]) % self.p)
-                   @ self._pplace)
+        return int(self._add(x, y))
 
     def neg(self, x: int) -> int:
-        return int(self._neg[x])
+        return int(x) if self.p == 2 else int(self._neg[x])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -395,27 +422,37 @@ class FieldTable:
 
     # -- vectorized helpers (hot paths) --
 
-    def add_vec(self, x: int, ys: np.ndarray) -> np.ndarray:
+    def _add(self, xs, ys) -> np.ndarray:
+        """Indices of xs + ys, elementwise under numpy broadcasting: the one
+        addition behind add, add_vec, add_outer and add_row.  For p = 2 the
+        index bits are the coordinates, so the sum is the XOR; for m = 1 it
+        is the residue sum; otherwise digit rows are added mod p, chunked
+        along the leading axis to about 2^24 digit cells."""
+        if self.p == 2:
+            return np.bitwise_xor(xs, ys, dtype=np.int64)
         if self.m == 1:
-            return (ys + x) % self.p
-        return ((self._digits[ys] + self._digits[x]) % self.p) @ self._pplace
-
-    def add_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Matrix of sums xs[i] + ys[j]; row-chunked to bound the digit temporaries."""
-        xs = np.asarray(xs, dtype=np.int64)
-        if self.m == 1:
-            return (xs[:, None] + ys) % self.p
-        out = np.empty((len(xs), len(ys)), dtype=np.int64)
-        step = max(1, (1 << 24) // (max(len(ys), 1) * self.m))
-        dy = self._digits[ys][None, :, :]
-        for lo in range(0, len(xs), step):
-            hi = min(lo + step, len(xs))
-            d = (self._digits[xs[lo:hi]][:, None, :] + dy) % self.p
-            out[lo:hi] = d @ self._pplace
+            return (xs + ys) % self.p
+        if getattr(xs, "size", 1) * getattr(ys, "size", 1) * self.m <= 1 << 24:
+            return (self._digits[xs] + self._digits[ys]) % self.p @ self._pplace
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        step = max(1, (1 << 24) // (math.prod(shape[1:]) * self.m))
+        out = np.empty(shape, dtype=np.int64)
+        for lo in range(0, shape[0], step):
+            dx, dy = (self._digits[v if v.ndim < len(shape) or len(v) == 1
+                                   else v[lo:lo + step]] for v in (xs, ys))
+            out[lo:lo + step] = (dx + dy) % self.p @ self._pplace
         return out
 
+    def add_vec(self, x: int, ys: np.ndarray) -> np.ndarray:
+        return self._add(x, ys)
+
+    def add_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Matrix of sums xs[i] + ys[j]."""
+        return self._add(np.asarray(xs, dtype=np.int64)[:, None], ys)
+
     def neg_vec(self, ys: np.ndarray) -> np.ndarray:
-        return self._neg[ys]
+        return np.array(ys, dtype=np.int64) if self.p == 2 else self._neg[ys]
 
     def mul_vec(self, x: int, ys: np.ndarray) -> np.ndarray:
         out = np.zeros(len(ys), dtype=np.int64)
@@ -428,15 +465,17 @@ class FieldTable:
 
     def add_row(self, x: int) -> np.ndarray:
         """The permutation y -> x + y as an index vector."""
-        return self.add_vec(x, self._arange)
+        return self._add(x, self._arange)
 
     def trace_vec(self) -> np.ndarray:
         """Absolute traces of all elements as integers in [0, p).
 
         Tr is F_p-linear, so Tr(eta^i) on the basis, each taken from the
-        definition sum_j (eta^i)^(p^j), fixes it: Tr(x) = digits(x) . Tr(eta^i).
-        A nonzero linear functional takes every residue exactly q/p times,
-        which certifies the table."""
+        definition sum_j (eta^i)^(p^j), fixes it: Tr(x) = digits(x) . Tr(eta^i),
+        for p = 2 the parity of the bits x shares with the mask of basis
+        elements of trace 1, folded by shifts and XORs.  A nonzero linear
+        functional takes every residue exactly q/p times, which certifies the
+        table."""
         if self._trace is None:
             basis = np.empty(self.m, dtype=np.int64)
             for i in range(self.m):
@@ -446,7 +485,13 @@ class FieldTable:
                 if acc >= self.p:
                     raise RuntimeError("trace left the prime subfield")
                 basis[i] = acc
-            tr = self._digits @ basis % self.p
+            if self.p == 2:
+                tr = self._arange & int(basis @ self._pplace)
+                for k in reversed(range((self.m - 1).bit_length())):
+                    tr ^= tr >> (1 << k)
+                tr &= 1
+            else:
+                tr = self._digits @ basis % self.p
             if np.any(np.bincount(tr, minlength=self.p) != self.q // self.p):
                 raise IdentityViolation(
                     f"trace over F_{self.spec.label()} is not equidistributed")

@@ -14,6 +14,7 @@ byte-identical regardless of worker count.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
@@ -119,10 +120,13 @@ def _field_worker(args):
 # sweep drivers
 
 def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
+    # a fork-started pool launches all of its workers at the first submit, so
+    # more than there are items or CPUs would only be processes left idle
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 
 

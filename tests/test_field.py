@@ -1,8 +1,13 @@
+import functools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from charsum import field as field_mod
 from charsum.errors import IdentityViolation
 from charsum.field import (FieldSpec, FieldTable, build_field, find_irreducible,
                            is_irreducible, is_prime, parse_field_spec,
@@ -39,6 +44,55 @@ def test_find_irreducible_is_minimal(p, m):
     for smaller in range(k):
         cand = [(smaller // p ** i) % p for i in range(m)] + [1]
         assert not is_irreducible(cand, p)
+
+
+def unfiltered_lex_search(p, m):
+    """The modulus search without the root pre-filter: every candidate in
+    lex order goes to the irreducibility test."""
+    for k in range(p ** m):
+        f = [(k // p ** i) % p for i in range(m)] + [1]
+        if is_irreducible(f, p):
+            return tuple(f)
+
+
+def test_find_irreducible_matches_the_unfiltered_search():
+    for p, m, _ in prime_powers(1 << 12):
+        assert find_irreducible(p, m) == unfiltered_lex_search(p, m), (p, m)
+
+
+def test_root_filter_leaves_a_quarter_of_the_tests_at_the_size_cap(monkeypatch):
+    tested = []
+    monkeypatch.setattr(field_mod, "is_irreducible",
+                        lambda f, p: tested.append(f) or is_irreducible(f, p))
+    modulus = field_mod._find_irreducible_cached.__wrapped__(2, 16)
+    assert modulus == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+    # 44 candidates come before x^16 + x^5 + x^3 + x + 1; 33 of them have a root
+    assert len(tested) == 11
+    assert all(f[0] and sum(f) % 2 for f in tested)
+
+
+RECORDED_FIELDS = json.loads(
+    (Path(__file__).parent / "data" / "recorded_fields.json").read_text())
+
+
+def test_modulus_and_alpha_match_the_recording():
+    # recorded at commit e1e035b, before p = 2 became bit arithmetic and the
+    # modulus search skipped candidates with a root; alpha comes from the
+    # search FieldTable runs first, here without building the tables
+    def alpha_search(spec):
+        stub = FieldTable.__new__(FieldTable)
+        stub.spec, stub.p, stub.m, stub.q = spec, spec.p, spec.m, spec.q
+        return stub._find_alpha()
+
+    primes = [p for p, m, _ in prime_powers(1 << 16) if m == 1]
+    alphas = zip(primes, RECORDED_FIELDS["prime_alpha"], strict=True)
+    recorded = ([(p, 1, (0, 1), alpha) for p, alpha in alphas]
+                + [(p, m, tuple(f), alpha)
+                   for p, m, f, alpha in RECORDED_FIELDS["extension"]])
+    assert len(recorded) == len(prime_powers(1 << 16))
+    for p, m, modulus, alpha in recorded:
+        spec = FieldSpec(p, m, find_irreducible(p, m))
+        assert (spec.modulus, alpha_search(spec)) == (modulus, alpha), (p, m)
 
 
 def test_parse_field_spec():
@@ -224,3 +278,79 @@ def test_mul_agrees_with_polynomial_route():
     for _ in range(100):
         x, y = (int(v) for v in rng.integers(0, f.q, 2))
         assert f.mul(x, y) == f._raw_mul(x, y)
+
+
+# ---------------------------------------------------------------------------
+# The digit path p = 2 took before its index arithmetic became bit operations,
+# kept as the oracle: a sum gathers coordinate rows and adds them mod p, the
+# negation is digit-wise, and the exp table doubles coordinate rows by integer
+# matrix products, the columns of A being alpha * eta^i by polynomial product.
+
+@functools.lru_cache(maxsize=None)
+def digit_table(p, m):
+    return np.arange(p ** m)[:, None] // p ** np.arange(m) % p
+
+
+def digit_add(f, xs, ys):
+    d = digit_table(f.p, f.m)
+    return (d[xs] + d[ys]) % f.p @ f.p ** np.arange(f.m)
+
+
+def digit_neg(f):
+    return -digit_table(f.p, f.m) % f.p @ f.p ** np.arange(f.m)
+
+
+def matmul_exp(f):
+    d, place = digit_table(f.p, f.m), f.p ** np.arange(f.m)
+    mat = np.stack([d[f._raw_mul(f.alpha, f.p ** i)] for i in range(f.m)], axis=1)
+    rows = np.zeros((f.q - 1, f.m), dtype=np.int64)
+    rows[0, 0] = 1
+    power, k = mat, 1
+    while k < len(rows):
+        step = min(k, len(rows) - k)
+        rows[k:k + step] = rows[:step] @ power.T % f.p
+        power = power @ power % f.p
+        k += step
+    return rows @ place
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_characteristic_two_matches_the_digit_oracle(m):
+    f = get_field(2, m)
+    xs = np.arange(f.q)
+    rows = np.unique(np.r_[0, 1, f.q - 1, np.random.default_rng(m).integers(0, f.q, 64)])
+    assert np.array_equal(f.add_outer(rows, xs), digit_add(f, rows[:, None], xs))
+    for x, y in zip(rows.tolist(), rows[::-1].tolist()):
+        assert np.array_equal(f.add_row(x), digit_add(f, x, xs))
+        assert np.array_equal(f.add_vec(x, xs[::-1]), digit_add(f, x, xs[::-1]))
+        assert f.add(x, y) == digit_add(f, x, y)
+    assert np.array_equal(f.neg_vec(xs), digit_neg(f))
+    assert np.array_equal(f.exp, matmul_exp(f))
+    assert np.array_equal(f.trace_vec(), frobenius_trace(f))
+
+
+def test_characteristic_two_index_operations_read_no_digits(monkeypatch):
+    class Unreadable:
+        def __getitem__(self, key):
+            raise AssertionError("digit rows read")
+
+    f = build_field(2, 8)
+    monkeypatch.setattr(f, "_digits", Unreadable())
+    xs = np.arange(f.q)
+    assert f.add(5, 9) == 12 and f.sub(5, 9) == 12 and f.neg(7) == 7
+    assert np.array_equal(f.add_vec(3, xs), xs ^ 3)
+    assert np.array_equal(f.add_row(3), xs ^ 3)
+    assert np.array_equal(f.add_outer(xs[:4], xs), xs[:4, None] ^ xs)
+    assert np.array_equal(f.neg_vec(xs), xs)
+    assert np.bincount(f.trace_vec()).tolist() == [f.q // 2] * 2
+
+
+def test_chunked_digit_addition_matches_the_oracle():
+    # odd p, m > 1: 2^24 // (q m) = 94 rows per chunk at 3^9
+    f = get_field(3, 9)
+    xs = np.arange(f.q)
+    rows = np.random.default_rng(9).integers(0, f.q, 100)
+    expected = np.concatenate([digit_add(f, rows[lo:lo + 16, None], xs)
+                               for lo in range(0, len(rows), 16)])
+    assert np.array_equal(f.add_outer(rows, xs), expected)
+    assert np.array_equal(f.neg_vec(xs), digit_neg(f))

@@ -1,10 +1,12 @@
+import concurrent.futures
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from charsum import checks, shiftcount
+from charsum import checks, shiftcount, verify
 from charsum.characters import memo, pair_table, partition
 from charsum.cli import main
 from charsum.cyclotomic import jacobi_cubic
@@ -168,3 +170,57 @@ def test_a_violation_in_one_job_stays_in_its_sweep_and_field(capsys, monkeypatch
             assert after["fields"] == before["fields"]
         else:
             assert after == before
+
+
+@pytest.mark.parametrize("p,m,n,calls", [(13, 1, 3, 7), (2, 4, 3, 7), (13, 1, 2, 3),
+                                         (3, 3, 2, 3)])
+def test_charpoly_stacks_its_products(monkeypatch, p, m, n, calls):
+    # n = 3: the three pair products, the triple product, one call per Horner
+    # step and cubic_sigma's three; n = 2: Phi^2, f0 f1 and one Horner step
+    field, part = get_field(p, m), partition(get_field(p, m), n)
+    if n == 3:
+        memo(part, jacobi_cubic)
+    convolutions = count_calls(monkeypatch, "convolve")
+    _, found, _ = checks.charpoly(field, part)
+    assert len(convolutions) == calls
+    assert all(c.passed for c in found)
+    assert [c.name for c in found][-n:] == [f"residual_zero_at_f{j}" for j in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_capped_by_fields_and_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    items = list(range(10))
+    assert verify._pmap(str, items, 100000) == verify._pmap(str, items, 1)
+    assert verify._pmap(str, items[:3], 100000) == ["0", "1", "2"]
+    assert verify._pmap(str, items[:1], 100000) == ["0"]      # no pool for one
+    assert RecordingPool.sizes == [4, 3]
+    # through the CLI: five fields q <= 7 with --threads far above both caps
+    argv = ["verify", "--scope", "sums", "--q-max", "7"]
+    assert main(argv + ["--threads", "100000"]) == 0
+    pooled = json.loads(capsys.readouterr().out)
+    assert RecordingPool.sizes == [4, 3, 4]
+    assert main(argv + ["--threads", "1"]) == 0
+    serial = json.loads(capsys.readouterr().out)
+    assert (pooled["results"], pooled["checks"]) == (serial["results"], serial["checks"])
