@@ -1,15 +1,18 @@
-"""Per-field identity checks shared by the CLI verbs and the verify sweeps.
+"""Per-field identity checks: every CLI verb but ``verify``, and the sweeps.
 
 A family takes a built field and its coset partition and returns
 ``(results, checks, notes)``: the values it computed, as the JSON its verb
 reports, a list of ``Check`` records, and remarks on what it could not
 check.  A verb renders the results and the checks; a sweep worker adds up
 ``count`` into its assertion total, turns each failed check into a failure
-line naming the field and keeps the notes.
+line naming the field and keeps the notes.  A family whose verb takes more
+arguments (``rep_query``, ``shift``) takes them after the partition, and
+raises ``ValueError`` on a value it cannot check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +23,15 @@ from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_char2_closed_form, jacobi_cubic,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
-from .field import convolve
+from .field import convolve, prime_factors
 from .groupring import (characteristic_fn, cubic_sigma, gr_mul, gr_mul_pairs,
                         phi, quadratic_sigma)
-from .repcount import (brute_rep_count, closed_rep_class_table, perron_table,
-                       rep_count_table, rep_count_zero, rep_count_zero_brute)
-from .shiftcount import shift_count, triple_counts, verify_duality
+from .repcount import (brute_rep_count, closed_rep_class_table,
+                       closed_rep_count_cubic, closed_rep_count_quadratic,
+                       cubic_K, perron_table, rep_count_table, rep_count_zero,
+                       rep_count_zero_brute)
+from .shiftcount import (closed_form_max3, max_shift_count, quad_counts,
+                         shift_count, triple_counts, verify_duality)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -79,6 +85,49 @@ def _sigma_json(sig) -> dict:
     if sig.field.q <= 64:
         body["coeffs"] = sig.to_json()
     return body
+
+
+# ---------------------------------------------------------------------------
+# the field and its cosets
+
+def field_tables(field, part):
+    """alpha generates F_q*, dlog is a bijection, x -> x^p is additive on 50
+    seeded pairs; ``part`` is unused (the verb builds none)."""
+    order_ok = field.q == 2 or (
+        field.pow_(field.alpha, field.q - 1) == 1
+        and all(field.pow_(field.alpha, (field.q - 1) // ell) != 1
+                for ell in prime_factors(field.q - 1)))
+    dlog = field.dlog_table
+    found = [holds("alpha_order_q_minus_1", order_ok),
+             equal("dlog_bijection", field.q - 1,          # distinct logs
+                   int(np.count_nonzero(np.bincount(dlog[dlog >= 0]))))]
+    rng = np.random.default_rng(0)
+    frob_ok = True
+    for _ in range(50):
+        x, y = (int(v) for v in rng.integers(0, field.q, 2))
+        lhs = field.pow_(field.add(x, y), field.p) if field.add(x, y) else 0
+        rhs = field.add(field.pow_(x, field.p) if x else 0,
+                        field.pow_(y, field.p) if y else 0)
+        frob_ok = frob_ok and lhs == rhs
+    found.append(holds("frobenius_additive", frob_ok))
+    return {"element_count": field.q}, found, []
+
+
+def cosets(field, part):
+    """Every coset has (q-1)/n elements and coset_j = alpha^j coset_0
+    (alpha^-j for the conjugate character)."""
+    n = part.n
+    found = [equal(f"coset_{j}_size", (field.q - 1) // n, int(len(part.cosets[j])))
+             for j in range(n)]
+    for j in range(1, n):
+        scale = field.pow_(field.alpha, -j if part.conjugate else j)
+        mapped = np.sort(field.mul_vec(scale, part.cosets[0]))
+        found.append(holds(f"coset_{j}_is_alpha^{j}_coset_0",
+                           np.array_equal(mapped, part.cosets[j])))
+    results = {"n": n, "conjugate": part.conjugate,
+               "cosets": [[int(x) for x in c] for c in part.cosets]
+               if field.q <= 512 else {"sizes": [int(len(c)) for c in part.cosets]}}
+    return results, found, []
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +187,31 @@ def perron(field, part):
                    + [equal(f"{key}_matches_brute",
                             brute_rep_count(field, part, beta, ij, ij), table[key])
                       for key, _, beta, ij in cases]), []
+
+
+def rep_query(field, part, beta, i, j):
+    """One count R(beta, i, j) by its closed form, the (q-1)/n rule at
+    beta = 0, against enumeration."""
+    n = part.n
+    if not 0 <= beta < field.q:
+        raise ValueError(f"--beta must lie in [0, {field.q})")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("coset indices must lie in [0, n)")
+    if beta == 0:
+        closed = rep_count_zero(field, part, i, j)
+        brute = rep_count_zero_brute(field, part, i, j)
+    else:
+        closed = (closed_rep_count_quadratic if n == 2 else closed_rep_count_cubic)(
+            field, part, beta, i, j)
+        brute = brute_rep_count(field, part, beta, i, j)
+    query = {"n": n, "beta": beta, "i": i, "j": j, "count": closed,
+             "method": "closed-form"}
+    if n == 3 and beta:
+        k = cubic_K(part, beta, i, j, memo(part, jacobi_cubic))
+        query["K"] = k.to_json()
+        query["K_plus_conj"] = (k + k.conj()).a
+    return ({"query": query, "brute_force": brute},
+            [equal("closed_equals_brute", brute, closed)], [])
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +277,21 @@ def jacobi(field, part):
     return results, found, []
 
 
+def gauss(field, part):
+    """|G|^2 = q numerically; in characteristic 2 also the exact sum in Z[w]."""
+    g_num = gauss_sum(field, part)
+    found = [holds("abs_square_equals_q",
+                   abs(abs(g_num) ** 2 - field.q) <= GAUSS_ABS_REL_TOL * field.q,
+                   f"|G|^2 = {abs(g_num) ** 2:.12g}")]
+    results = {"n": part.n, "numeric": complex_json(g_num)}
+    if field.p == 2:
+        g_exact = gauss_sum(field, part, mode="exact")
+        results["exact"] = g_exact.to_json()
+        found.append(holds("exact_matches_numeric",
+                           abs(g_exact.to_complex() - g_num) < 1e-6))
+    return results, found, []
+
+
 # ---------------------------------------------------------------------------
 # characteristic-function equations
 
@@ -262,6 +351,41 @@ def duality(field, part):
     else:
         found.append(equal("closed_form_matches", report.closed_form, 1 + max_n3))
     return report.to_json(), found, notes
+
+
+def shift(field, part, t):
+    """max N(t) over t-subsets of coset 0 against its witness's shift count;
+    at t = 3 against the closed form where one is stated, at t = 4 the
+    reduction against shift counts from the definition."""
+    coset_size = len(part.cosets[0])
+    if t < 1:
+        raise ValueError("--t must be positive")
+    if coset_size < t:
+        raise ValueError(f"coset size {coset_size} < t = {t}")
+    # t = 3 and t = 4 take the affine reduction, whose (q, q) table for t = 4
+    # is bounded in cells; other t run the exhaustive search, bounded in size
+    if t == 4:
+        too_large = field.q ** 2 > 1 << 22
+    else:
+        too_large = t != 3 and math.comb(coset_size, t) * field.q > 2e10
+    if too_large:
+        raise ValueError("subset search too large; reduce --t or the field")
+    max_n, witness = max_shift_count(field, part, t)
+    found = [equal("witness_reproduces_max", max_n,
+                   shift_count(field, part, witness))]
+    if t == 4:
+        found.append(reduction_matches_row_counts(
+            field, part, witness[:3], memo(part, quad_counts)))
+    results = {"n": part.n, "t": t, "max_N": max_n,
+               "witness": [int(e) for e in witness]}
+    if t == 3:
+        try:
+            closed = closed_form_max3(field, part.n)
+            results["closed_form_1_plus_max"] = closed
+            found.append(equal("closed_form_matches", closed, 1 + max_n))
+        except ValueError:
+            results["closed_form_1_plus_max"] = None
+    return results, found, []
 
 
 def reduction_matches_row_counts(field, part, prefix, counts) -> Check:

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Verbs: field-info, partition, repcount, jacobi, gauss, charpoly, shift,
-duality, verify.  Output is a JSON report on stdout (CSV for flat tables
-with --csv); elapsed time goes to stderr so stdout stays byte-identical
-across runs.  Exit codes: 0 all checks pass, 1 usage error, 2 at least
-one failed check.
+duality, verify.  Every verb but verify runs check families of
+``checks.py`` on one field, as its row of ``VERBS`` names them; verify
+runs the sweeps of ``verify.py``.  Output is a JSON report on stdout (CSV
+for flat tables with --csv); elapsed time goes to stderr so stdout stays
+byte-identical across runs.  Exit codes: 0 all checks pass, 1 usage
+error, 2 at least one failed check.
 """
 
 from __future__ import annotations
@@ -14,23 +16,16 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
-
-import numpy as np
+from functools import partial
 
 from . import checks, registry
-from .characters import memo, partition
-from .checks import GAUSS_ABS_REL_TOL, complex_json, equal, holds
-from .cyclotomic import gauss_sum
+from .characters import partition
+from .checks import equal
 from .errors import IdentityViolation, UnsupportedCharacterError
-from .field import (FieldTable, build_field, env_size_cap, parse_field_spec,
-                    prime_factors)
-from .repcount import rep_count
-from .shiftcount import (closed_form_max3, max_shift_count, quad_counts,
-                         shift_count)
+from .field import FieldTable, build_field, env_size_cap, parse_field_spec
 from . import verify as verify_mod
 
 SCOPES = ("all", "repcount", "charpoly", "sums", "duality")
@@ -89,16 +84,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _get_field(args) -> FieldTable:
-    p, m, modulus = parse_field_spec(args.field)
-    return build_field(p, m, modulus=modulus, size_cap=env_size_cap())
-
-
-def _field_part(args, n):
-    fld = _get_field(args)
-    return fld, partition(fld, n, conjugate=args.conjugate)
-
-
 def _field_meta(field: FieldTable) -> dict:
     return {
         "p": field.p,
@@ -110,13 +95,30 @@ def _field_meta(field: FieldTable) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# verb runners: each returns (results_dict, list[Check], field_or_None)
+# verb -> (the character order of its partition, None for none; the check
+# families that make its report), from the parsed arguments
+VERBS = {
+    "field-info": lambda a: (None, [checks.field_tables]),
+    "partition": lambda a: (a.n, [checks.cosets]),
+    "repcount": lambda a: (a.n, [checks.rep_table, checks.zero_sum, checks.perron]
+                           if a.beta is None else
+                           [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]),
+    "jacobi": lambda a: (3, [checks.jacobi]),
+    "gauss": lambda a: (a.n, [checks.gauss]),
+    "charpoly": lambda a: (a.n, [checks.charpoly]),
+    "shift": lambda a: (a.n, [partial(checks.shift, t=a.t)]),
+    "duality": lambda a: (a.n, [checks.duality]),
+}
 
-def _run_families(args, n, *families):
-    """Call each family once on the field and partition; their results and
-    checks make the report.  A field none of them can check is a usage error."""
-    fld, part = _field_part(args, n)
+
+def _run_families(args):
+    """Call each family of the verb once on the field and partition; their
+    results and checks make the report.  A field none of them can check is a
+    usage error."""
+    n, families = VERBS[args.verb](args)
+    p, m, modulus = parse_field_spec(args.field)
+    fld = build_field(p, m, modulus=modulus, size_cap=env_size_cap())
+    part = partition(fld, n, conjugate=args.conjugate) if n else None
     results, found, notes = {}, [], []
     for family in families:
         res, chk, note = family(fld, part)
@@ -125,111 +127,6 @@ def _run_families(args, n, *families):
         notes += note
     if not found:
         raise _UsageError("nothing to check: " + "; ".join(notes))
-    return results, found, fld
-
-
-def _run_field_info(args):
-    fld = _get_field(args)
-    order_ok = fld.q == 2 or (
-        fld.pow_(fld.alpha, fld.q - 1) == 1
-        and all(fld.pow_(fld.alpha, (fld.q - 1) // ell) != 1
-                for ell in prime_factors(fld.q - 1)))
-    found = [
-        holds("alpha_order_q_minus_1", order_ok),
-        equal("dlog_bijection", fld.q - 1,            # distinct logs
-              int(np.count_nonzero(np.bincount(fld.dlog_table[fld.dlog_table >= 0])))),
-    ]
-    rng = np.random.default_rng(0)
-    frob_ok = True
-    for _ in range(50):
-        x, y = (int(v) for v in rng.integers(0, fld.q, 2))
-        lhs = fld.pow_(fld.add(x, y), fld.p) if fld.add(x, y) else 0
-        rhs = fld.add(fld.pow_(x, fld.p) if x else 0,
-                      fld.pow_(y, fld.p) if y else 0)
-        frob_ok = frob_ok and lhs == rhs
-    found.append(holds("frobenius_additive", frob_ok))
-    return {"element_count": fld.q}, found, fld
-
-
-def _run_partition(args):
-    fld, part = _field_part(args, args.n)
-    size = (fld.q - 1) // args.n
-    found = [equal(f"coset_{j}_size", size, int(len(part.cosets[j])))
-             for j in range(args.n)]
-    # coset_j must be alpha^j * coset_0 elementwise
-    base = part.cosets[0]
-    for j in range(1, args.n):
-        scale = fld.pow_(fld.alpha, j if not part.conjugate else -j)
-        mapped = np.sort(fld.mul_vec(scale, base))
-        found.append(holds(f"coset_{j}_is_alpha^{j}_coset_0",
-                           np.array_equal(mapped, part.cosets[j])))
-    results = {"n": args.n, "conjugate": args.conjugate,
-               "cosets": [[int(x) for x in part.cosets[j]]
-                          for j in range(args.n)] if fld.q <= 512 else
-               {"sizes": [int(len(c)) for c in part.cosets]}}
-    return results, found, fld
-
-
-def _run_repcount(args):
-    if args.beta is None:
-        return _run_families(args, args.n, checks.rep_table, checks.zero_sum,
-                             checks.perron)
-    fld, part = _field_part(args, args.n)
-    if not 0 <= args.beta < fld.q:
-        raise _UsageError(f"--beta must lie in [0, {fld.q})")
-    if not (0 <= args.i < args.n and 0 <= args.j < args.n):
-        raise _UsageError("coset indices must lie in [0, n)")
-    closed = rep_count(fld, part, args.beta, args.i, args.j, "closed-form")
-    brute = rep_count(fld, part, args.beta, args.i, args.j, "brute-force")
-    results = {"query": closed.to_json(), "brute_force": brute.count}
-    return results, [equal("closed_equals_brute", brute.count, closed.count)], fld
-
-
-def _run_gauss(args):
-    fld, part = _field_part(args, args.n)
-    g_num = gauss_sum(fld, part)
-    found = [holds("abs_square_equals_q",
-                   abs(abs(g_num) ** 2 - fld.q) <= GAUSS_ABS_REL_TOL * fld.q,
-                   f"|G|^2 = {abs(g_num) ** 2:.12g}")]
-    results = {"n": args.n, "numeric": complex_json(g_num)}
-    if fld.p == 2:
-        g_exact = gauss_sum(fld, part, mode="exact")
-        results["exact"] = g_exact.to_json()
-        found.append(holds("exact_matches_numeric",
-                           abs(g_exact.to_complex() - g_num) < 1e-6))
-    return results, found, fld
-
-
-def _run_shift(args):
-    fld, part = _field_part(args, args.n)
-    coset_size = (fld.q - 1) // args.n
-    if args.t < 1:
-        raise _UsageError("--t must be positive")
-    if coset_size < args.t:
-        raise _UsageError(f"coset size {coset_size} < t = {args.t}")
-    # t = 3 and t = 4 take the affine reduction, whose (q, q) table for t = 4
-    # is bounded in cells; other t run the exhaustive search, bounded in size
-    if args.t == 4:
-        too_large = fld.q ** 2 > 1 << 22
-    else:
-        too_large = args.t != 3 and math.comb(coset_size, args.t) * fld.q > 2e10
-    if too_large:
-        raise _UsageError("subset search too large; reduce --t or the field")
-    max_n, witness = max_shift_count(fld, part, args.t)
-    found = [equal("witness_reproduces_max", max_n,
-                   shift_count(fld, part, witness))]
-    if args.t == 4:
-        found.append(checks.reduction_matches_row_counts(
-            fld, part, witness[:3], memo(part, quad_counts)))
-    results = {"n": args.n, "t": args.t, "max_N": max_n,
-               "witness": [int(e) for e in witness]}
-    if args.t == 3:
-        try:
-            closed = closed_form_max3(fld, args.n)
-            results["closed_form_1_plus_max"] = closed
-            found.append(equal("closed_form_matches", closed, 1 + max_n))
-        except ValueError:
-            results["closed_form_1_plus_max"] = None
     return results, found, fld
 
 
@@ -257,19 +154,6 @@ def _run_verify(args):
         "sweeps": [sw.to_json() for sw in sweeps],
     }
     return results, found, None
-
-
-_RUNNERS = {
-    "field-info": _run_field_info,
-    "partition": _run_partition,
-    "repcount": _run_repcount,
-    "jacobi": lambda args: _run_families(args, 3, checks.jacobi),
-    "gauss": _run_gauss,
-    "charpoly": lambda args: _run_families(args, args.n, checks.charpoly),
-    "shift": _run_shift,
-    "duality": lambda args: _run_families(args, args.n, checks.duality),
-    "verify": _run_verify,
-}
 
 
 def _emit_csv(args, results, rendered) -> str:
@@ -302,7 +186,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     registry.mark("run")
     try:
-        results, found, fld = _RUNNERS[args.verb](args)
+        results, found, fld = (_run_verify if args.verb == "verify"
+                               else _run_families)(args)
     except (UnsupportedCharacterError, IdentityViolation) as exc:
         results, found, fld = {}, [checks.violation(exc)], None
     except (_UsageError, ValueError) as exc:

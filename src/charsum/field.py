@@ -15,7 +15,9 @@ Two canonical choices make every output reproducible across runs:
   modulus is accepted and verified for cross-checks against other
   systems);
 * the primitive element ``alpha`` is the generator with the smallest
-  index (indices 2, 3, ... are tried in order).
+  index.  Indices are tried in order from 2 on a prime field and from p
+  on an extension field, whose indices below p are the prime subfield:
+  their orders divide p - 1 < q - 1.
 
 Everything here is exhaustive-by-design, so field sizes are capped
 (default 2**16, override via the ``size_cap`` argument or the CLI's
@@ -313,7 +315,9 @@ class FieldTable:
         cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
         # on a prime field the index is the residue, so Python's pow applies
         power = (lambda g, e: pow(g, e, self.p)) if self.m == 1 else self._raw_pow
-        for g in range(2, self.q):
+        # indices below p are the prime subfield, too small to generate
+        # F_q* when m > 1
+        for g in range(2 if self.m == 1 else self.p, self.q):
             if all(power(g, e) != 1 for e in cofactors):
                 return g
         raise RuntimeError("no primitive element found")

@@ -22,8 +22,6 @@ brute force on F_9 gives 4 = (9-1)/2, which pins the m > 1 reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import registry
@@ -134,60 +132,20 @@ def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarra
     return out
 
 
-@dataclass
-class RepCountResult:
-    """Echo of a single representation-count query, for report output."""
-
-    n: int
-    beta: int
-    i: int
-    j: int
-    count: int
-    method: str
-    K: EisensteinInt | None = None
-
-    def to_json(self) -> dict:
-        body = {"n": self.n, "beta": self.beta, "i": self.i, "j": self.j,
-                "count": self.count, "method": self.method}
-        if self.K is not None:
-            body["K"] = self.K.to_json()
-            body["K_plus_conj"] = (self.K + self.K.conj()).a
-        return body
-
-
-def rep_count(field: FieldTable, part: CosetPartition, beta: int,
-              i: int, j: int, method: str = "closed-form") -> RepCountResult:
-    """Single query with diagnostics; beta = 0 routes to the zero-sum path."""
-    if beta == 0:
-        count = (rep_count_zero(field, part, i, j) if method == "closed-form"
-                 else rep_count_zero_brute(field, part, i, j))
-        return RepCountResult(part.n, beta, i, j, count, method)
-    if method == "brute-force":
-        return RepCountResult(part.n, beta, i, j,
-                              brute_rep_count(field, part, beta, i, j), method)
-    if part.n == 2:
-        return RepCountResult(part.n, beta, i, j,
-                              closed_rep_count_quadratic(field, part, beta, i, j),
-                              method)
-    return RepCountResult(part.n, beta, i, j,
-                          closed_rep_count_cubic(field, part, beta, i, j), method,
-                          K=cubic_K(part, beta, i, j, memo(part, jacobi_cubic)))
-
-
 def perron_table(field: FieldTable, part: CosetPartition) -> dict[str, int]:
     """The four prime-field decomposition counts by residuacity class.
 
     Keys: <class of beta>_as_two_<class of summands>; both diagonal cases
     equal floor((p+1)/4) - 1 and both mixed-class cases floor((p+1)/4).
+    They are read off the closed-form class table, shared through ``memo``.
     """
     registry.mark("perron_table")
     if field.m != 1 or part.n != 2:
         raise ValueError("prime field and quadratic partition expected")
-    qr = int(part.cosets[0][0])
-    nr = int(part.cosets[1][0])
+    table = memo(part, closed_rep_class_table)
     return {
-        "qr_as_two_qr": closed_rep_count_quadratic(field, part, qr, 0, 0),
-        "qr_as_two_nonres": closed_rep_count_quadratic(field, part, qr, 1, 1),
-        "nonres_as_two_qr": closed_rep_count_quadratic(field, part, nr, 0, 0),
-        "nonres_as_two_nonres": closed_rep_count_quadratic(field, part, nr, 1, 1),
+        "qr_as_two_qr": int(table[0, 0, 0]),
+        "qr_as_two_nonres": int(table[0, 1, 1]),
+        "nonres_as_two_qr": int(table[1, 0, 0]),
+        "nonres_as_two_nonres": int(table[1, 1, 1]),
     }

@@ -3,9 +3,10 @@ import json
 import sys
 
 from charsum import checks
-from charsum.cli import main
+from charsum.characters import CosetPartition
+from charsum.cli import VERBS, _build_parser, main
 from charsum.errors import IdentityViolation
-from conftest import count_calls
+from conftest import count_calls, get_field, get_partition
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +168,33 @@ def test_usage_errors_exit_1(capsys):
                  "2^99999999999"):
         code, out, err = run_cli(capsys, "field-info", "--field", spec)
         assert code == 1 and "exceeds the size cap" in err and out == ""
+    # the query arguments of repcount --beta and shift
+    for argv, message in (
+            (("repcount", "--field", "7", "--beta", "7"), "--beta must lie in [0, 7)"),
+            (("repcount", "--field", "7", "--beta", "-1"), "--beta must lie in [0, 7)"),
+            (("repcount", "--field", "7", "--beta", "1", "--i", "2"),
+             "coset indices must lie in [0, n)"),
+            (("repcount", "--field", "7", "--n", "3", "--beta", "1", "--j", "-1"),
+             "coset indices must lie in [0, n)"),
+            (("shift", "--field", "13", "--t", "0"), "--t must be positive")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and f"usage error: {message}" in err
+
+
+def test_cosets_family_catches_swapped_cosets():
+    fld, part = get_field(7), get_partition(7, 1, 3)
+    c0, c1, c2 = part.cosets
+    swapped = CosetPartition(fld, 3, False, part.labels, (c0, c2, c1))
+    _, found, _ = checks.cosets(fld, swapped)
+    passed = {c.name: c.passed for c in found}
+    assert passed["coset_1_size"] and not passed["coset_1_is_alpha^1_coset_0"]
+    assert all(c.passed for c in checks.cosets(fld, part)[1])
+
+
+def test_every_verb_but_verify_runs_from_the_verbs_table():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if a.dest == "verb")
+    assert set(sub.choices) - {"verify"} == set(VERBS)
 
 
 def test_family_verbs_compute_each_value_once(capsys, monkeypatch):

@@ -5,8 +5,9 @@ at commit 79c4ffe, before the verbs and the verify sweeps shared one set
 of check families.  Since then a verb runs every check its sweep runs on
 one field, so its check list may have grown; everything else must match:
 
-* verbs without a shared family, ``repcount --beta``, CSV output, error
-  reports and ``verify``: stdout byte for byte;
+* the verbs whose check list never grew (``field-info``, ``partition``,
+  ``gauss``, ``shift``), ``repcount --beta``, CSV output, error reports
+  and ``verify``: stdout byte for byte;
 * the other verbs: ``command``, ``field`` and ``results`` equal, and every
   recorded check present with the same value, in the same order.
 """

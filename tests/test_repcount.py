@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from charsum import checks
 from charsum.cyclotomic import jacobi_cubic
 from charsum.eisenstein import EisensteinInt
 from charsum.errors import IdentityViolation
 from charsum.repcount import (brute_rep_count, closed_rep_class_table,
                               closed_rep_count_cubic,
                               closed_rep_count_quadratic, cubic_K,
-                              perron_table, rep_count, rep_count_table,
+                              perron_table, rep_count_table,
                               rep_count_zero, rep_count_zero_brute,
                               _exact_div)
 from conftest import get_field, get_partition
@@ -55,7 +56,8 @@ def test_beta_zero_routing_and_errors():
         brute_rep_count(f7, p7, 0, 0, 0)
     with pytest.raises(ValueError):
         closed_rep_count_quadratic(f7, p7, 0, 0, 0)
-    assert rep_count(f7, p7, 0, 1, 0).count == rep_count_zero(f7, p7, 1, 0)
+    results, _, _ = checks.rep_query(f7, p7, 0, 1, 0)
+    assert results["query"]["count"] == rep_count_zero(f7, p7, 1, 0)
 
 
 def test_zero_sum_examples():
@@ -148,12 +150,11 @@ def test_perron_table_needs_a_prime_field_and_a_quadratic_partition(p, m, n):
 
 def test_rep_count_result_payload():
     f4, p4 = get_field(2, 2), get_partition(2, 2, 3)
-    res = rep_count(f4, p4, 1, 1, 2)
-    body = res.to_json()
+    results, found, _ = checks.rep_query(f4, p4, 1, 1, 2)
+    body = results["query"]
     assert body["count"] == 1 and body["K"] == {"a": -3, "b": 1}
     assert body["K_plus_conj"] == -7
-    brute = rep_count(f4, p4, 1, 1, 2, "brute-force")
-    assert brute.count == 1 and brute.K is None
+    assert results["brute_force"] == 1 and found[0].passed
 
 
 def test_exact_div_raises_on_remainder():
