@@ -22,14 +22,13 @@ from .groupring import (GroupRingElement, characteristic_fn, cubic_sigma,
 from .repcount import (brute_rep_count, closed_rep_count_cubic,
                        closed_rep_count_quadratic, perron_table,
                        rep_count_zero)
-from .shiftcount import (DualityReport, affine_max_shift3, affine_max_shift4,
-                         closed_form_max3, max_shift_count, shift_count,
-                         verify_duality)
+from .shiftcount import (affine_max_shift3, affine_max_shift4,
+                         closed_form_max3, max_shift_count, shift_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CosetPartition", "DualityReport", "EisensteinInt", "FieldSpec",
+    "CosetPartition", "EisensteinInt", "FieldSpec",
     "FieldTable", "GroupRingElement", "IdentityViolation", "OMEGA",
     "UnsupportedCharacterError", "a_beta", "affine_max_shift3",
     "affine_max_shift4", "brute_rep_count",
@@ -39,6 +38,5 @@ __all__ = [
     "gauss_sum", "gr_mul", "jacobi_cubic", "jacobi_from_gauss",
     "max_shift_count", "monomial", "omega_pow", "parse_field_spec",
     "partition", "perron_table", "phi", "prime_powers",
-    "quadratic_sigma", "rep_count_zero", "shift_count", "verify_duality",
-    "winterhof_counts",
+    "quadratic_sigma", "rep_count_zero", "shift_count", "winterhof_counts",
 ]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import registry
 from .characters import (char_sum_moment, memo, winterhof_counts,
                          winterhof_sweep)
 from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
@@ -31,7 +32,7 @@ from .repcount import (brute_rep_count, closed_rep_class_table,
                        cubic_K, perron_table, rep_count_table, rep_count_zero,
                        rep_count_zero_brute)
 from .shiftcount import (closed_form_max3, max_shift_count, quad_counts,
-                         shift_count, triple_counts, verify_duality)
+                         shift_count, triple_counts)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -334,23 +335,38 @@ def charpoly(field, part):
 def duality(field, part):
     """max R == 1 + max N(3), max N(3) against its witness and the closed form,
     and the reduction behind it against the definition; nothing to check below
-    3-element cosets."""
+    3-element cosets.  max R sweeps the closed-form class table over
+    (beta != 0, i, j); the closed form is predicted where its case analysis
+    applies (always for n = 2, characteristic 2 for n = 3)."""
+    registry.mark("duality")
     if len(part.cosets[0]) < 3:
         return {}, [], ["coset smaller than 3, skipped"]
-    report = verify_duality(field, part.n, part)
-    max_n3, witness = report.max_shift3, report.max_shift3_witness
+    table = memo(part, closed_rep_class_table)
+    c, i, j = (int(x) for x in np.unravel_index(np.argmax(table), table.shape))
+    max_r = int(table[c, i, j])
+    max_n3, witness = max_shift_count(field, part, 3)
+    try:
+        closed = closed_form_max3(field, part.n)
+    except ValueError:
+        closed = None
+    results = {"field": {"p": field.p, "m": field.m, "q": field.q}, "n": part.n,
+               "max_R": max_r,
+               "max_R_witness": {"beta_label": c, "beta": int(part.cosets[c][0]),
+                                 "i": i, "j": j},
+               "max_N3": max_n3, "max_N3_witness": list(witness),
+               "closed_form_prediction": closed, "holds": max_r == 1 + max_n3}
     found = [equal("witness_reproduces_max", max_n3,
                    shift_count(field, part, witness)),
              reduction_matches_row_counts(field, part, witness[:2],
                                           memo(part, triple_counts)),
-             holds("duality_holds", report.holds,
-                   f"max_R = {report.max_rep}, 1 + max_N3 = {1 + max_n3}")]
+             holds("duality_holds", results["holds"],
+                   f"max_R = {max_r}, 1 + max_N3 = {1 + max_n3}")]
     notes = []
-    if report.closed_form is None:
+    if closed is None:
         notes.append(f"no closed form stated for this case (exhaustive max N = {max_n3})")
     else:
-        found.append(equal("closed_form_matches", report.closed_form, 1 + max_n3))
-    return report.to_json(), found, notes
+        found.append(equal("closed_form_matches", closed, 1 + max_n3))
+    return results, found, notes
 
 
 def shift(field, part, t):
@@ -362,13 +378,10 @@ def shift(field, part, t):
         raise ValueError("--t must be positive")
     if coset_size < t:
         raise ValueError(f"coset size {coset_size} < t = {t}")
-    # t = 3 and t = 4 take the affine reduction, whose (q, q) table for t = 4
-    # is bounded in cells; other t run the exhaustive search, bounded in size
-    if t == 4:
-        too_large = field.q ** 2 > 1 << 22
-    else:
-        too_large = t != 3 and math.comb(coset_size, t) * field.q > 2e10
-    if too_large:
+    # t <= 4 take the affine reduction, whose (q, q) table for t = 4 is
+    # bounded in cells; larger t run the exhaustive search, bounded in size
+    if (field.q ** 2 > 1 << 22 if t == 4
+            else t > 4 and math.comb(coset_size, t) * field.q > 2e10):
         raise ValueError("subset search too large; reduce --t or the field")
     max_n, witness = max_shift_count(field, part, t)
     found = [equal("witness_reproduces_max", max_n,

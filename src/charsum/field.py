@@ -430,23 +430,12 @@ class FieldTable:
         """Indices of xs + ys, elementwise under numpy broadcasting: the one
         addition behind add, add_vec, add_outer and add_row.  For p = 2 the
         index bits are the coordinates, so the sum is the XOR; for m = 1 it
-        is the residue sum; otherwise digit rows are added mod p, chunked
-        along the leading axis to about 2^24 digit cells."""
+        is the residue sum; otherwise digit rows are added mod p."""
         if self.p == 2:
             return np.bitwise_xor(xs, ys, dtype=np.int64)
         if self.m == 1:
             return (xs + ys) % self.p
-        if getattr(xs, "size", 1) * getattr(ys, "size", 1) * self.m <= 1 << 24:
-            return (self._digits[xs] + self._digits[ys]) % self.p @ self._pplace
-        xs, ys = np.asarray(xs), np.asarray(ys)
-        shape = np.broadcast_shapes(xs.shape, ys.shape)
-        step = max(1, (1 << 24) // (math.prod(shape[1:]) * self.m))
-        out = np.empty(shape, dtype=np.int64)
-        for lo in range(0, shape[0], step):
-            dx, dy = (self._digits[v if v.ndim < len(shape) or len(v) == 1
-                                   else v[lo:lo + step]] for v in (xs, ys))
-            out[lo:lo + step] = (dx + dy) % self.p @ self._pplace
-        return out
+        return (self._digits[xs] + self._digits[ys]) % self.p @ self._pplace
 
     def add_vec(self, x: int, ys: np.ndarray) -> np.ndarray:
         return self._add(x, ys)

@@ -20,7 +20,7 @@ ALL_OPS = frozenset({
     "gr_mul", "characteristic_fn", "phi", "quadratic_sigma", "cubic_sigma",
     # shift counts
     "shift_count", "max_shift_count", "affine_max_shift3", "closed_form_max3",
-    "verify_duality",
+    "duality",
     # cli
     "run",
 })

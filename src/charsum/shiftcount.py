@@ -10,30 +10,33 @@ Maxima are searched over t-subsets of coset 0 only: rescaling a subset of
 coset j by alpha^(-j) is a bijection beta -> beta * alpha^(-j) on the
 solutions, so every coset attains the same maximum.
 
-For t = 3 and t = 4 the maximum comes from the affine reduction: N of a
-subset {e, e + s, e + s*d1, ...} depends only on its ratios d = (e_k - e)/s,
-so max N(3) is the largest M(d) (``triple_counts``, one convolution) and
-max N(4) the largest M2(d1, d2) (``quad_counts``, convolutions chunked over
-d1); the witness is the first subset in lex order whose ratios attain it.
-Other t run the exhaustive search, which keeps, per candidate prefix, the
-per-beta "required label" row (or a dead marker), which makes the last
-level a single vectorized comparison; subtrees that cannot beat the current
-best are pruned.  Either way the first maximum in lexicographic element
-order is kept, so the reported witness is deterministic.
+For t <= 4 the maximum comes from the affine reduction: x -> s*x + e maps
+{0, 1, d1, ...} onto {e, e + s, e + s*d1, ...}, and scaling by s only
+permutes coset labels, so N of that subset depends only on its ratios
+d = (e_k - e)/s.  For t = 1 and t = 2 there is no ratio, so every subset
+has the same N and the first elements of coset 0 are the witness:
+N({e}) = q - 1, since the one condition is beta + e != 0, and a pair has
+N = #{y : y and y + 1 nonzero in one coset}.  max N(3) is the largest M(d)
+(``triple_counts``, one convolution) and max N(4) the largest M2(d1, d2)
+(``quad_counts``, convolutions chunked over d1); the witness is the first
+subset in lex order whose ratios attain it.  Larger t run the exhaustive
+search, which keeps, per candidate prefix, the per-beta "required label"
+row (or a dead marker), which makes the last level a single vectorized
+comparison; subtrees that cannot beat the current best are pruned.  Either
+way the first maximum in lexicographic element order is kept, so the
+reported witness is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, memo, partition
+from .characters import CosetPartition, memo
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import FieldTable, convolve
-from .repcount import closed_rep_class_table
 
 DEAD = -2  # rows carry labels 0..n-1, -1 at zero elements, DEAD when ruled out
 
@@ -91,12 +94,8 @@ def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
     for e0 in range(k - t + 1):
         req = np.where(rows[e0] >= 0, rows[e0], DEAD)
         live = int((req != DEAD).sum())
-        if live > best or t == 1:
-            if t == 1:
-                if live > best:
-                    best, best_wit = live, (e0,)
-            else:
-                extend(req, live, [e0], e0 + 1)
+        if live > best:
+            extend(req, live, [e0], e0 + 1)
     return best, best_wit
 
 
@@ -105,9 +104,9 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     """Maximum of N over t-subsets of coset 0, with witness.
 
     The witness is the lexicographically least maximizing subset in
-    element-index order.  t = 3 and t = 4 take the affine reduction
-    (``affine_max_shift3``, ``affine_max_shift4``); every other t runs the
-    exhaustive search.
+    element-index order.  t <= 4 take the affine reduction: t = 1 and t = 2
+    in closed form, t = 3 and t = 4 by ``affine_max_shift3`` and
+    ``affine_max_shift4``; larger t run the exhaustive search.
     """
     registry.mark("max_shift_count")
     if t < 1:
@@ -116,6 +115,12 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     if len(coset0) < t:
         raise ValueError(
             f"coset size {len(coset0)} is too small for t = {t}")
+    if t == 1:
+        return field.q - 1, (int(coset0[0]),)
+    if t == 2:
+        lab = part.labels
+        pairs = int(((lab >= 0) & (lab == lab[field.add_row(1)])).sum())
+        return pairs, (int(coset0[0]), int(coset0[1]))
     if t == 3:
         return affine_max_shift3(field, part)
     if t == 4:
@@ -248,59 +253,3 @@ def closed_form_max3(field: FieldTable, n: int) -> int:
         return num // 9
     raise ValueError("n must be 2 or 3")
 
-
-@dataclass
-class DualityReport:
-    """Both sides of the max-representation / shift-count identity."""
-
-    p: int
-    m: int
-    q: int
-    n: int
-    max_rep: int
-    max_rep_witness: dict
-    max_shift3: int
-    max_shift3_witness: tuple[int, ...]
-    closed_form: int | None
-    holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "field": {"p": self.p, "m": self.m, "q": self.q},
-            "n": self.n,
-            "max_R": self.max_rep,
-            "max_R_witness": self.max_rep_witness,
-            "max_N3": self.max_shift3,
-            "max_N3_witness": [int(e) for e in self.max_shift3_witness],
-            "closed_form_prediction": self.closed_form,
-            "holds": self.holds,
-        }
-
-
-def verify_duality(field: FieldTable, n: int,
-                   part: CosetPartition | None = None) -> DualityReport:
-    """Compute max R over (beta != 0, i, j) and 1 + max N(3) independently.
-
-    The left side sweeps the closed-form class table; the right side is the
-    affine reduction of ``max_shift_count``.  The closed-form prediction is
-    attached where its case analysis applies (always for n = 2,
-    characteristic 2 for n = 3).
-    """
-    registry.mark("verify_duality")
-    if part is None:
-        part = partition(field, n)
-    if len(part.cosets[0]) < 3:
-        raise ValueError("cosets too small: no 3-element subsets exist")
-    table = memo(part, closed_rep_class_table)
-    flat = int(np.argmax(table))
-    c, i, j = np.unravel_index(flat, table.shape)
-    max_rep = int(table[c, i, j])
-    witness = {"beta_label": int(c), "beta": int(part.cosets[c][0]),
-               "i": int(i), "j": int(j)}
-    max_n3, wit3 = max_shift_count(field, part, 3)
-    try:
-        closed = closed_form_max3(field, n)
-    except ValueError:
-        closed = None
-    return DualityReport(field.p, field.m, field.q, n, max_rep, witness,
-                         max_n3, wit3, closed, max_rep == 1 + max_n3)

@@ -5,7 +5,7 @@ labels, but every count and equation must still check out."""
 import numpy as np
 import pytest
 
-from charsum import build_field, jacobi_cubic, partition, verify_duality
+from charsum import build_field, checks, jacobi_cubic, partition
 from charsum.cyclotomic import a_beta, chi_bar_times
 from charsum.groupring import characteristic_fn, cubic_sigma, gr_mul, quadratic_sigma
 from charsum.repcount import closed_rep_class_table, rep_count_table
@@ -64,9 +64,9 @@ def test_equations_still_hold(f9_alt, f25_alt):
 
 
 def test_duality_still_holds(f9_alt, f25_alt):
-    rep = verify_duality(f9_alt, 2)
-    assert rep.holds and rep.closed_form == 1 + rep.max_shift3 == 2
-    rep = verify_duality(f25_alt, 2)
-    assert rep.holds and rep.closed_form == 1 + rep.max_shift3
-    rep = verify_duality(f25_alt, 3)
-    assert rep.holds
+    body, _, _ = checks.duality(f9_alt, partition(f9_alt, 2))
+    assert body["holds"] and body["closed_form_prediction"] == 1 + body["max_N3"] == 2
+    body, _, _ = checks.duality(f25_alt, partition(f25_alt, 2))
+    assert body["holds"] and body["closed_form_prediction"] == 1 + body["max_N3"]
+    body, _, _ = checks.duality(f25_alt, partition(f25_alt, 3))
+    assert body["holds"]

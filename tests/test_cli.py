@@ -121,6 +121,25 @@ def test_shift_verb_at_t4_bounds_the_table_instead(capsys):
     assert code == 1 and "subset search too large" in err
 
 
+def test_shift_verb_at_t2_has_no_search_bound(capsys):
+    # C(21845, 2) * 2^16 > 2e10 bounded the exhaustive search; every pair
+    # has the same N, so t = 2 runs none
+    code, report, _ = run_json(capsys, "shift", "--field", "2^16", "--n", "3",
+                               "--t", "2")
+    assert code == 0
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("witness_reproduces_max", True)]
+
+
+def test_shift_verb_at_t1_builds_no_label_matrix(capsys):
+    # every N({e}) is q - 1; the (q-1)/n x q label matrix of coset 0 is
+    # never formed
+    code, report, _ = run_json(capsys, "shift", "--field", "2^16", "--n", "3",
+                               "--t", "1")
+    assert code == 0 and report["results"]["max_N"] == 2 ** 16 - 1
+    assert all(c["pass"] for c in report["checks"])
+
+
 def test_duality_verb_at_the_size_cap(capsys):
     code, report, _ = run_json(capsys, "duality", "--field", "2^16", "--n", "3")
     assert code == 0 and all(c["pass"] for c in report["checks"])

@@ -346,7 +346,6 @@ def test_characteristic_two_index_operations_read_no_digits(monkeypatch):
 
 
 def test_chunked_digit_addition_matches_the_oracle():
-    # odd p, m > 1: 2^24 // (q m) = 94 rows per chunk at 3^9
     f = get_field(3, 9)
     xs = np.arange(f.q)
     rows = np.random.default_rng(9).integers(0, f.q, 100)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from charsum import shiftcount
+from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
 from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
                                 affine_max_shift4, closed_form_max3,
-                                max_shift_count, shift_count, verify_duality)
+                                max_shift_count, shift_count)
 from conftest import get_field, get_partition
 
 
@@ -104,8 +104,10 @@ def test_affine_max_matches_subset_search(case):
 
 @pytest.mark.parametrize("p,m,n", triple_fields(200))
 def test_max3_matches_the_search_on_the_sweep_grid(p, m, n):
+    # t = 1 and t = 2 are closed forms of the same affine reduction
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert max_shift_count(f, part, 3) == searched_max(f, part)
+    for t in (1, 2, 3):
+        assert max_shift_count(f, part, t) == searched_max(f, part, t), t
 
 
 def test_max3_never_runs_the_subset_search(monkeypatch):
@@ -114,10 +116,11 @@ def test_max3_never_runs_the_subset_search(monkeypatch):
     monkeypatch.setattr(shiftcount, "_scan_max",
                         lambda *args: calls.append(args) or real(*args))
     for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
-        max_shift_count(get_field(p, m), get_partition(p, m, n), 3)
+        for t in (1, 2, 3):
+            max_shift_count(get_field(p, m), get_partition(p, m, n), t)
     assert calls == []
     max_shift_count(get_field(13), get_partition(13, 1, 2), 5)
-    assert len(calls) == 1                  # t outside {3, 4} keeps the search
+    assert len(calls) == 1                  # t > 4 keeps the search
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 6, 3), (7, 2, 2), (101, 1, 2)])
@@ -265,32 +268,41 @@ def test_beta_zero_is_counted():
     assert all(c == 0 for c in lab_rows)        # beta = 0 keeps the label
 
 
+def duality(p, m, n):
+    """The duality family's results, checks and notes on F_{p^m}."""
+    f = get_field(p, m)
+    return checks.duality(f, partition(f, n))
+
+
 def test_duality_reports():
-    rep = verify_duality(get_field(2, 4), 3)
-    assert (rep.max_rep, rep.max_shift3, rep.holds) == (2, 1, True)
-    assert rep.closed_form == 2
-    rep = verify_duality(get_field(7), 2)
-    assert (rep.max_rep, rep.max_shift3, rep.holds) == (2, 1, True)
-    rep = verify_duality(get_field(3, 2), 2)
-    assert (rep.max_rep, rep.max_shift3, rep.holds) == (2, 1, True)
-    assert rep.closed_form == 2
+    body, found, _ = duality(2, 4, 3)
+    assert (body["max_R"], body["max_N3"], body["holds"]) == (2, 1, True)
+    assert body["closed_form_prediction"] == 2
+    assert all(c.passed for c in found)
+    body, _, _ = duality(7, 1, 2)
+    assert (body["max_R"], body["max_N3"], body["holds"]) == (2, 1, True)
+    body, _, _ = duality(3, 2, 2)
+    assert (body["max_R"], body["max_N3"], body["holds"]) == (2, 1, True)
+    assert body["closed_form_prediction"] == 2
 
 
 def test_duality_odd_cubic_has_no_prediction_but_holds():
-    rep = verify_duality(get_field(13), 3)
-    assert rep.closed_form is None
-    assert rep.holds
+    body, found, notes = duality(13, 1, 3)
+    assert body["closed_form_prediction"] is None
+    assert body["holds"]
+    assert "closed_form_matches" not in [c.name for c in found]
+    assert notes == ["no closed form stated for this case (exhaustive max N = 1)"]
 
 
 def test_duality_requires_triples():
-    with pytest.raises(ValueError):
-        verify_duality(get_field(5), 2)          # coset size 2
-    with pytest.raises(ValueError):
-        verify_duality(get_field(2, 2), 3)       # coset size 1
+    for p, m, n in [(5, 1, 2), (2, 2, 3)]:       # coset sizes 2 and 1
+        assert duality(p, m, n) == ({}, [], ["coset smaller than 3, skipped"])
 
 
 def test_duality_json_shape():
-    body = verify_duality(get_field(2, 4), 3).to_json()
+    body, _, _ = duality(2, 4, 3)
+    assert list(body) == ["field", "n", "max_R", "max_R_witness", "max_N3",
+                          "max_N3_witness", "closed_form_prediction", "holds"]
     assert body["max_R"] == 2 and body["max_N3"] == 1 and body["holds"]
     assert body["field"] == {"p": 2, "m": 4, "q": 16}
     assert set(body["max_R_witness"]) == {"beta_label", "beta", "i", "j"}

@@ -51,7 +51,7 @@ def test_duality_sweep_reports_a_search_off_by_one(monkeypatch):
         best, witness = real(field, part, t)
         return best + 1, witness
 
-    monkeypatch.setattr(shiftcount, "max_shift_count", one_too_many)
+    monkeypatch.setattr(checks, "max_shift_count", one_too_many)
     sweep, = run_sweeps({"shift_duality": [(13, 1, 2)]})
     assert "F_13 n=2: witness_reproduces_max: expected 3, got 2" in sweep.failures
 
