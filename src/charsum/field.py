@@ -26,7 +26,6 @@ CHARSUM_SIZE_CAP environment variable).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -190,11 +189,6 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     f(1) = 0 are skipped before the irreducibility test.
     """
     registry.mark("find_irreducible")
-    return _find_irreducible_cached(p, m)
-
-
-@functools.lru_cache(maxsize=None)
-def _find_irreducible_cached(p: int, m: int) -> tuple[int, ...]:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
@@ -263,24 +257,19 @@ def parse_field_spec(text: str) -> tuple[int, int, tuple[int, ...] | None]:
 class FieldTable:
     """Complete arithmetic model of F_{p^m}, dense tables indexed 0..q-1."""
 
+    # every held array has at most q entries: an element's coordinates are
+    # read off its index, digit i of x being x // p^i % p, never stored
     __slots__ = ("spec", "p", "m", "q", "alpha", "exp", "dlog_table",
-                 "_digits", "_pplace", "_neg", "_arange", "_trace")
+                 "_pplace", "_neg", "_arange", "_trace")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p, self.m, self.q = spec.p, spec.m, spec.q
         self._pplace = self.p ** np.arange(self.m, dtype=np.int64)
         self._arange = np.arange(self.q, dtype=np.int64)
-        # column by column, so no (q x m) temporary is ever alive; for p = 2
-        # the digits are the index bits and -x = x, so there is no table
-        self._digits = np.empty((self.q, self.m), dtype=np.int32)
-        self._neg = None if self.p == 2 else np.zeros(self.q, dtype=np.int64)
-        for i, place in enumerate(self._pplace.tolist()):
-            if self.p == 2:
-                self._digits[:, i] = self._arange >> i & 1
-            else:
-                self._digits[:, i] = self._arange // place % self.p
-                self._neg += -self._digits[:, i] % self.p * place
+        # -x negates each digit; for p = 2, -x = x and there is no table
+        self._neg = None if self.p == 2 else self._by_place(
+            lambda place: -(self._arange // place) % self.p)
         self._trace = None
         self.alpha = self._find_alpha()
         self.exp = self._build_exp()
@@ -416,7 +405,8 @@ class FieldTable:
         return int(self.trace_vec()[x])
 
     def coeffs(self, x: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._digits[x])
+        x = int(x)
+        return tuple(x // place % self.p for place in self._pplace.tolist())
 
     def index(self, coeffs) -> int:
         cs = list(coeffs)
@@ -426,16 +416,25 @@ class FieldTable:
 
     # -- vectorized helpers (hot paths) --
 
+    def _by_place(self, digit) -> np.ndarray:
+        """The index sum_i digit(p^i) * p^i, one place at a time, where
+        ``digit(place)`` gives the residues mod p of digit i."""
+        out = np.int64(0)
+        for place in self._pplace.tolist():
+            out = out + digit(place) * place
+        return out
+
     def _add(self, xs, ys) -> np.ndarray:
         """Indices of xs + ys, elementwise under numpy broadcasting: the one
         addition behind add, add_vec, add_outer and add_row.  For p = 2 the
         index bits are the coordinates, so the sum is the XOR; for m = 1 it
-        is the residue sum; otherwise digit rows are added mod p."""
+        is the residue sum; otherwise digit i of the sum is
+        (x // p^i + y // p^i) mod p, place by place."""
         if self.p == 2:
             return np.bitwise_xor(xs, ys, dtype=np.int64)
         if self.m == 1:
             return (xs + ys) % self.p
-        return (self._digits[xs] + self._digits[ys]) % self.p @ self._pplace
+        return self._by_place(lambda place: (xs // place + ys // place) % self.p)
 
     def add_vec(self, x: int, ys: np.ndarray) -> np.ndarray:
         return self._add(x, ys)
@@ -464,27 +463,21 @@ class FieldTable:
         """Absolute traces of all elements as integers in [0, p).
 
         Tr is F_p-linear, so Tr(eta^i) on the basis, each taken from the
-        definition sum_j (eta^i)^(p^j), fixes it: Tr(x) = digits(x) . Tr(eta^i),
-        for p = 2 the parity of the bits x shares with the mask of basis
-        elements of trace 1, folded by shifts and XORs.  A nonzero linear
+        definition sum_j (eta^i)^(p^j), fixes it: Tr(x) = sum_i (x // p^i) *
+        Tr(eta^i) mod p, as x // p^i is digit i mod p.  A nonzero linear
         functional takes every residue exactly q/p times, which certifies the
         table."""
         if self._trace is None:
-            basis = np.empty(self.m, dtype=np.int64)
-            for i in range(self.m):
-                acc, cur = 0, self.p ** i           # the index of eta^i
+            tr = np.zeros(self.q, dtype=np.int64)
+            for place in self._pplace.tolist():
+                acc, cur = 0, place                 # the index of eta^i
                 for _ in range(self.m):
                     acc, cur = self.add(acc, cur), self.pow_(cur, self.p)
                 if acc >= self.p:
                     raise RuntimeError("trace left the prime subfield")
-                basis[i] = acc
-            if self.p == 2:
-                tr = self._arange & int(basis @ self._pplace)
-                for k in reversed(range((self.m - 1).bit_length())):
-                    tr ^= tr >> (1 << k)
-                tr &= 1
-            else:
-                tr = self._digits @ basis % self.p
+                if acc:
+                    tr += self._arange // place * acc
+            tr %= self.p
             if np.any(np.bincount(tr, minlength=self.p) != self.q // self.p):
                 raise IdentityViolation(
                     f"trace over F_{self.spec.label()} is not equidistributed")

@@ -201,7 +201,9 @@ def cubic_sigma(field: FieldTable, part: CosetPartition
     characteristic functions.
 
     sigma1 = Phi - 1,  sigma2 = (q-1)/3 * (Phi - 1),
-    sigma3 = (1/27) * [(Phi - 1)^3 + (3 - 3*Phi + J + conj(J)) * (q - Phi)].
+    sigma3 = (1/27) * [(Phi - 1)^3 + (3 - 3*Phi + J + conj(J)) * (q - Phi)],
+    which Phi^2 = q Phi reduces to (q-1)(q+1+t) at X^0 and q^2 - 3q - t
+    elsewhere, t = J + conj(J), so no product is formed here.
     """
     registry.mark("cubic_sigma")
     if part.n != 3:
@@ -214,8 +216,7 @@ def cubic_sigma(field: FieldTable, part: CosetPartition
     t = jj.a
     s1 = phi(field) - 1
     s2 = ((q - 1) // 3) * s1
-    q_minus_phi = scalar(field, q) - phi(field)
-    inner = scalar(field, 3) - 3 * phi(field) + scalar(field, t)
-    s3_num = s1 ** 3 + gr_mul(inner, q_minus_phi)
-    s3 = _exact_div_vec(s3_num, 27, "cubic sigma3")
+    num = np.full(q, q * q - 3 * q - t, dtype=np.int64)
+    num[0] = (q - 1) * (q + 1 + t)
+    s3 = _exact_div_vec(GroupRingElement(field, num), 27, "cubic sigma3")
     return s1, s2, s3

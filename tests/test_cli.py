@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 from charsum import checks
 from charsum.characters import CosetPartition
 from charsum.cli import VERBS, _build_parser, main
 from charsum.errors import IdentityViolation
+from charsum.field import build_field
 from conftest import count_calls, get_field, get_partition
 
 
@@ -38,6 +42,30 @@ def test_field_info(capsys):
     assert report["field"]["modulus"] == [1, 1, 0, 0, 1]
     assert report["field"]["alpha"] == 2
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_field_info_imports_no_random_generator():
+    # the Frobenius check is exhaustive, so the verb draws no samples
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; from charsum.cli import main; "
+            "main(['field-info', '--field', '3^4']); "
+            "print('numpy.random' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_field_tables_catch_a_frobenius_that_is_not_additive():
+    # alpha^3 and alpha^4 trade places: exp and dlog stay inverse bijections,
+    # alpha still has order q - 1, but x -> x^2 moves two images
+    field = build_field(2, 10)
+    field.exp[[3, 4]] = field.exp[[4, 3]]
+    field.dlog_table[field.exp[[3, 4]]] = [3, 4]
+    _, found, _ = checks.field_tables(field, None)
+    assert [(c.name, c.passed) for c in found] == [
+        ("alpha_order_q_minus_1", True), ("dlog_bijection", True),
+        ("frobenius_additive", False)]
 
 
 def test_partition_verb(capsys):

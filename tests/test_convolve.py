@@ -142,9 +142,10 @@ def test_characteristic_two_never_calls_the_fft(monkeypatch, capsys):
 
 
 def test_cubic_products_at_the_size_cap_take_the_exact_transform(monkeypatch):
-    # (Phi - 1)^3 of cubic_sigma has q |a|_1 |b|_1 = q^4 > 2^62 and falls to
-    # the dense row loop, minutes at 2^16, under an l1 bound; the l2 bound
-    # keeps it and the three-fold coset product on the int64 transform
+    # (Phi - 1)^3, the product cubic_sigma's closed form reduces, has
+    # q |a|_1 |b|_1 = q^4 > 2^62 and falls to the dense row loop, minutes at
+    # 2^16, under an l1 bound; the l2 bound keeps it and the three-fold coset
+    # product on the int64 transform
     field, part = get_field(2, 16), get_partition(2, 16, 3)
     f0, f1, f2 = (characteristic_fn(field, part, j) for j in range(3))
     s1 = phi(field) - 1

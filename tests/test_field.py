@@ -64,7 +64,7 @@ def test_root_filter_leaves_a_quarter_of_the_tests_at_the_size_cap(monkeypatch):
     tested = []
     monkeypatch.setattr(field_mod, "is_irreducible",
                         lambda f, p: tested.append(f) or is_irreducible(f, p))
-    modulus = field_mod._find_irreducible_cached.__wrapped__(2, 16)
+    modulus = find_irreducible(2, 16)
     assert modulus == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
     # 44 candidates come before x^16 + x^5 + x^3 + x + 1; 33 of them have a root
     assert len(tested) == 11
@@ -281,10 +281,11 @@ def test_mul_agrees_with_polynomial_route():
 
 
 # ---------------------------------------------------------------------------
-# The digit path p = 2 took before its index arithmetic became bit operations,
-# kept as the oracle: a sum gathers coordinate rows and adds them mod p, the
-# negation is digit-wise, and the exp table doubles coordinate rows by integer
-# matrix products, the columns of A being alpha * eta^i by polynomial product.
+# The digit path, from before p = 2 became bit operations and every p read its
+# coordinates off the index, kept as the oracle: a sum gathers coordinate rows
+# of a (q, m) table and adds them mod p, the negation is digit-wise, and the
+# exp table doubles coordinate rows by integer matrix products, the columns of
+# A being alpha * eta^i by polynomial product.
 
 @functools.lru_cache(maxsize=None)
 def digit_table(p, m):
@@ -330,12 +331,11 @@ def test_characteristic_two_matches_the_digit_oracle(m):
 
 
 def test_characteristic_two_index_operations_read_no_digits(monkeypatch):
-    class Unreadable:
-        def __getitem__(self, key):
-            raise AssertionError("digit rows read")
+    def unreadable(self, digit):
+        raise AssertionError("digits read place by place")
 
     f = build_field(2, 8)
-    monkeypatch.setattr(f, "_digits", Unreadable())
+    monkeypatch.setattr(FieldTable, "_by_place", unreadable)
     xs = np.arange(f.q)
     assert f.add(5, 9) == 12 and f.sub(5, 9) == 12 and f.neg(7) == 7
     assert np.array_equal(f.add_vec(3, xs), xs ^ 3)
@@ -343,6 +343,30 @@ def test_characteristic_two_index_operations_read_no_digits(monkeypatch):
     assert np.array_equal(f.add_outer(xs[:4], xs), xs[:4, None] ^ xs)
     assert np.array_equal(f.neg_vec(xs), xs)
     assert np.bincount(f.trace_vec()).tolist() == [f.q // 2] * 2
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (65521, 1), (7, 2), (251, 2), (5, 6), (3, 10)])
+def test_index_arithmetic_matches_the_digit_oracle(p, m):
+    f = get_field(p, m)
+    xs = np.arange(f.q)
+    rows = np.unique(np.r_[0, 1, f.q - 1, np.random.default_rng(f.q).integers(0, f.q, 5)])
+    assert np.array_equal(f.add_outer(rows[:4], xs), digit_add(f, rows[:4, None], xs))
+    for x, y in zip(rows.tolist(), rows[::-1].tolist()):
+        assert np.array_equal(f.add_vec(x, xs[::-1]), digit_add(f, x, xs[::-1]))
+        assert f.add(x, y) == digit_add(f, x, y)
+        assert f.coeffs(x) == tuple(digit_table(p, m)[x].tolist())
+        assert f.index(f.coeffs(x)) == x
+    assert np.array_equal(f.neg_vec(xs), digit_neg(f))
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (251, 2)])
+def test_no_table_outgrows_the_field(p, m):
+    f = get_field(p, m)
+    f.trace_vec()
+    sizes = {name: getattr(f, name).size for name in FieldTable.__slots__
+             if isinstance(getattr(f, name), np.ndarray)}
+    assert {"exp", "dlog_table", "_trace"} <= set(sizes)
+    assert max(sizes.values()) <= f.q, sizes
 
 
 def test_chunked_digit_addition_matches_the_oracle():

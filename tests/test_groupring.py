@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from charsum.characters import memo
+from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation
 from charsum.groupring import (GroupRingElement, characteristic_fn,
                                cubic_sigma, gr_mul, gr_mul_pairs, monomial, phi,
                                quadratic_sigma, scalar, _exact_div_vec)
-from conftest import get_field, get_partition
+from conftest import count_calls, get_field, get_partition
 
 
 def test_monomial_product_wraps_mod_p():
@@ -86,6 +88,19 @@ def test_cubic_sigma_examples():
     p7 = get_partition(7, 1, 3)
     s1, s2, s3 = cubic_sigma(f7, p7)
     assert s2 == 2 * (phi(f7) - monomial(f7, 0))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (7, 1), (2, 6), (13, 1), (7, 2), (2, 12)])
+def test_cubic_sigma3_is_the_unreduced_product(monkeypatch, p, m):
+    # 27 sigma3 = (Phi - 1)^3 + (3 + t - 3 Phi)(q - Phi), t = J + conj(J),
+    # formed here by convolution; cubic_sigma forms no product
+    f, part = get_field(p, m), get_partition(p, m, 3)
+    jac = memo(part, jacobi_cubic)
+    convolutions = count_calls(monkeypatch, "convolve")
+    s1, _, s3 = cubic_sigma(f, part)
+    assert convolutions == []
+    ph, t = phi(f), (jac + jac.conj()).a
+    assert 27 * s3 == s1 ** 3 + gr_mul(scalar(f, 3 + t) - 3 * ph, scalar(f, f.q) - ph)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2)])

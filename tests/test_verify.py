@@ -172,11 +172,12 @@ def test_a_violation_in_one_job_stays_in_its_sweep_and_field(capsys, monkeypatch
             assert after == before
 
 
-@pytest.mark.parametrize("p,m,n,calls", [(13, 1, 3, 7), (2, 4, 3, 7), (13, 1, 2, 3),
+@pytest.mark.parametrize("p,m,n,calls", [(13, 1, 3, 4), (2, 4, 3, 4), (13, 1, 2, 3),
                                          (3, 3, 2, 3)])
 def test_charpoly_stacks_its_products(monkeypatch, p, m, n, calls):
-    # n = 3: the three pair products, the triple product, one call per Horner
-    # step and cubic_sigma's three; n = 2: Phi^2, f0 f1 and one Horner step
+    # n = 3: the three pair products, the triple product and one call per
+    # Horner step, cubic_sigma being closed-form; n = 2: Phi^2, f0 f1 and one
+    # Horner step
     field, part = get_field(p, m), partition(get_field(p, m), n)
     if n == 3:
         memo(part, jacobi_cubic)
