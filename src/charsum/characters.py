@@ -107,9 +107,10 @@ def partition(field: FieldTable, n: int, conjugate: bool = False) -> CosetPartit
 def memo(part: CosetPartition, compute):
     """``compute(part.field, part)``, computed once per partition and kept on it.
 
-    The values several checks of one character read (``pair_table``,
-    ``jacobi_cubic``, ``closed_rep_class_table``, ``triple_counts``,
-    ``quad_counts``, the numeric ``gauss_sum``) are taken through here.
+    The values several checks of one character read (``pair_table``, also
+    ``charpoly``'s products; ``jacobi_cubic``, ``closed_rep_class_table``,
+    ``triple_counts``, ``quad_counts``, the numeric ``gauss_sum``) are taken
+    through here.
     Arrays come back read-only, as every caller shares them; an exception
     is not kept, so the next call computes again.
     """

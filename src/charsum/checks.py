@@ -18,21 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .characters import (char_sum_moment, memo, winterhof_counts,
+from .characters import (char_sum_moment, memo, pair_table, winterhof_counts,
                          winterhof_sweep)
 from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_char2_closed_form, jacobi_cubic,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
 from .field import convolve, prime_factors
-from .groupring import (characteristic_fn, cubic_sigma, gr_mul, gr_mul_pairs,
-                        phi, quadratic_sigma)
+from .groupring import (GroupRingElement, characteristic_fn, cubic_sigma,
+                        gr_mul, phi, quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table,
                        closed_rep_count_cubic, closed_rep_count_quadratic,
                        cubic_K, perron_table, rep_count_table, rep_count_zero,
                        rep_count_zero_brute)
-from .shiftcount import (closed_form_max3, max_shift_count, quad_counts,
-                         shift_count, triple_counts)
+from .shiftcount import (closed_form_max3, extension_counts, max_shift_count,
+                         quad_counts, shift_count, triple_counts)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -298,29 +298,34 @@ def gauss(field, part):
 
 def charpoly(field, part):
     """The coset characteristic functions are the roots of their equation
-    X^n - sigma1 X^(n-1) + ... = 0, with closed-form coefficients."""
+    X^n - sigma1 X^(n-1) + ... = 0, with closed-form coefficients; the
+    products f_i f_j are read off the pair table."""
     fs = [characteristic_fn(field, part, j) for j in range(part.n)]
-    ph = phi(field)
-    found = [holds("partition_identity", sum(fs[1:], fs[0]) + 1 == ph)]
+    ph, total = phi(field), sum(fs[1:], fs[0])
+    pairs = memo(part, pair_table)                      # pairs[i, j] = f_i f_j
+    f01 = GroupRingElement(field, pairs[0, 1])
+    found = [holds("partition_identity", total + 1 == ph)]
     if part.n == 2:
         found.append(holds("phi_squared_equals_q_phi",
                            gr_mul(ph, ph) == field.q * ph))
         jac, sigmas = None, quadratic_sigma(field, part)
-        products = {"sigma1_matches_sum": fs[0] + fs[1],
-                    "sigma2_matches_product": gr_mul(fs[0], fs[1])}
+        products = {"sigma1_matches_sum": total, "sigma2_matches_product": f01}
     else:
         jac = memo(part, jacobi_cubic)
         sigmas = cubic_sigma(field, part)
-        pairs = gr_mul_pairs(fs, fs[1:] + fs[:1])        # f0 f1, f1 f2, f2 f0
-        products = {"sigma1_matches_sum": fs[0] + fs[1] + fs[2],
-                    "sigma2_matches_pair_sum": pairs[0] + pairs[1] + pairs[2],
-                    "sigma3_matches_product": gr_mul(pairs[0], fs[2])}
+        products = {"sigma1_matches_sum": total,
+                    "sigma2_matches_pair_sum": GroupRingElement(
+                        field, pairs[0, 1] + pairs[1, 2] + pairs[2, 0]),
+                    "sigma3_matches_product": gr_mul(f01, fs[2])}
     found += [holds(name, s == prod) for (name, prod), s in zip(products.items(), sigmas)]
-    # Horner at every root at once: ((f - s1) f + s2) f - s3
-    residuals = [f - sigmas[0] for f in fs]
+    # Horner at every root at once: ((f - s1) f + s2) f - s3 on the (n, q)
+    # stack, with no lift guard: |f - s1| <= 1 and each step convolves with
+    # f (sum < q) and adds a sigma below q^2, so entries stay below 2 q^2.
+    f = part.indicators()
+    residuals = f - sigmas[0].coeffs
     for k, s in enumerate(sigmas[1:], 2):
-        residuals = [r + (-1) ** k * s for r in gr_mul_pairs(residuals, fs)]
-    found += [holds(f"residual_zero_at_f{j}", r.is_zero())
+        residuals = convolve(field, residuals, f) + (-1) ** k * s.coeffs
+    found += [holds(f"residual_zero_at_f{j}", not r.any())
               for j, r in enumerate(residuals)]
     results = {"n": part.n,
                **{f"sigma{k}": _sigma_json(s) for k, s in enumerate(sigmas, 1)}}
@@ -402,25 +407,20 @@ def shift(field, part, t):
 
 
 def reduction_matches_row_counts(field, part, prefix, counts) -> Check:
-    """N(prefix + {e}) for every other e in C_0, counted from the definition,
-    against the affine reduction's table ``counts`` at the ratios
-    d = (x - e1)/(e2 - e1) of the prefix's later elements and of e: M(d) for
-    a prefix (e1, e2) (``triple_counts``), M2(d3, d) for (e1, e2, e3)
-    (``quad_counts``).
-
-    The counts never use the reduction: with h_c(beta) the product of
-    f_c(beta + x) over the prefix, N(prefix + {e}) = sum_c sum_beta h_c(beta)
-    f_c(beta + e), one broadcast convolution of h_c(-beta) with f_c."""
-    f = part.indicators()
-    h = np.prod([f[:, field.add_row(int(x))] for x in prefix], axis=0)
-    rows = convolve(field, h[:, field.neg_vec(field._arange)], f).sum(axis=0)
+    """N(prefix + {e}) for every other e in C_0, counted at the prefix's own
+    elements by ``extension_counts``, against the affine reduction's table
+    ``counts`` at the ratios d = (x - e1)/(e2 - e1) of the prefix's later
+    elements and of e: M(d) for a prefix (e1, e2) (``triple_counts``),
+    M2(d3, d) for (e1, e2, e3) (``quad_counts``).  The table is read at the
+    normalised (0, 1[, d3]), so the check tests the reduction itself."""
+    rows = extension_counts(field, part, *prefix)[0]
     e1, e2 = int(prefix[0]), int(prefix[1])
     scale = field.inv(field.sub(e2, e1))
 
     def ratios(xs):
         return field.mul_vec(scale, field.add_vec(field.neg(e1), xs))
 
-    others = np.setdiff1d(part.cosets[0], prefix)
+    others = part.cosets[0][~np.isin(part.cosets[0], prefix)]
     later = ratios(np.array(prefix[2:], dtype=np.int64))
     reduced = counts[(*later, ratios(others))]
     bad = np.flatnonzero(rows[others] != reduced)

@@ -117,7 +117,7 @@ def _run_families(args):
     usage error."""
     n, families = VERBS[args.verb](args)
     p, m, modulus = parse_field_spec(args.field)
-    fld = build_field(p, m, modulus=modulus, size_cap=env_size_cap())
+    fld = build_field(p, m, modulus=modulus)
     part = partition(fld, n, conjugate=args.conjugate) if n else None
     results, found, notes = {}, [], []
     for family in families:

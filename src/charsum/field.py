@@ -19,9 +19,9 @@ Two canonical choices make every output reproducible across runs:
   on an extension field, whose indices below p are the prime subfield:
   their orders divide p - 1 < q - 1.
 
-Everything here is exhaustive-by-design, so field sizes are capped
-(default 2**16, override via the ``size_cap`` argument or the CLI's
-CHARSUM_SIZE_CAP environment variable).
+Everything here is exhaustive-by-design, so field sizes are capped: every
+``build_field`` call checks 2**16, or the CHARSUM_SIZE_CAP environment
+variable if set.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ INT64_MAX = 2 ** 63 - 1
 
 
 def env_size_cap() -> int:
-    """The cap the CLI and the sweeps build under: CHARSUM_SIZE_CAP if set."""
+    """The cap every field is built under: CHARSUM_SIZE_CAP if set."""
     return int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
 
 
@@ -503,15 +503,14 @@ class FieldTable:
         return f"FieldTable(F_{self.spec.label()}, alpha={self.alpha})"
 
 
-def build_field(p: int, m: int = 1, modulus=None,
-                size_cap: int | None = None) -> FieldTable:
+def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
     """Construct F_{p^m} with the canonical (or a supplied) modulus.
 
-    The size cap is checked first, without forming a power far above it, so
-    an oversized p or m never reaches the primality test or the modulus
-    search; an invalid p or m is left to those."""
+    The size cap (``env_size_cap``) is checked first, without forming a
+    power far above it, so an oversized p or m never reaches the primality
+    test or the modulus search; an invalid p or m is left to those."""
     registry.mark("build_field")
-    cap = DEFAULT_SIZE_CAP if size_cap is None else int(size_cap)
+    cap = env_size_cap()
     if p >= 2 and m >= 1 and (p > cap or m >= cap.bit_length() or p ** m > cap):
         q = p if m == 1 else f"{p}^{m}"
         raise ValueError(f"q = {q} exceeds the size cap {cap}")

@@ -142,18 +142,6 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(a.field, convolve(a.field, a.coeffs, b.coeffs))
 
 
-def gr_mul_pairs(xs, ys) -> list[GroupRingElement]:
-    """[gr_mul(x, y) for x, y in zip(xs, ys)] by one broadcast convolution
-    over the stacked coefficient vectors, so the transforms run once."""
-    registry.mark("gr_mul")
-    for x, y in zip(xs, ys, strict=True):
-        x._check_same_field(y)
-    field = xs[0].field
-    out = convolve(field, np.stack([x.coeffs for x in xs]),
-                   np.stack([y.coeffs for y in ys]))
-    return [GroupRingElement(field, row) for row in out]
-
-
 def phi(field: FieldTable) -> GroupRingElement:
     """The all-ones element: sum of X^gamma over the whole field."""
     registry.mark("phi")

@@ -51,7 +51,8 @@ def brute_rep_count(field: FieldTable, part: CosetPartition,
 
 def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
     """Pair table f_i * f_j: out[i, j, beta] = #{(x, y) in C_j x C_i : x+y = beta}.
-    brute_rep_count is its oracle; its beta = 0 column checks rep_count_zero."""
+    brute_rep_count is its oracle at beta != 0; the beta = 0 column is
+    unchecked (``zero_sum`` tests rep_count_zero against its brute force)."""
     return memo(part, pair_table)
 
 

@@ -16,15 +16,15 @@ permutes coset labels, so N of that subset depends only on its ratios
 d = (e_k - e)/s.  For t = 1 and t = 2 there is no ratio, so every subset
 has the same N and the first elements of coset 0 are the witness:
 N({e}) = q - 1, since the one condition is beta + e != 0, and a pair has
-N = #{y : y and y + 1 nonzero in one coset}.  max N(3) is the largest M(d)
-(``triple_counts``, one convolution) and max N(4) the largest M2(d1, d2)
-(``quad_counts``, convolutions chunked over d1); the witness is the first
-subset in lex order whose ratios attain it.  Larger t run the exhaustive
-search, which keeps, per candidate prefix, the per-beta "required label"
-row (or a dead marker), which makes the last level a single vectorized
-comparison; subtrees that cannot beat the current best are pruned.  Either
-way the first maximum in lexicographic element order is kept, so the
-reported witness is deterministic.
+N = #{y : y and y + 1 nonzero in one coset}.  max N(3) is the largest
+M(d) = N({0, 1, d}) and max N(4) the largest M2(d1, d2) = N({0, 1, d1, d2}),
+both read off ``extension_counts``, the one kernel for N(P + {e}); the
+witness is the first subset in lex order whose ratios attain it.  Larger t
+run the exhaustive search, which keeps, per candidate prefix, the per-beta
+"required label" row (or a dead marker), which makes the last level a
+single vectorized comparison; subtrees that cannot beat the current best
+are pruned.  Either way the first maximum in lexicographic element order is
+kept, so the reported witness is deterministic.
 """
 
 from __future__ import annotations
@@ -130,33 +130,38 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     return best, tuple(int(coset0[w]) for w in wit)
 
 
-def triple_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
-    """M(d) for every d: the y with y, y + 1 and y + d nonzero in one coset.
+def extension_counts(field: FieldTable, part: CosetPartition,
+                     *prefix) -> np.ndarray:
+    """N(prefix + {e}) for every e, as a (k, q) array; a length-k vector
+    entry stacks k prefixes, one per row (k = 1 for scalars only).
 
-    M = sum_c corr(g_c, f_c) with f_c = [y in C_c] and g_c(y) = f_c(y) f_c(y + 1),
-    one broadcast convolution of g_c(-y) with f_c.
-    """
+    With h_c(beta) the product of f_c(beta + x) over the prefix,
+    N(prefix + {e}) = sum_c sum_beta h_c(beta) f_c(beta + e): one broadcast
+    convolution of h_c(-beta) with f_c, summed over c."""
     f = part.indicators()
-    g = f * f[:, field.add_row(1)]
-    return convolve(field, g[:, field.neg_vec(field._arange)], f).sum(axis=0)
+    neg = field.neg_vec(field._arange)
+    h = 1
+    for x in prefix:
+        h = h * f[:, field.add_outer(np.atleast_1d(x), neg)]
+    return convolve(field, h, f[:, None]).sum(axis=0)
+
+
+def triple_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
+    """M(d) = N({0, 1, d}) for every d: the y with y, y + 1 and y + d nonzero
+    in one coset."""
+    return extension_counts(field, part, 0, 1)[0]
 
 
 def quad_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
-    """M2(d1, d2) for every d1, d2: the y with y, y + 1, y + d1 and y + d2
-    nonzero in one coset, as a (q, q) int32 table (counts are below q).
-
-    M2 = sum_c corr(h_{c,d1}, f_c) with h_{c,d1}(y) = g_c(y) f_c(y + d1), g_c
-    as in ``triple_counts``: broadcast convolutions of h_{c,d1}(-y) with f_c
-    over an (n, d1, q) stack, chunked over d1 at about 2^20 cells per call.
-    """
-    q, neg = field.q, field.neg_vec(field._arange)
-    f = part.indicators()
-    g = (f * f[:, field.add_row(1)])[:, neg]
+    """M2(d1, d2) = N({0, 1, d1, d2}) for every d1, d2, as a (q, q) int32
+    table (counts are below q): ``extension_counts`` with d1 stacked, chunked
+    over d1 at about 2^20 cells per call."""
+    q = field.q
     out = np.empty((q, q), dtype=np.int32)
     step = max(1, (1 << 20) // (part.n * q))
     for lo in range(0, q, step):
-        h = g[:, None, :] * f[:, field.add_outer(field._arange[lo:lo + step], neg)]
-        out[lo:lo + step] = convolve(field, h, f[:, None, :]).sum(axis=0)
+        out[lo:lo + step] = extension_counts(field, part, 0, 1,
+                                             field._arange[lo:lo + step])
     return out
 
 

@@ -22,12 +22,12 @@ from . import checks, registry
 from .characters import character_exists, partition
 from .checks import violation
 from .errors import IdentityViolation
-from .field import build_field, env_size_cap, prime_powers
+from .field import build_field, prime_powers
 
 
 @functools.lru_cache(maxsize=24)
 def cached_field(p: int, m: int):
-    return build_field(p, m, size_cap=env_size_cap())
+    return build_field(p, m)
 
 
 @dataclass
@@ -50,11 +50,10 @@ class SweepResult:
                 "notes": self.notes}
 
 
-def character_fields(q_max: int, orders=(2, 3),
-                     q_min: int = 3) -> list[tuple[int, int, int]]:
-    """(p, m, n) for each q_min <= q = p^m <= q_max and each order n of a
+def character_fields(q_max: int, orders=(2, 3)) -> list[tuple[int, int, int]]:
+    """(p, m, n) for each 3 <= q = p^m <= q_max and each order n of a
     character on F_q, ordered by q, then n."""
-    return [(p, m, n) for p, m, _ in prime_powers(q_max, q_min) for n in orders
+    return [(p, m, n) for p, m, _ in prime_powers(q_max, 3) for n in orders
             if character_exists(p, m, n)]
 
 

@@ -101,15 +101,16 @@ def test_parse_field_spec():
     assert parse_field_spec("2^2:1,1,1") == (2, 2, (1, 1, 1))
 
 
-def test_fieldspec_rejects_bad_inputs():
+def test_fieldspec_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         FieldSpec(4, 1, (0, 1))                 # not prime
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (0, 0, 1))              # x^2 reducible
     with pytest.raises(ValueError):
         FieldSpec(3, 2, (1, 0, 2))              # not monic
+    monkeypatch.setenv("CHARSUM_SIZE_CAP", "100")
     with pytest.raises(ValueError):
-        build_field(2, 8, size_cap=100)          # over cap
+        build_field(2, 8)                       # over cap
 
 
 def test_alpha_canonical_values():

@@ -5,7 +5,7 @@ from charsum.characters import memo
 from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation
 from charsum.groupring import (GroupRingElement, characteristic_fn,
-                               cubic_sigma, gr_mul, gr_mul_pairs, monomial, phi,
+                               cubic_sigma, gr_mul, monomial, phi,
                                quadratic_sigma, scalar, _exact_div_vec)
 from conftest import count_calls, get_field, get_partition
 
@@ -20,20 +20,6 @@ def test_square_of_sum_f3():
     el = monomial(f3, 1) + monomial(f3, 2)
     sq = gr_mul(el, el)
     assert sq.to_json() == {"0": 2, "1": 1, "2": 1}
-
-
-@pytest.mark.parametrize("p,m", [(2, 5), (3, 2)])
-def test_stacked_products_match_one_at_a_time(p, m):
-    f = get_field(p, m)
-    rng = np.random.default_rng(p * m)
-    xs = [GroupRingElement(f, rng.integers(-5, 6, f.q)) for _ in range(3)]
-    ys = [GroupRingElement(f, rng.integers(-5, 6, f.q)) for _ in range(3)]
-    assert gr_mul_pairs(xs, ys) == [gr_mul(x, y) for x, y in zip(xs, ys)]
-    # one Python-integer operand sends the whole stack down the dense path
-    ys[1] = GroupRingElement(f, ys[1].coeffs.astype(object) * 2 ** 70)
-    stacked = gr_mul_pairs(xs, ys)
-    assert stacked == [gr_mul(x, y) for x, y in zip(xs, ys)]
-    assert stacked[1].coeffs.dtype == object
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (2, 2), (3, 2), (7, 1)])

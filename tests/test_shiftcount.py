@@ -12,7 +12,7 @@ from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
 from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
                                 affine_max_shift4, closed_form_max3,
-                                max_shift_count, shift_count)
+                                extension_counts, max_shift_count, shift_count)
 from conftest import get_field, get_partition
 
 
@@ -190,6 +190,27 @@ def test_max4_never_runs_the_subset_search(monkeypatch):
     for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
         max_shift_count(get_field(p, m), get_partition(p, m, n), 4)
     assert calls == []
+
+
+@pytest.mark.parametrize("p,m,n,lengths", [
+    (13, 1, 2, (1, 2, 3)), (2, 6, 3, (1, 2, 3)), (7, 2, 2, (1, 2, 3)),
+    (3, 5, 2, (2,))])                       # q = 243: the loop is the cost
+def test_extension_counts_match_the_scalar_loop(p, m, n, lengths):
+    f, part = get_field(p, m), get_partition(p, m, n)
+    coset0 = [int(x) for x in part.cosets[0]]
+    for t in lengths:
+        prefix = coset0[:t]
+        counts = extension_counts(f, part, *prefix)
+        assert counts.shape == (1, f.q)
+        assert counts[0].tolist() == [scalar_shift_count(f, part, prefix + [e])
+                                      for e in range(f.q)]
+    if f.q > 64:
+        return
+    # a vector entry stacks one prefix per row: {c, x} for x in xs
+    c, xs = coset0[0], coset0[1:4]
+    counts = extension_counts(f, part, c, np.array(xs))
+    assert counts.tolist() == [[scalar_shift_count(f, part, [c, x, e])
+                                for e in range(f.q)] for x in xs]
 
 
 @given(st.sampled_from(MULTI_AXIS_FIELDS), st.integers(1, 4), st.data())

@@ -175,17 +175,22 @@ def test_a_violation_in_one_job_stays_in_its_sweep_and_field(capsys, monkeypatch
 @pytest.mark.parametrize("p,m,n,calls", [(13, 1, 3, 4), (2, 4, 3, 4), (13, 1, 2, 3),
                                          (3, 3, 2, 3)])
 def test_charpoly_stacks_its_products(monkeypatch, p, m, n, calls):
-    # n = 3: the three pair products, the triple product and one call per
-    # Horner step, cubic_sigma being closed-form; n = 2: Phi^2, f0 f1 and one
-    # Horner step
-    field, part = get_field(p, m), partition(get_field(p, m), n)
-    if n == 3:
-        memo(part, jacobi_cubic)
-    convolutions = count_calls(monkeypatch, "convolve")
-    _, found, _ = checks.charpoly(field, part)
-    assert len(convolutions) == calls
-    assert all(c.passed for c in found)
-    assert [c.name for c in found][-n:] == [f"residual_zero_at_f{j}" for j in range(n)]
+    # n = 3: the pair table, f0 f1 times f2 and one call per Horner step,
+    # cubic_sigma being closed-form; n = 2: Phi^2, the pair table and one
+    # Horner step.  A pair table already in the memo saves its call.
+    field = get_field(p, m)
+    for shared in (False, True):
+        part = partition(field, n)
+        if n == 3:
+            memo(part, jacobi_cubic)
+        if shared:
+            memo(part, pair_table)
+        convolutions = count_calls(monkeypatch, "convolve")
+        _, found, _ = checks.charpoly(field, part)
+        assert len(convolutions) == calls - shared
+        assert all(c.passed for c in found)
+        assert [c.name for c in found][-n:] == [f"residual_zero_at_f{j}"
+                                                for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
