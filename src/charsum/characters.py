@@ -5,7 +5,8 @@ A character of order n on F_q* is realized through its kernel cosets:
 is the subgroup of n-th powers and coset j is alpha**j times it.  The
 character value at x is (-1)**label (n = 2) or w**label (n = 3); all
 character-sum machinery downstream works on the integer labels and never
-touches floating point.
+touches floating point.  ``label_pairs`` counts label pairs by enumeration,
+the oracle of the convolutions ``pair_table`` and ``winterhof_sweep``.
 
 The character is pinned to the canonical alpha.  Every result verified
 here is invariant under swapping a cubic character with its conjugate,
@@ -122,18 +123,31 @@ def memo(part: CosetPartition, compute):
     return part._memo[compute]
 
 
-def _shift_diff_counts(field: FieldTable, part: CosetPartition,
-                       gamma: int) -> np.ndarray:
-    """Counts of chi(x)*conj(chi)(x + gamma) = w**k over x, k = 0..n-1.
+def label_pairs(field: FieldTable, part: CosetPartition, gamma: int,
+                sign: int = -1) -> np.ndarray:
+    """H[a, b] = #{x : label(x) = a, label(gamma + sign*x) = b}, shape (n, n),
+    over the x with both elements nonzero.  sign -1 counts sums:
+    H[j, i] = R(gamma, i, j), gamma = 0 included; sign +1 counts shifts.
 
-    x with either argument zero contributes to no bucket.
-    """
-    lab = part.labels
-    shifted = field.add_vec(gamma, field._arange)
-    lab_s = lab[shifted]
-    valid = (lab >= 0) & (lab_s >= 0)
-    diff = (lab[valid].astype(np.int16) - lab_s[valid]) % part.n
-    return np.bincount(diff, minlength=part.n)
+    The one enumeration oracle behind R, R(0), J, A(beta), sigma and N(2).
+    It reads only ``part.labels`` and index addition and negation, never
+    ``pair_table``, ``convolve``, ``memo``, a closed form or the label(-1)
+    relabelling of ``winterhof_sweep``, so it shares no code with the fast
+    paths and closed forms it checks."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    lab, n = part.labels, part.n
+    xs = field._arange if sign == 1 else field.neg_vec(field._arange)
+    lab_y = lab[field.add_vec(gamma, xs)]
+    # cell (label(x) + 1, label(y) + 1): row and column 0 take the zero elements
+    cells = lab * (n + 1) + lab_y + (n + 2)
+    return np.bincount(cells, minlength=(n + 1) ** 2).reshape(n + 1, -1)[1:, 1:]
+
+
+def fold_pairs(h: np.ndarray, sign: int) -> list[int]:
+    """Sums of h[a, b] over a + sign*b = k (mod n), for k = 0..n-1."""
+    rows, n = h.tolist(), len(h)
+    return [sum(rows[a][sign * (k - a) % n] for a in range(n)) for k in range(n)]
 
 
 def char_sum_moment(field: FieldTable, part: CosetPartition, gamma=None):
@@ -146,14 +160,12 @@ def char_sum_moment(field: FieldTable, part: CosetPartition, gamma=None):
     registry.mark("char_sum_moment")
     n = part.n
     if gamma is None:
-        counts = np.bincount(part.labels[part.labels >= 0], minlength=n)
+        counts = np.bincount(part.labels[part.labels >= 0], minlength=n).tolist()
     else:
         if gamma == 0:
             raise ValueError("shifted moment requires gamma != 0")
-        counts = _shift_diff_counts(field, part, gamma)
-    if n == 2:
-        return int(counts[0]) - int(counts[1])
-    return from_omega_counts(int(counts[0]), int(counts[1]), int(counts[2]))
+        counts = fold_pairs(label_pairs(field, part, gamma, 1), -1)
+    return counts[0] - counts[1] if n == 2 else from_omega_counts(*counts)
 
 
 def winterhof_counts(field: FieldTable, part: CosetPartition,
@@ -166,8 +178,7 @@ def winterhof_counts(field: FieldTable, part: CosetPartition,
     registry.mark("winterhof_counts")
     if x_j == 0:
         raise ValueError("x_j must be nonzero")
-    counts = _shift_diff_counts(field, part, x_j)
-    return tuple(int(c) for c in counts)
+    return tuple(fold_pairs(label_pairs(field, part, x_j, 1), -1))
 
 
 def pair_table(field: FieldTable, part: CosetPartition) -> np.ndarray:

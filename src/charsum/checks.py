@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .characters import (char_sum_moment, memo, pair_table, winterhof_counts,
-                         winterhof_sweep)
+from .characters import (char_sum_moment, label_pairs, memo, pair_table,
+                         winterhof_counts, winterhof_sweep)
 from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_char2_closed_form, jacobi_cubic,
                          jacobi_from_gauss)
@@ -31,8 +31,8 @@ from .repcount import (brute_rep_count, closed_rep_class_table,
                        closed_rep_count_cubic, closed_rep_count_quadratic,
                        cubic_K, perron_table, rep_count_table, rep_count_zero,
                        rep_count_zero_brute)
-from .shiftcount import (closed_form_max3, extension_counts, max_shift_count,
-                         quad_counts, shift_count, triple_counts)
+from .shiftcount import (affine_ratios, closed_form_max3, extension_counts,
+                         max_shift_count, quad_counts, shift_count, triple_counts)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -164,7 +164,8 @@ def rep_table(field, part):
 def zero_sum(field, part):
     """Zero-sum counts: closed (q-1)/n rule == enumeration, all (i, j)."""
     n, q, p = part.n, field.q, field.p
-    found = [equal(f"zero_sum_count_i{i}_j{j}", rep_count_zero_brute(field, part, i, j),
+    h = label_pairs(field, part, 0)
+    found = [equal(f"zero_sum_count_i{i}_j{j}", int(h[j, i]),
                    rep_count_zero(field, part, i, j))
              for i in range(n) for j in range(n)]
     note = (f"nonzero cells are (q-1)/{n} = {(q - 1) // n}, "
@@ -415,14 +416,9 @@ def reduction_matches_row_counts(field, part, prefix, counts) -> Check:
     normalised (0, 1[, d3]), so the check tests the reduction itself."""
     rows = extension_counts(field, part, *prefix)[0]
     e1, e2 = int(prefix[0]), int(prefix[1])
-    scale = field.inv(field.sub(e2, e1))
-
-    def ratios(xs):
-        return field.mul_vec(scale, field.add_vec(field.neg(e1), xs))
-
     others = part.cosets[0][~np.isin(part.cosets[0], prefix)]
-    later = ratios(np.array(prefix[2:], dtype=np.int64))
-    reduced = counts[(*later, ratios(others))]
+    later = affine_ratios(field, e1, e2, np.array(prefix[2:], dtype=np.int64))
+    reduced = counts[(*later, affine_ratios(field, e1, e2, others))]
     bad = np.flatnonzero(rows[others] != reduced)
     return holds("reduction_matches_row_counts", not len(bad),
                  _mismatches(bad, lambda b: f"e={others[b]}: N = "

@@ -28,7 +28,7 @@ from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import FieldTable, build_field, env_size_cap, parse_field_spec
 from . import verify as verify_mod
 
-SCOPES = ("all", "repcount", "charpoly", "sums", "duality")
+SCOPES = ("all", *dict.fromkeys(sw.scope for sw in verify_mod.SWEEPS.values()))
 
 
 class _UsageError(Exception):
@@ -44,11 +44,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="charsum", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="verb")
 
-    def add(name, help_, field=True, n=False, conjugate=False):
+    def add(name, help_, n=False, conjugate=False):
         sp = sub.add_parser(name, help=help_)
-        if field:
-            sp.add_argument("--field", required=True,
-                            help="field spec: p, p^m, or p^m:c0,c1,...,cm")
+        sp.add_argument("--field", required=True,
+                        help="field spec: p, p^m, or p^m:c0,c1,...,cm")
         if n:
             sp.add_argument("--n", type=int, choices=(2, 3), default=2,
                             help="character order (default 2)")

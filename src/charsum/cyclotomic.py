@@ -17,28 +17,17 @@ import cmath
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, memo, pair_table, partition
+from .characters import (CosetPartition, fold_pairs, label_pairs, memo,
+                         pair_table, partition)
 from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
 from .errors import IdentityViolation
 from .field import FieldTable
 
 
-def _chi_pair_sum(field: FieldTable, part: CosetPartition,
-                  beta: int) -> EisensteinInt:
-    """sum_x chi(x)*chi(beta - x), by folding label sums over all x."""
-    if part.n != 3:
-        raise ValueError("cubic partition expected")
-    lab = part.labels.astype(np.int16)
-    ly = lab[field.add_vec(beta, field.neg_vec(field._arange))]     # beta - x
-    valid = (lab >= 0) & (ly >= 0)
-    counts = np.bincount((lab[valid] + ly[valid]) % 3, minlength=3)
-    return from_omega_counts(int(counts[0]), int(counts[1]), int(counts[2]))
-
-
 def jacobi_cubic(field: FieldTable, part: CosetPartition) -> EisensteinInt:
     """J(chi, chi) = sum over c1 + c2 = 1 of chi(c1)*chi(c2), exactly in Z[w]."""
     registry.mark("jacobi_cubic")
-    j = _chi_pair_sum(field, part, 1)
+    j = a_beta(field, part, 1)
     if j.norm() != field.q:
         raise IdentityViolation(
             f"norm(J) = {j.norm()} != q = {field.q} over F_{field.spec.label()}")
@@ -46,11 +35,14 @@ def jacobi_cubic(field: FieldTable, part: CosetPartition) -> EisensteinInt:
 
 
 def a_beta(field: FieldTable, part: CosetPartition, beta: int) -> EisensteinInt:
-    """A(beta) = sum_x chi(x)*chi(beta - x); equals conj(chi)(beta) * J."""
+    """A(beta) = sum_x chi(x)*chi(beta - x) = conj(chi)(beta) * J, the
+    w**(a+b) fold of ``label_pairs``."""
     registry.mark("a_beta")
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    return _chi_pair_sum(field, part, beta)
+    if part.n != 3:
+        raise ValueError("cubic partition expected")
+    return from_omega_counts(*fold_pairs(label_pairs(field, part, beta), 1))
 
 
 def a_beta_sweep(field: FieldTable,

@@ -4,8 +4,8 @@ R(beta, i, j) counts ordered pairs: x from coset j, y from coset i.
 "Ordered" matters: the count enumerates field elements z = x with
 y = beta - x determined, so (x, y) and (y, x) are distinct solutions when
 i == j.  The brute-force routines here are the oracle every closed form
-is checked against; they only ever enumerate pairs and never peek at the
-formulas.
+is checked against: reads of ``characters.label_pairs``, which enumerates
+pairs and never peeks at the formulas or the pair table.
 
 Closed forms:
   n = 2:  R = (q - 2 - chi2(beta)*((-1)^i + (-1)^j) - (-1)^(i+j)*chi2(-1)) / 4
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, memo, pair_table
+from .characters import CosetPartition, label_pairs, memo, pair_table
 from .cyclotomic import jacobi_cubic
 from .eisenstein import EisensteinInt, omega_pow
 from .errors import IdentityViolation
@@ -40,19 +40,17 @@ def _exact_div(value: int, k: int, what: str) -> int:
 
 def brute_rep_count(field: FieldTable, part: CosetPartition,
                     beta: int, i: int, j: int) -> int:
-    """Oracle: enumerate x in coset j and test beta - x against coset i."""
+    """Oracle: the x in coset j with beta - x in coset i, by ``label_pairs``."""
     registry.mark("brute_rep_count")
     if beta == 0:
         raise ValueError("beta = 0 is handled by rep_count_zero")
-    # labels[0] is -1, so y = 0 is never counted
-    ys = field.add_vec(beta, field.neg_vec(part.cosets[j]))
-    return int((part.labels[ys] == i).sum())
+    return int(label_pairs(field, part, beta)[j, i])
 
 
 def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
     """Pair table f_i * f_j: out[i, j, beta] = #{(x, y) in C_j x C_i : x+y = beta}.
-    brute_rep_count is its oracle at beta != 0; the beta = 0 column is
-    unchecked (``zero_sum`` tests rep_count_zero against its brute force)."""
+    brute_rep_count spot-checks it at beta != 0; every column, beta = 0 too,
+    equals ``label_pairs`` transposed in the tests, not in a runtime check."""
     return memo(part, pair_table)
 
 
@@ -112,8 +110,8 @@ def rep_count_zero(field: FieldTable, part: CosetPartition,
 
 def rep_count_zero_brute(field: FieldTable, part: CosetPartition,
                          i: int, j: int) -> int:
-    """Oracle for the zero-sum counts: enumerate x in coset j with -x in coset i."""
-    return int((part.labels[field.neg_vec(part.cosets[j])] == i).sum())
+    """Oracle for the zero-sum counts: the x in coset j with -x in coset i."""
+    return int(label_pairs(field, part, 0)[j, i])
 
 
 def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarray:

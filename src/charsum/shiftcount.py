@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, memo
+from .characters import CosetPartition, label_pairs, memo
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import FieldTable, convolve
 
@@ -118,8 +118,7 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     if t == 1:
         return field.q - 1, (int(coset0[0]),)
     if t == 2:
-        lab = part.labels
-        pairs = int(((lab >= 0) & (lab == lab[field.add_row(1)])).sum())
+        pairs = int(np.trace(label_pairs(field, part, 1, 1)))
         return pairs, (int(coset0[0]), int(coset0[1]))
     if t == 3:
         return affine_max_shift3(field, part)
@@ -165,6 +164,12 @@ def quad_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return out
 
 
+def affine_ratios(field: FieldTable, e1: int, e2: int, xs) -> np.ndarray:
+    """The ratios d = (x - e1)/(e2 - e1) of the affine reduction, per x."""
+    return field.mul_vec(field.inv(field.sub(e2, e1)),
+                         field.add_vec(field.neg(e1), xs))
+
+
 def _affine_walk(field: FieldTable, part: CosetPartition,
                  table: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Max of a reduction table over distinct ratios not in {0, 1}, and the
@@ -187,9 +192,7 @@ def _affine_walk(field: FieldTable, part: CosetPartition,
     later = top.ndim - 1                 # elements after the row element
     coset0 = part.cosets[0]
     for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
-        e = int(coset0[i])
-        d = field.mul_vec(field.inv(field.sub(int(coset0[j]), e)),
-                          field.add_vec(field.neg(e), coset0[j + 1:]))
+        d = affine_ratios(field, int(coset0[i]), int(coset0[j]), coset0[j + 1:])
         for l in np.flatnonzero(live[d[:len(d) - later]]).tolist():
             xs = [l]
             if later:                    # the first r > l on a maximal cell

@@ -1,9 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
 from charsum import EisensteinInt, UnsupportedCharacterError, char_sum_moment
-from charsum.characters import (character_exists, partition,
-                                winterhof_counts, winterhof_sweep)
+from charsum.characters import (character_exists, fold_pairs, label_pairs,
+                                memo, pair_table, partition, winterhof_counts,
+                                winterhof_sweep)
+from charsum.cyclotomic import a_beta, jacobi_cubic
+from charsum.repcount import brute_rep_count, rep_count_zero_brute
+from charsum.shiftcount import max_shift_count
 from conftest import get_field, get_partition
 
 
@@ -143,3 +149,65 @@ def test_conjugate_partition_swaps_labels():
     assert np.array_equal(conj.cosets[0], part.cosets[0])
     assert np.array_equal(conj.cosets[1], part.cosets[2])
     assert np.array_equal(conj.cosets[2], part.cosets[1])
+
+
+@pytest.mark.parametrize("p,m,n", [(13, 1, 2), (2, 4, 3), (7, 2, 2),
+                                   (7, 2, 3), (3, 5, 2), (2, 8, 3)])
+def test_label_pairs_match_the_convolutions(p, m, n):
+    """Sign -1 is column beta of the pair table transposed, beta = 0 too;
+    the sign +1 fold over a - b is the row of winterhof_sweep."""
+    f, part = get_field(p, m), get_partition(p, m, n)
+    table = memo(part, pair_table)
+    rows = winterhof_sweep(f, part)
+    for beta in range(f.q):
+        assert np.array_equal(label_pairs(f, part, beta).T, table[:, :, beta])
+        if beta:
+            assert fold_pairs(label_pairs(f, part, beta, 1), -1) == rows[beta].tolist()
+
+
+def test_label_pairs_rejects_other_signs():
+    f, part = get_field(7), get_partition(7, 1, 2)
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError):
+            label_pairs(f, part, 1, sign)
+
+
+def _oracle_values(f, part):
+    n, r = part.n, range(part.n)
+    out = {"zero": [[rep_count_zero_brute(f, part, i, j) for j in r] for i in r],
+           "moment": char_sum_moment(f, part),
+           "n2": max_shift_count(f, part, 2)}
+    for beta in range(1, f.q):
+        out["rep", beta] = [[brute_rep_count(f, part, beta, i, j) for j in r]
+                            for i in r]
+        out["sigma", beta] = winterhof_counts(f, part, beta)
+        out["shifted", beta] = char_sum_moment(f, part, beta)
+        if n == 3:
+            out["a", beta] = a_beta(f, part, beta)
+    if n == 3:
+        out["jacobi"] = jacobi_cubic(f, part)
+    return out
+
+
+@pytest.mark.parametrize("p,m,n,pinned", [
+    (7, 2, 3, {"jacobi": EisensteinInt(5, -3), "n2": (15, (1, 6)),
+               ("rep", 1): [[6, 4, 5], [4, 5, 7], [5, 7, 4]],
+               ("a", 5): EisensteinInt(3, 8), ("sigma", 5): (15, 16, 16)}),
+    (13, 1, 2, {"n2": (5, (1, 3)), ("rep", 5): [[3, 3], [3, 2]],
+                "zero": [[6, 0], [0, 6]], ("sigma", 1): (5, 6)}),
+])
+def test_loop_oracles_never_reach_the_convolutions(monkeypatch, p, m, n, pinned):
+    """With convolve and pair_table raising in every module that binds them,
+    the loop oracles still give their values on fresh partitions."""
+    f = get_field(p, m)
+    expected = _oracle_values(f, partition(f, n))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a loop oracle reached a convolution")
+    for mod in [v for k, v in sys.modules.items() if k.startswith("charsum")]:
+        for name in ("convolve", "pair_table"):
+            if callable(getattr(mod, name, None)):
+                monkeypatch.setattr(mod, name, boom)
+    got = _oracle_values(f, partition(f, n))
+    assert got == expected
+    assert {key: got[key] for key in pinned} == pinned
