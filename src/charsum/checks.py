@@ -26,7 +26,7 @@ from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
 from .eisenstein import EisensteinInt
 from .field import convolve, prime_factors
 from .groupring import (GroupRingElement, characteristic_fn, cubic_sigma,
-                        gr_mul, phi, quadratic_sigma)
+                        gr_mul, monomial, phi, quadratic_sigma)
 from .repcount import (brute_rep_count, closed_rep_class_table,
                        closed_rep_count_cubic, closed_rep_count_quadratic,
                        cubic_K, perron_table, rep_count_table, rep_count_zero,
@@ -302,26 +302,27 @@ def charpoly(field, part):
     X^n - sigma1 X^(n-1) + ... = 0, with closed-form coefficients; the
     products f_i f_j are read off the pair table."""
     fs = [characteristic_fn(field, part, j) for j in range(part.n)]
-    ph, total = phi(field), sum(fs[1:], fs[0])
+    ph, total = phi(field), sum(f.coeffs for f in fs)
     pairs = memo(part, pair_table)                      # pairs[i, j] = f_i f_j
-    f01 = GroupRingElement(field, pairs[0, 1])
-    found = [holds("partition_identity", total + 1 == ph)]
+    found = [holds("partition_identity",
+                   np.array_equal(monomial(field, 0).coeffs + total, ph.coeffs))]
     if part.n == 2:
-        found.append(holds("phi_squared_equals_q_phi",
-                           gr_mul(ph, ph) == field.q * ph))
+        found.append(holds("phi_squared_equals_q_phi", np.array_equal(
+            gr_mul(ph, ph).coeffs, field.q * ph.coeffs)))
         jac, sigmas = None, quadratic_sigma(field, part)
-        products = {"sigma1_matches_sum": total, "sigma2_matches_product": f01}
+        products = {"sigma1_matches_sum": total, "sigma2_matches_product": pairs[0, 1]}
     else:
         jac = memo(part, jacobi_cubic)
         sigmas = cubic_sigma(field, part)
+        f01 = GroupRingElement(field, pairs[0, 1])
         products = {"sigma1_matches_sum": total,
-                    "sigma2_matches_pair_sum": GroupRingElement(
-                        field, pairs[0, 1] + pairs[1, 2] + pairs[2, 0]),
-                    "sigma3_matches_product": gr_mul(f01, fs[2])}
-    found += [holds(name, s == prod) for (name, prod), s in zip(products.items(), sigmas)]
+                    "sigma2_matches_pair_sum": pairs[0, 1] + pairs[1, 2] + pairs[2, 0],
+                    "sigma3_matches_product": gr_mul(f01, fs[2]).coeffs}
+    found += [holds(name, np.array_equal(s.coeffs, prod))
+              for (name, prod), s in zip(products.items(), sigmas)]
     # Horner at every root at once: ((f - s1) f + s2) f - s3 on the (n, q)
-    # stack, with no lift guard: |f - s1| <= 1 and each step convolves with
-    # f (sum < q) and adds a sigma below q^2, so entries stay below 2 q^2.
+    # stack, in int64: |f - s1| <= 1 and each step convolves with f (sum
+    # < q) and adds a sigma below q^2, so entries stay below 2 q^2 < 2^33.
     f = part.indicators()
     residuals = f - sigmas[0].coeffs
     for k, s in enumerate(sigmas[1:], 2):

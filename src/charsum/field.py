@@ -36,7 +36,6 @@ from . import registry
 from .errors import IdentityViolation
 
 DEFAULT_SIZE_CAP = 1 << 16
-INT64_MAX = 2 ** 63 - 1
 
 
 def env_size_cap() -> int:
@@ -267,6 +266,8 @@ class FieldTable:
         self.p, self.m, self.q = spec.p, spec.m, spec.q
         self._pplace = self.p ** np.arange(self.m, dtype=np.int64)
         self._arange = np.arange(self.q, dtype=np.int64)
+        # shared read-only: neg_vec returns it as is for p = 2
+        self._arange.flags.writeable = False
         # -x negates each digit; for p = 2, -x = x and there is no table
         self._neg = None if self.p == 2 else self._by_place(
             lambda place: -(self._arange // place) % self.p)
@@ -444,7 +445,7 @@ class FieldTable:
         return self._add(np.asarray(xs, dtype=np.int64)[:, None], ys)
 
     def neg_vec(self, ys: np.ndarray) -> np.ndarray:
-        return np.array(ys, dtype=np.int64) if self.p == 2 else self._neg[ys]
+        return np.asarray(ys, dtype=np.int64) if self.p == 2 else self._neg[ys]
 
     def mul_vec(self, x: int, ys: np.ndarray) -> np.ndarray:
         out = np.zeros(len(ys), dtype=np.int64)
@@ -553,41 +554,27 @@ def _fft_error_bound(field: FieldTable, norm_a: float, norm_b: float) -> float:
     return 32 * 2.0 ** -53 * levels * norm_a * norm_b
 
 
-def max_abs(v: np.ndarray) -> int:
-    """Largest absolute entry as a Python integer (no int64 wrap at -2^63)."""
-    return max(int(v.max()), -int(v.min())) if v.size else 0
-
-
 def convolve(field: FieldTable, a, b) -> np.ndarray:
     """Exact additive convolution out[..., g] = sum_d a[..., d] * b[..., g - d].
 
-    Last axes have length q, leading axes broadcast.  Integer operands within
-    the a-priori bound take the transform path: for p = 2 an int64
-    Walsh-Hadamard transform, q |a|_2 |b|_2 < 2^62, certified by q dividing
-    every entry before the final shift; for odd p the FFT, within the
-    round-off bound, certified by max |x - rint(x)| < 1/4.  Both also check
-    sum(a * b) = sum(a) * sum(b) and raise IdentityViolation on a failed
-    certificate.  Object operands, or any above the bound, run one dense row
-    loop in Python integers, kept as int64 unless it could wrap."""
-    a, b = np.asarray(a), np.asarray(b)
-    wide = object in (a.dtype, b.dtype)
-    if not wide:
-        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        norm_a, norm_b = (np.linalg.norm(v, axis=-1).max() for v in (a, b))
-        if field.p == 2:
-            if field.q * norm_a * norm_b < 2.0 ** 62:
-                return _wht_convolve(field, a, b)
-        elif _fft_error_bound(field, norm_a, norm_b) < 1 / 8:
-            return _fft_convolve(field, a, b)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    wide = wide or field.q * max_abs(a) * max_abs(b) > INT64_MAX
-    a = np.broadcast_to(a, shape).astype(object)
-    b = np.broadcast_to(b, shape).astype(object)
-    out = np.zeros(shape, dtype=object)
-    for x in np.flatnonzero(a.reshape(-1, field.q).any(axis=0)):
-        # y -> x + y is a bijection, so the fancy index is collision-free
-        out[..., field.add_row(int(x))] += a[..., x, None] * b
-    return out if wide else out.astype(np.int64)
+    Last axes have length q, leading axes broadcast; both operands are cast
+    to int64.  Operands within the a-priori bound take the transform path:
+    for p = 2 an int64 Walsh-Hadamard transform, q |a|_2 |b|_2 < 2^62,
+    certified by q dividing every entry before the final shift; for odd p
+    the FFT, within the round-off bound, certified by max |x - rint(x)| <
+    1/4.  Both also check sum(a * b) = sum(a) * sum(b) and raise
+    IdentityViolation on a failed certificate.  Operands above the bound
+    raise ValueError: nothing is ever computed that could wrap."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    norm_a, norm_b = (np.linalg.norm(v, axis=-1).max() for v in (a, b))
+    if field.p == 2:
+        if field.q * norm_a * norm_b < 2.0 ** 62:
+            return _wht_convolve(field, a, b)
+    elif _fft_error_bound(field, norm_a, norm_b) < 1 / 8:
+        return _fft_convolve(field, a, b)
+    raise ValueError(
+        f"convolution over F_{field.spec.label()} exceeds the exact int64 bound"
+        f" (operand 2-norms {norm_a:.3g} and {norm_b:.3g})")
 
 
 def _wht(v: np.ndarray, m: int) -> np.ndarray:

@@ -7,11 +7,13 @@ X^(gamma+delta).  Indexing by the additive group (Z_p)^m *is* the
 quotient by the relations x_i^p = 1, so no polynomial reduction ever
 happens: multivariate arithmetic collapses to exact integer convolution.
 
-Coefficients are kept in int64.  Products go through the exact
-convolution ``field.convolve``; it and the additive operations here switch
-to Python-integer (object dtype) coefficients when an a-priori bound says
-a result could leave int64, so nothing ever wraps and the common path
-pays no bignum cost.
+Coefficients are int64, the one representation: every value the paper
+compares is a count or a sigma coefficient below 2 q^2 < 2^33.  A
+coefficient outside int64 fails at construction (numpy's OverflowError),
+and the product ``gr_mul`` goes through the exact convolution
+``field.convolve``, which refuses operands above its a-priori bound with
+ValueError, so nothing ever wraps.  Sums and scalings are numpy arithmetic
+on ``.coeffs``; the element type carries no operators.
 
 The all-ones element Phi (the product of p-th cyclotomic polynomials in
 disguise) satisfies Phi * v = (sum of coefficients of v) * Phi; in
@@ -26,77 +28,24 @@ from . import registry
 from .characters import CosetPartition, memo
 from .cyclotomic import jacobi_cubic
 from .errors import IdentityViolation
-from .field import INT64_MAX, FieldTable, convolve, max_abs
-
-
-def _lift(bound: int, *arrays: np.ndarray) -> tuple:
-    """As Python integers if a result bounded by ``bound`` could leave int64."""
-    return arrays if bound <= INT64_MAX else tuple(a.astype(object) for a in arrays)
+from .field import FieldTable, convolve
 
 
 class GroupRingElement:
-    """Integer-coefficient element of the additive group algebra."""
+    """int64-coefficient element of the additive group algebra."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldTable, coeffs):
         self.field = field
-        arr = np.asarray(coeffs)
+        arr = np.asarray(coeffs, dtype=np.int64)
         if arr.shape != (field.q,):
             raise ValueError(f"coefficient vector must have length {field.q}")
-        if arr.dtype != object:
-            arr = arr.astype(np.int64)
         self.coeffs = arr
 
     def _check_same_field(self, other: "GroupRingElement") -> None:
         if self.field is not other.field and self.field.spec != other.field.spec:
             raise ValueError("elements live over different fields")
-
-    def __add__(self, other):
-        if isinstance(other, GroupRingElement):
-            self._check_same_field(other)
-            ca, cb = _lift(max_abs(self.coeffs) + max_abs(other.coeffs),
-                           self.coeffs, other.coeffs)
-            return GroupRingElement(self.field, ca + cb)
-        if isinstance(other, int):
-            out, = _lift(max_abs(self.coeffs) + abs(other), self.coeffs.copy())
-            out[0] += other
-            return GroupRingElement(self.field, out)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (GroupRingElement, int)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return (-self) + other
-        return NotImplemented
-
-    def __neg__(self):
-        c, = _lift(max_abs(self.coeffs), self.coeffs)
-        return GroupRingElement(self.field, -c)
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElement):
-            return gr_mul(self, other)
-        if isinstance(other, int):
-            c, = _lift(max_abs(self.coeffs) * abs(other), self.coeffs)
-            return GroupRingElement(self.field, c * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 1:
-            raise ValueError("positive exponent expected")
-        out = self
-        for _ in range(e - 1):
-            out = gr_mul(out, self)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -128,11 +77,6 @@ def monomial(field: FieldTable, gamma: int, coeff: int = 1) -> GroupRingElement:
     out = np.zeros(field.q, dtype=np.int64)
     out[gamma] = coeff
     return GroupRingElement(field, out)
-
-
-def scalar(field: FieldTable, c: int) -> GroupRingElement:
-    """c * X^0 (scalars mean scalar multiples of the identity monomial)."""
-    return monomial(field, 0, c)
 
 
 def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -198,13 +142,11 @@ def cubic_sigma(field: FieldTable, part: CosetPartition
         raise ValueError("cubic partition expected")
     q = field.q
     jac = memo(part, jacobi_cubic)
-    jj = jac + jac.conj()
-    if not jj.is_rational():
-        raise IdentityViolation("J + conj(J) is not a rational integer")
-    t = jj.a
-    s1 = phi(field) - 1
-    s2 = ((q - 1) // 3) * s1
+    t = (jac + jac.conj()).a            # z + conj(z) = (2a - b) + 0 w, rational
+    s1 = phi(field).coeffs              # a fresh array: Phi - 1 in place
+    s1[0] -= 1
+    s2 = (q - 1) // 3 * s1
     num = np.full(q, q * q - 3 * q - t, dtype=np.int64)
     num[0] = (q - 1) * (q + 1 + t)
     s3 = _exact_div_vec(GroupRingElement(field, num), 27, "cubic sigma3")
-    return s1, s2, s3
+    return GroupRingElement(field, s1), GroupRingElement(field, s2), s3

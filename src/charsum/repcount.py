@@ -90,10 +90,8 @@ def closed_rep_count_cubic(field: FieldTable, part: CosetPartition,
     if beta == 0:
         raise ValueError("beta = 0 is handled by rep_count_zero")
     k = cubic_K(part, beta, i, j, memo(part, jacobi_cubic))
-    k_plus_conj = k + k.conj()
-    if not k_plus_conj.is_rational():
-        raise IdentityViolation("K + conj(K) has a nonzero w coordinate")
-    return _exact_div(field.q - 2 - k_plus_conj.a, 9,
+    # z + conj(z) = (2a - b) + 0 w for every z, so its a coordinate is all of it
+    return _exact_div(field.q - 2 - (k + k.conj()).a, 9,
                       "cubic representation count")
 
 

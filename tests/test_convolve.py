@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,8 @@ def dense_reference(field, a, b):
 def operands(draw):
     p, m = draw(st.sampled_from(SMALL_FIELDS))
     # scale 1 stays far inside the FFT bound, 2^40 far outside it, and 2^20
-    # lands on either side depending on the coefficients
+    # lands on either side depending on the coefficients (and a zero operand
+    # is inside at every scale)
     scale = draw(st.sampled_from([1, 2 ** 20, 2 ** 40]))
     coeffs = st.lists(st.integers(-9, 9), min_size=p ** m, max_size=p ** m)
     a = np.array(draw(coeffs), dtype=np.int64) * scale
@@ -44,31 +46,42 @@ def spy(name):
 @settings(max_examples=80, deadline=None)
 def test_convolve_matches_dense_reference(args):
     field, scale, a, b = args
-    with spy("_wht_convolve") as wht, spy("_fft_convolve") as fft:
-        out = convolve(field, a, b)
-    assert [int(v) for v in out] == dense_reference(field, a, b)
     zero = not (a.any() and b.any())
     if field.p == 2:
         # q |a|_2 |b|_2 < 2^62 holds at scale 2^20 too (q <= 64, |coeff| <= 9)
-        assert not fft.called
-        assert wht.called == (scale != 2 ** 40 or zero)
-        transform = wht.called
+        within = scale != 2 ** 40 or zero
     else:
-        bound = _fft_error_bound(field, np.linalg.norm(a), np.linalg.norm(b)) < 1 / 8
-        assert not wht.called and fft.called == bound
+        within = _fft_error_bound(field, np.linalg.norm(a), np.linalg.norm(b)) < 1 / 8
         if scale != 2 ** 20:
-            assert bound == (scale == 1 or zero)
-        transform = fft.called
-    # the dense path keeps int64 unless q * max|a| * max|b| could leave it
-    big = field.q * int(np.abs(a).max()) * int(np.abs(b).max()) >= 2 ** 63
-    assert out.dtype == (object if big and not transform else np.int64)
+            assert within == (scale == 1 or zero)
+    with spy("_wht_convolve") as wht, spy("_fft_convolve") as fft:
+        if within:
+            out = convolve(field, a, b)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"F_{field.spec.label()} ")):
+                convolve(field, a, b)
+    if within:
+        assert out.dtype == np.int64
+        assert out.tolist() == dense_reference(field, a, b)
+    # within the bound the transform of p ran; above it neither did
+    assert wht.called == (within and field.p == 2)
+    assert fft.called == (within and field.p != 2)
 
 
-@pytest.mark.parametrize("scale", [1, 2 ** 40])      # transform and dense path
+@pytest.mark.parametrize("scale", [1, 2 ** 40])     # within and above the bound
 def test_broadcast_stack_matches_pairwise_calls(scale):
     field = get_field(5, 2)
     rng = np.random.default_rng(3)
     f = rng.integers(-3, 4, (3, field.q)) * scale
+    if scale != 1:
+        # above the bound the stack is refused, as every pairwise call is
+        with pytest.raises(ValueError):
+            convolve(field, f[:, None], f[None, :])
+        for i in range(3):
+            for j in range(3):
+                with pytest.raises(ValueError):
+                    convolve(field, f[i], f[j])
+        return
     table = convolve(field, f[:, None], f[None, :])
     assert table.shape == (3, 3, field.q)
     for i in range(3):
@@ -141,21 +154,17 @@ def test_characteristic_two_never_calls_the_fft(monkeypatch, capsys):
     assert calls == []
 
 
-def test_cubic_products_at_the_size_cap_take_the_exact_transform(monkeypatch):
+def test_cubic_products_at_the_size_cap_take_the_exact_transform():
     # (Phi - 1)^3, the product cubic_sigma's closed form reduces, has
-    # q |a|_1 |b|_1 = q^4 > 2^62 and falls to the dense row loop, minutes at
-    # 2^16, under an l1 bound; the l2 bound keeps it and the three-fold coset
-    # product on the int64 transform
+    # q |a|_1 |b|_1 = q^4 > 2^62 at 2^16 and would be refused under an l1
+    # bound; the l2 bound keeps it and the three-fold coset product on the
+    # int64 transform
     field, part = get_field(2, 16), get_partition(2, 16, 3)
     f0, f1, f2 = (characteristic_fn(field, part, j) for j in range(3))
-    s1 = phi(field) - 1
-
-    def refuse(v):
-        raise AssertionError("dense convolution at the size cap")
-
-    monkeypatch.setattr(field_mod, "max_abs", refuse)   # the dense path's first step
+    s1 = phi(field)
+    s1.coeffs[0] = 0
     triple = gr_mul(gr_mul(f0, f1), f2)
-    square = s1 ** 2
+    square = gr_mul(s1, s1)
     cube = gr_mul(square, s1)
     assert triple.coeffs.dtype == cube.coeffs.dtype == np.int64
     assert field.q * int(np.abs(square.coeffs).sum()) * (field.q - 1) > 2 ** 62

@@ -38,6 +38,16 @@ def test_eisenstein_conj_and_norm(a, b, c, d):
     assert (x * y).norm() == x.norm() * y.norm()
 
 
+@given(ints, ints)
+@settings(max_examples=200, deadline=None)
+def test_eisenstein_plus_conj_is_rational(a, b):
+    # conj(a + b w) = (a - b) - b w, so z + conj(z) = (2a - b) + 0 w: the
+    # trace of a Jacobi sum or of K needs no rationality check
+    z = EisensteinInt(a, b)
+    assert (z + z.conj()).b == 0
+    assert (z + z.conj()).a == 2 * a - b
+
+
 def test_omega_relations():
     assert OMEGA * OMEGA == omega_pow(2)
     assert OMEGA * OMEGA * OMEGA == EisensteinInt(1)

@@ -346,6 +346,17 @@ def test_characteristic_two_index_operations_read_no_digits(monkeypatch):
     assert np.bincount(f.trace_vec()).tolist() == [f.q // 2] * 2
 
 
+def test_characteristic_two_negation_shares_the_read_only_arange():
+    # -x = x for p = 2: neg_vec returns its input without a copy, so the
+    # index vector it is handed everywhere is read-only
+    f = build_field(2, 4)
+    neg = f.neg_vec(f._arange)
+    assert np.shares_memory(neg, f._arange)
+    assert np.array_equal(neg, np.arange(f.q))
+    with pytest.raises(ValueError):
+        f._arange[0] = 1
+
+
 @pytest.mark.parametrize("p,m", [(13, 1), (65521, 1), (7, 2), (251, 2), (5, 6), (3, 10)])
 def test_index_arithmetic_matches_the_digit_oracle(p, m):
     f = get_field(p, m)

@@ -163,7 +163,9 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
 
 
 @given(st.sampled_from(QUAD_FIELDS))
-@settings(max_examples=15, deadline=None)   # the t = 4 search is the cost
+# the t = 4 search is the cost; derandomized, so every run draws the same
+# fields and takes the same time
+@settings(max_examples=15, deadline=None, derandomize=True)
 def test_max4_matches_subset_search(case):
     p, m, n = case
     f, part = get_field(p, m), get_partition(p, m, n)
