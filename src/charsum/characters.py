@@ -84,9 +84,9 @@ class CosetPartition:
         return f"CosetPartition(F_{self.field.spec.label()}, n={self.n}{tag})"
 
 
+@registry.op
 def partition(field: FieldTable, n: int, conjugate: bool = False) -> CosetPartition:
     """Build the coset partition for the order-n character on the field."""
-    registry.mark("partition")
     require_character(field, n)
     labels = np.where(field.dlog_table >= 0,
                       field.dlog_table % n, -1).astype(np.int8)
@@ -150,6 +150,7 @@ def fold_pairs(h: np.ndarray, sign: int) -> list[int]:
     return [sum(rows[a][sign * (k - a) % n] for a in range(n)) for k in range(n)]
 
 
+@registry.op
 def char_sum_moment(field: FieldTable, part: CosetPartition, gamma=None):
     """First moment (gamma None) or shifted correlation sum of the character.
 
@@ -157,7 +158,6 @@ def char_sum_moment(field: FieldTable, part: CosetPartition, gamma=None):
     an integer for n = 2, an EisensteinInt for n = 3.  Both are theory-pinned
     (0 and -1 respectively); computing them is the point.
     """
-    registry.mark("char_sum_moment")
     n = part.n
     if gamma is None:
         counts = np.bincount(part.labels[part.labels >= 0], minlength=n).tolist()
@@ -168,6 +168,7 @@ def char_sum_moment(field: FieldTable, part: CosetPartition, gamma=None):
     return counts[0] - counts[1] if n == 2 else from_omega_counts(*counts)
 
 
+@registry.op
 def winterhof_counts(field: FieldTable, part: CosetPartition,
                      x_j: int) -> tuple[int, ...]:
     """sigma_i = #{x : chi(x)*conj(chi)(x + x_j) = w**i} for a fixed x_j != 0.
@@ -175,7 +176,6 @@ def winterhof_counts(field: FieldTable, part: CosetPartition,
     x running over elements where both arguments are nonzero; satisfies
     sigma_0 + 1 = sigma_1 = ... = sigma_{n-1} = (q-1)/n.
     """
-    registry.mark("winterhof_counts")
     if x_j == 0:
         raise ValueError("x_j must be nonzero")
     return tuple(fold_pairs(label_pairs(field, part, x_j, 1), -1))

@@ -12,7 +12,6 @@ raises ``ValueError`` on a value it cannot check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,13 +338,13 @@ def charpoly(field, part):
 # ---------------------------------------------------------------------------
 # shift-count duality
 
+@registry.op
 def duality(field, part):
     """max R == 1 + max N(3), max N(3) against its witness and the closed form,
     and the reduction behind it against the definition; nothing to check below
     3-element cosets.  max R sweeps the closed-form class table over
     (beta != 0, i, j); the closed form is predicted where its case analysis
     applies (always for n = 2, characteristic 2 for n = 3)."""
-    registry.mark("duality")
     if len(part.cosets[0]) < 3:
         return {}, [], ["coset smaller than 3, skipped"]
     table = memo(part, closed_rep_class_table)
@@ -385,11 +384,6 @@ def shift(field, part, t):
         raise ValueError("--t must be positive")
     if coset_size < t:
         raise ValueError(f"coset size {coset_size} < t = {t}")
-    # t <= 4 take the affine reduction, whose (q, q) table for t = 4 is
-    # bounded in cells; larger t run the exhaustive search, bounded in size
-    if (field.q ** 2 > 1 << 22 if t == 4
-            else t > 4 and math.comb(coset_size, t) * field.q > 2e10):
-        raise ValueError("subset search too large; reduce --t or the field")
     max_n, witness = max_shift_count(field, part, t)
     found = [equal("witness_reproduces_max", max_n,
                    shift_count(field, part, witness))]

@@ -129,18 +129,17 @@ def _run_families(args):
     return results, found, fld
 
 
-def _run_verify(args):
+@registry.op
+def run(args):
     cap = env_size_cap()
     if not 3 <= args.q_max <= cap:
         raise _UsageError(f"--q-max must lie in [3, {cap}]")
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    registry.reset()
     verify_mod.cached_field.cache_clear()
-    registry.mark("run")
     sweeps = verify_mod.run_scope(args.scope, args.q_max, threads)
     found = [equal(f"{sw.name}_failures", 0, len(sw.failures)) for sw in sweeps]
     if args.scope == "all":
-        missing = sorted(registry.missing())
+        missing = sorted(registry.ALL_OPS - registry.called())
         found.append(equal("op_coverage",
                            f"{len(registry.ALL_OPS)} ops invoked",
                            f"{len(registry.ALL_OPS) - len(missing)} ops invoked"
@@ -173,6 +172,7 @@ def _emit_csv(args, results, rendered) -> str:
 
 
 def main(argv=None) -> int:
+    registry.reset()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -183,9 +183,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     start = time.perf_counter()
-    registry.mark("run")
     try:
-        results, found, fld = (_run_verify if args.verb == "verify"
+        results, found, fld = (run if args.verb == "verify"
                                else _run_families)(args)
     except (UnsupportedCharacterError, IdentityViolation) as exc:
         results, found, fld = {}, [checks.violation(exc)], None

@@ -18,15 +18,17 @@ import numpy as np
 
 from . import registry
 from .characters import (CosetPartition, fold_pairs, label_pairs, memo,
-                         pair_table, partition)
+                         pair_table)
 from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
 from .errors import IdentityViolation
 from .field import FieldTable
 
+_W = cmath.exp(2j * cmath.pi / 3)    # the cubic character's value w, numerically
 
+
+@registry.op
 def jacobi_cubic(field: FieldTable, part: CosetPartition) -> EisensteinInt:
     """J(chi, chi) = sum over c1 + c2 = 1 of chi(c1)*chi(c2), exactly in Z[w]."""
-    registry.mark("jacobi_cubic")
     j = a_beta(field, part, 1)
     if j.norm() != field.q:
         raise IdentityViolation(
@@ -34,10 +36,10 @@ def jacobi_cubic(field: FieldTable, part: CosetPartition) -> EisensteinInt:
     return j
 
 
+@registry.op
 def a_beta(field: FieldTable, part: CosetPartition, beta: int) -> EisensteinInt:
     """A(beta) = sum_x chi(x)*chi(beta - x) = conj(chi)(beta) * J, the
     w**(a+b) fold of ``label_pairs``."""
-    registry.mark("a_beta")
     if beta == 0:
         raise ValueError("beta must be nonzero")
     if part.n != 3:
@@ -62,40 +64,41 @@ def a_beta_sweep(field: FieldTable,
     return a_out, b_out
 
 
+@registry.op
 def gauss_sum(field: FieldTable, part: CosetPartition, mode: str = "numeric"):
     """Gauss sum of the partition's character against the canonical psi.
 
     mode="exact" is only available for p = 2 (returns an EisensteinInt);
     mode="numeric" works for any p and returns a complex value.
     """
-    registry.mark("gauss_sum")
     lab = part.labels
-    tr = field.trace_vec()
-    nz = field._arange[1:]
     if mode == "exact":
         if field.p != 2:
             raise ValueError("exact Gauss sums require characteristic 2")
-        sign = 1 - 2 * tr[nz].astype(np.int64)      # (-1)**Tr(x)
+        nz = field._arange[1:]
+        sign = 1 - 2 * field.trace_vec()[nz].astype(np.int64)      # (-1)**Tr(x)
         counts = [int(sign[lab[nz] == k].sum()) for k in range(3)]
         return from_omega_counts(*counts)
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    psi = np.exp(2j * np.pi * tr[nz] / field.p)
-    if part.n == 2:
-        chi = 1.0 - 2.0 * lab[nz]
-    else:
-        w = cmath.exp(2j * cmath.pi / 3)
-        chi = np.array([1, w, w * w])[lab[nz]]
-    return complex(np.sum(chi * psi))
+    values = (1.0, -1.0) if part.n == 2 else (1, _W, _W * _W)
+    return _numeric_gauss(field, lab, values)
 
 
+def _numeric_gauss(field: FieldTable, labels: np.ndarray, values) -> complex:
+    """sum over x != 0 of values[label(x)] * psi(x), in floating point."""
+    nz = field._arange[1:]
+    psi = np.exp(2j * np.pi * field.trace_vec()[nz] / field.p)
+    return complex(np.sum(np.array(values)[labels[nz]] * psi))
+
+
+@registry.op
 def jacobi_from_gauss(field: FieldTable, part: CosetPartition) -> complex:
     """Numeric J(chi, chi) = G(chi)^2 / G(conj chi); cross-check path only."""
-    registry.mark("jacobi_from_gauss")
     if part.n != 3:
         raise ValueError("cubic partition expected")
     g = memo(part, gauss_sum)
-    g_bar = gauss_sum(field, partition(field, 3, conjugate=not part.conjugate))
+    g_bar = _numeric_gauss(field, part.labels, (1, _W * _W, _W))   # w <-> w^2
     return g * g / g_bar
 
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the exact division that raises one."""
+
+import numpy as np
 
 
 class UnsupportedCharacterError(ValueError):
@@ -12,3 +14,10 @@ class IdentityViolation(ArithmeticError):
     mismatch; seeing this exception means a bug (or a miscomputed input),
     never a rounding issue.
     """
+
+
+def exact_div(value, k: int, what: str):
+    """value // k for an int or an int array; a remainder raises, never truncates."""
+    if np.any(value % k):
+        raise IdentityViolation(f"{what}: not divisible by {k}")
+    return value // k

@@ -179,6 +179,7 @@ def is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+@registry.op
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over Z_p.
 
@@ -187,7 +188,6 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     m >= 2 a root means a linear factor, so candidates with f(0) = 0 or
     f(1) = 0 are skipped before the irreducibility test.
     """
-    registry.mark("find_irreducible")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
@@ -394,9 +394,9 @@ class FieldTable:
             return 0
         return int(self.exp[(int(self.dlog_table[x]) * e) % (self.q - 1)])
 
+    @registry.op
     def dlog(self, x: int) -> int:
         """Exponent h with alpha**h == x; x == 0 is a domain error."""
-        registry.mark("dlog")
         if x == 0:
             raise ValueError("discrete log of zero is undefined")
         return int(self.dlog_table[x])
@@ -504,13 +504,13 @@ class FieldTable:
         return f"FieldTable(F_{self.spec.label()}, alpha={self.alpha})"
 
 
+@registry.op
 def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
     """Construct F_{p^m} with the canonical (or a supplied) modulus.
 
     The size cap (``env_size_cap``) is checked first, without forming a
     power far above it, so an oversized p or m never reaches the primality
     test or the modulus search; an invalid p or m is left to those."""
-    registry.mark("build_field")
     cap = env_size_cap()
     if p >= 2 and m >= 1 and (p > cap or m >= cap.bit_length() or p ** m > cap):
         q = p if m == 1 else f"{p}^{m}"

@@ -27,7 +27,7 @@ import numpy as np
 from . import registry
 from .characters import CosetPartition, memo
 from .cyclotomic import jacobi_cubic
-from .errors import IdentityViolation
+from .errors import exact_div
 from .field import FieldTable, convolve
 
 
@@ -53,9 +53,6 @@ class GroupRingElement:
         return (self.field.spec == other.field.spec
                 and bool(np.all(self.coeffs == other.coeffs)))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def coeff_sum(self) -> int:
         return int(self.coeffs.sum())
 
@@ -79,34 +76,29 @@ def monomial(field: FieldTable, gamma: int, coeff: int = 1) -> GroupRingElement:
     return GroupRingElement(field, out)
 
 
+@registry.op
 def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Additive-group convolution out[g] = sum_d a[d] * b[g - d], exact."""
-    registry.mark("gr_mul")
     a._check_same_field(b)
     return GroupRingElement(a.field, convolve(a.field, a.coeffs, b.coeffs))
 
 
+@registry.op
 def phi(field: FieldTable) -> GroupRingElement:
     """The all-ones element: sum of X^gamma over the whole field."""
-    registry.mark("phi")
     return GroupRingElement(field, np.ones(field.q, dtype=np.int64))
 
 
+@registry.op
 def characteristic_fn(field: FieldTable, part: CosetPartition,
                       j: int) -> GroupRingElement:
     """0/1 vector of coset j: the polynomial characteristic function f_j."""
-    registry.mark("characteristic_fn")
     out = np.zeros(field.q, dtype=np.int64)
     out[part.cosets[j]] = 1
     return GroupRingElement(field, out)
 
 
-def _exact_div_vec(el: GroupRingElement, k: int, what: str) -> GroupRingElement:
-    if np.any(el.coeffs % k):
-        raise IdentityViolation(f"{what}: coefficients not divisible by {k}")
-    return GroupRingElement(el.field, el.coeffs // k)
-
-
+@registry.op
 def quadratic_sigma(field: FieldTable,
                     part: CosetPartition) -> tuple[GroupRingElement, GroupRingElement]:
     """Closed-form sum and product of the two quadratic characteristic functions.
@@ -114,7 +106,6 @@ def quadratic_sigma(field: FieldTable,
     sigma1 = Phi - 1 and sigma2 = -(1/4) * [q*chi2(-1) - 1 - Phi*(q - 2 + chi2(-1))],
     which convolution confirms equal f_0 + f_1 and f_0 * f_1.
     """
-    registry.mark("quadratic_sigma")
     if part.n != 2:
         raise ValueError("quadratic partition expected")
     q = field.q
@@ -123,10 +114,11 @@ def quadratic_sigma(field: FieldTable,
     s1[0] = 0
     num = np.full(q, q - 2 + chi_m1, dtype=np.int64)
     num[0] += 1 - q * chi_m1
-    s2 = _exact_div_vec(GroupRingElement(field, num), 4, "quadratic sigma2")
+    s2 = GroupRingElement(field, exact_div(num, 4, "quadratic sigma2"))
     return GroupRingElement(field, s1), s2
 
 
+@registry.op
 def cubic_sigma(field: FieldTable, part: CosetPartition
                 ) -> tuple[GroupRingElement, GroupRingElement, GroupRingElement]:
     """Closed-form elementary symmetric functions of the three cubic
@@ -137,7 +129,6 @@ def cubic_sigma(field: FieldTable, part: CosetPartition
     which Phi^2 = q Phi reduces to (q-1)(q+1+t) at X^0 and q^2 - 3q - t
     elsewhere, t = J + conj(J), so no product is formed here.
     """
-    registry.mark("cubic_sigma")
     if part.n != 3:
         raise ValueError("cubic partition expected")
     q = field.q
@@ -148,5 +139,5 @@ def cubic_sigma(field: FieldTable, part: CosetPartition
     s2 = (q - 1) // 3 * s1
     num = np.full(q, q * q - 3 * q - t, dtype=np.int64)
     num[0] = (q - 1) * (q + 1 + t)
-    s3 = _exact_div_vec(GroupRingElement(field, num), 27, "cubic sigma3")
+    s3 = GroupRingElement(field, exact_div(num, 27, "cubic sigma3"))
     return GroupRingElement(field, s1), GroupRingElement(field, s2), s3

@@ -1,35 +1,29 @@
 """Invocation registry backing the verify suite's coverage self-test.
 
-Every public operation calls ``mark()`` on entry.  ``charsum verify
+The ops are the 26 functions declared with ``@op``.  An op's name joins
+``ALL_OPS`` when its module is imported, and each call records it before
+the body runs, so a call that raises still counts.  ``charsum verify
 --scope all`` then checks that each name in ``ALL_OPS`` was hit at least
 once, so a refactor that silently stops exercising an operation turns
 into a failed check rather than dead code.
 """
 
-ALL_OPS = frozenset({
-    # field
-    "find_irreducible", "build_field", "dlog",
-    # characters
-    "partition", "char_sum_moment", "winterhof_counts",
-    # cyclotomic sums
-    "jacobi_cubic", "a_beta", "gauss_sum", "jacobi_from_gauss",
-    # representation counts
-    "brute_rep_count", "closed_rep_count_quadratic",
-    "closed_rep_count_cubic", "rep_count_zero", "perron_table",
-    # group ring
-    "gr_mul", "characteristic_fn", "phi", "quadratic_sigma", "cubic_sigma",
-    # shift counts
-    "shift_count", "max_shift_count", "affine_max_shift3", "closed_form_max3",
-    "duality",
-    # cli
-    "run",
-})
+import functools
 
+ALL_OPS: set = set()
 _called: set = set()
 
 
-def mark(name: str) -> None:
-    _called.add(name)
+def op(fn):
+    """Declare ``fn`` an op; the wrapper keeps its name and module."""
+    name = fn.__name__
+    ALL_OPS.add(name)
+
+    @functools.wraps(fn)
+    def recorded(*args, **kwargs):
+        _called.add(name)
+        return fn(*args, **kwargs)
+    return recorded
 
 
 def called() -> frozenset:
@@ -38,10 +32,6 @@ def called() -> frozenset:
 
 def merge(names) -> None:
     _called.update(names)
-
-
-def missing() -> frozenset:
-    return ALL_OPS - _called
 
 
 def reset() -> None:

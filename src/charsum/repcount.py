@@ -28,20 +28,14 @@ from . import registry
 from .characters import CosetPartition, label_pairs, memo, pair_table
 from .cyclotomic import jacobi_cubic
 from .eisenstein import EisensteinInt, omega_pow
-from .errors import IdentityViolation
+from .errors import exact_div
 from .field import FieldTable
 
 
-def _exact_div(value: int, k: int, what: str) -> int:
-    if value % k:
-        raise IdentityViolation(f"{what}: {value} is not divisible by {k}")
-    return value // k
-
-
+@registry.op
 def brute_rep_count(field: FieldTable, part: CosetPartition,
                     beta: int, i: int, j: int) -> int:
     """Oracle: the x in coset j with beta - x in coset i, by ``label_pairs``."""
-    registry.mark("brute_rep_count")
     if beta == 0:
         raise ValueError("beta = 0 is handled by rep_count_zero")
     return int(label_pairs(field, part, beta)[j, i])
@@ -54,9 +48,9 @@ def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return memo(part, pair_table)
 
 
+@registry.op
 def closed_rep_count_quadratic(field: FieldTable, part: CosetPartition,
                                beta: int, i: int, j: int) -> int:
-    registry.mark("closed_rep_count_quadratic")
     if part.n != 2:
         raise ValueError("quadratic closed form needs a quadratic partition")
     if beta == 0:
@@ -66,7 +60,7 @@ def closed_rep_count_quadratic(field: FieldTable, part: CosetPartition,
     val = (field.q - 2
            - chi_beta * ((-1) ** i + (-1) ** j)
            - (-1) ** (i + j) * chi_m1)
-    return _exact_div(val, 4, "quadratic representation count")
+    return exact_div(val, 4, "quadratic representation count")
 
 
 def cubic_K(part: CosetPartition, beta: int, i: int, j: int,
@@ -82,23 +76,23 @@ def cubic_K(part: CosetPartition, beta: int, i: int, j: int,
             - omega_pow(2 * i + 2 * j) * chi_b_bar * jac)
 
 
+@registry.op
 def closed_rep_count_cubic(field: FieldTable, part: CosetPartition,
                            beta: int, i: int, j: int) -> int:
-    registry.mark("closed_rep_count_cubic")
     if part.n != 3:
         raise ValueError("cubic closed form needs a cubic partition")
     if beta == 0:
         raise ValueError("beta = 0 is handled by rep_count_zero")
     k = cubic_K(part, beta, i, j, memo(part, jacobi_cubic))
     # z + conj(z) = (2a - b) + 0 w for every z, so its a coordinate is all of it
-    return _exact_div(field.q - 2 - (k + k.conj()).a, 9,
-                      "cubic representation count")
+    return exact_div(field.q - 2 - (k + k.conj()).a, 9,
+                     "cubic representation count")
 
 
+@registry.op
 def rep_count_zero(field: FieldTable, part: CosetPartition,
                    i: int, j: int) -> int:
     """Decompositions of 0: (q-1)/n when -coset_j is coset_i, else 0."""
-    registry.mark("rep_count_zero")
     n = part.n
     lab_m1 = part.label(field.neg(1))
     if (j + lab_m1) % n == i % n:
@@ -129,6 +123,7 @@ def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarra
     return out
 
 
+@registry.op
 def perron_table(field: FieldTable, part: CosetPartition) -> dict[str, int]:
     """The four prime-field decomposition counts by residuacity class.
 
@@ -136,7 +131,6 @@ def perron_table(field: FieldTable, part: CosetPartition) -> dict[str, int]:
     equal floor((p+1)/4) - 1 and both mixed-class cases floor((p+1)/4).
     They are read off the closed-form class table, shared through ``memo``.
     """
-    registry.mark("perron_table")
     if field.m != 1 or part.n != 2:
         raise ValueError("prime field and quadratic partition expected")
     table = memo(part, closed_rep_class_table)

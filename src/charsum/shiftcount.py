@@ -30,6 +30,7 @@ kept, so the reported witness is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .field import FieldTable, convolve
 DEAD = -2  # rows carry labels 0..n-1, -1 at zero elements, DEAD when ruled out
 
 
+@registry.op
 def shift_count(field: FieldTable, part: CosetPartition, elements) -> int:
     """N for an explicit subset; validates the subset invariants."""
-    registry.mark("shift_count")
     els = [int(e) for e in elements]
     if len(set(els)) != len(els):
         raise ValueError("elements must be distinct")
@@ -99,6 +100,7 @@ def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
     return best, best_wit
 
 
+@registry.op
 def max_shift_count(field: FieldTable, part: CosetPartition,
                     t: int) -> tuple[int, tuple[int, ...]]:
     """Maximum of N over t-subsets of coset 0, with witness.
@@ -106,15 +108,18 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     The witness is the lexicographically least maximizing subset in
     element-index order.  t <= 4 take the affine reduction: t = 1 and t = 2
     in closed form, t = 3 and t = 4 by ``affine_max_shift3`` and
-    ``affine_max_shift4``; larger t run the exhaustive search.
+    ``affine_max_shift4``; larger t run the exhaustive search.  A t = 4 table
+    or a search above its size bound raises ValueError before allocating.
     """
-    registry.mark("max_shift_count")
     if t < 1:
         raise ValueError("t must be positive")
     coset0 = part.cosets[0]
     if len(coset0) < t:
         raise ValueError(
             f"coset size {len(coset0)} is too small for t = {t}")
+    if (field.q ** 2 > 1 << 22 if t == 4
+            else t > 4 and math.comb(len(coset0), t) * field.q > 2e10):
+        raise ValueError("subset search too large; reduce --t or the field")
     if t == 1:
         return field.q - 1, (int(coset0[0]),)
     if t == 2:
@@ -204,6 +209,7 @@ def _affine_walk(field: FieldTable, part: CosetPartition,
     raise IdentityViolation("no same-coset subset attains the reduction's max")
 
 
+@registry.op
 def affine_max_shift3(field: FieldTable,
                       part: CosetPartition) -> tuple[int, tuple[int, ...]]:
     """max N(3) by the affine reduction, with the lex-first witness.
@@ -214,7 +220,6 @@ def affine_max_shift3(field: FieldTable,
     realises d.  Hence max N(3) = max over d not in {0, 1} of M(d), and
     ``_affine_walk`` finds the witness.
     """
-    registry.mark("affine_max_shift3")
     return _affine_walk(field, part, memo(part, triple_counts))
 
 
@@ -229,6 +234,7 @@ def affine_max_shift4(field: FieldTable,
     return _affine_walk(field, part, memo(part, quad_counts))
 
 
+@registry.op
 def closed_form_max3(field: FieldTable, n: int) -> int:
     """Predicted value of 1 + max N(3) from the case closed forms.
 
@@ -236,7 +242,6 @@ def closed_form_max3(field: FieldTable, n: int) -> int:
     (q-1)/4 for p = 3 mod 4, m even.  Cubic (characteristic 2 only):
     (q + 2^(m/2) - 2)/9 for m/2 even, (q + 2^(m/2+1) + 1)/9 for m/2 odd.
     """
-    registry.mark("closed_form_max3")
     q, p, m = field.q, field.p, field.m
     if n == 2:
         if p == 2:

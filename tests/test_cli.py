@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from charsum import checks
+import pytest
+
+from charsum import checks, registry
 from charsum.characters import CosetPartition
 from charsum.cli import VERBS, _build_parser, main
+from charsum.cyclotomic import a_beta
 from charsum.errors import IdentityViolation
 from charsum.field import build_field
 from conftest import count_calls, get_field, get_partition
@@ -198,6 +201,45 @@ def test_verify_scope_all_covers_every_op(capsys):
     assert cov and cov[0]["pass"]
 
 
+def test_a_declared_op_never_invoked_fails_coverage(capsys, monkeypatch):
+    monkeypatch.setattr(registry, "ALL_OPS", set(registry.ALL_OPS))
+
+    @registry.op
+    def throwaway():
+        pass
+
+    code, report, _ = run_json(capsys, "verify", "--scope", "all",
+                               "--q-max", "31", "--threads", "1")
+    assert code == 2
+    assert [c for c in report["checks"] if not c["pass"]] == [
+        {"name": "op_coverage", "expected": "27 ops invoked",
+         "actual": "26 ops invoked, missing: ['throwaway']", "pass": False}]
+
+
+def test_an_op_that_raises_is_recorded(monkeypatch):
+    field, part = get_field(7), get_partition(7, 1, 3)
+    monkeypatch.setattr(registry, "_called", set())
+    with pytest.raises(ValueError, match="beta must be nonzero"):
+        a_beta(field, part, 0)
+    assert registry.called() == {"a_beta"}
+
+
+def test_ops_keep_their_name_and_module():
+    # perfbench/tracer.py wraps a module's functions whose __module__ is that
+    # module, and reports them by module and name
+    declared = []
+    for mod in [m for k, m in sys.modules.items() if k.startswith("charsum.")]:
+        owners = [mod] + [c for c in vars(mod).values()
+                          if isinstance(c, type) and c.__module__ == mod.__name__]
+        for owner in owners:
+            for attr, obj in vars(owner).items():
+                if (attr in registry.ALL_OPS
+                        and getattr(obj, "__module__", None) == mod.__name__):
+                    assert obj.__name__ == obj.__wrapped__.__name__ == attr
+                    declared.append(attr)
+    assert sorted(declared) == sorted(registry.ALL_OPS) and len(declared) == 26
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys, "repcount")[0] == 1                  # missing --field
@@ -254,10 +296,11 @@ def test_family_verbs_compute_each_value_once(capsys, monkeypatch):
 
 
 def test_jacobi_computes_each_gauss_sum_once(capsys, monkeypatch):
-    # G(chi) feeds the quotient and the |G|^2 check, G(conj chi) the quotient
+    # G(chi) feeds the quotient and the |G|^2 check; G(conj chi) reads the
+    # same partition's labels and calls no gauss_sum
     gauss = count_calls(monkeypatch, "gauss_sum")
     assert run_cli(capsys, "jacobi", "--field", "7")[0] == 0
-    assert sorted(args[1].conjugate for args in gauss) == [False, True]
+    assert [args[1].conjugate for args in gauss] == [False]
 
 
 def test_tables_and_charpoly_run_above_4096(capsys):

@@ -138,6 +138,18 @@ def test_jacobi_from_gauss_matches_exact(p, m):
     assert abs(jacobi_from_gauss(f, part) - j.to_complex()) < 1e-6
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 6), (7, 1), (13, 1), (5, 2), (31, 1)])
+def test_jacobi_from_gauss_reads_the_conjugate_off_the_labels(p, m):
+    # G(conj chi) from the partition's own labels is the conjugate
+    # partition's Gauss sum bit for bit, for either flag
+    f = get_field(p, m)
+    for conjugate in (False, True):
+        g, g_bar = (gauss_sum(f, get_partition(p, m, 3, conjugate=c))
+                    for c in (conjugate, not conjugate))
+        assert jacobi_from_gauss(f, get_partition(p, m, 3, conjugate=conjugate)) \
+            == g * g / g_bar
+
+
 def test_jacobi_from_gauss_f7_embedding():
     val = jacobi_from_gauss(get_field(7), get_partition(7, 1, 3))
     assert abs(val - complex(0.5, -3 * cmath.sqrt(3).real / 2)) < 1e-6

@@ -5,10 +5,9 @@ import pytest
 
 from charsum.characters import memo
 from charsum.cyclotomic import jacobi_cubic
-from charsum.errors import IdentityViolation
 from charsum.groupring import (GroupRingElement, characteristic_fn,
                                cubic_sigma, gr_mul, monomial, phi,
-                               quadratic_sigma, _exact_div_vec)
+                               quadratic_sigma)
 from conftest import count_calls, get_field, get_partition
 
 
@@ -157,14 +156,6 @@ def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
         a._check_same_field(b)
     assert a != b
-
-
-def test_exact_div_vec_raises():
-    f = get_field(3)
-    el = GroupRingElement(f, [3, 6, 9])
-    assert _exact_div_vec(el, 3, "x") == GroupRingElement(f, [1, 2, 3])
-    with pytest.raises(IdentityViolation):
-        _exact_div_vec(GroupRingElement(f, [3, 6, 10]), 3, "x")
 
 
 def test_coefficients_above_the_bound_are_refused():

@@ -4,13 +4,12 @@ import pytest
 from charsum import checks
 from charsum.cyclotomic import jacobi_cubic
 from charsum.eisenstein import EisensteinInt
-from charsum.errors import IdentityViolation
+from charsum.errors import IdentityViolation, exact_div
 from charsum.repcount import (brute_rep_count, closed_rep_class_table,
                               closed_rep_count_cubic,
                               closed_rep_count_quadratic, cubic_K,
                               perron_table, rep_count_table,
-                              rep_count_zero, rep_count_zero_brute,
-                              _exact_div)
+                              rep_count_zero, rep_count_zero_brute)
 from conftest import get_field, get_partition
 
 
@@ -158,6 +157,9 @@ def test_rep_count_result_payload():
 
 
 def test_exact_div_raises_on_remainder():
-    assert _exact_div(12, 4, "x") == 3
-    with pytest.raises(IdentityViolation):
-        _exact_div(13, 4, "x")
+    # one helper for the closed-form counts (ints) and the sigma vectors (arrays)
+    assert exact_div(12, 4, "x") == 3
+    assert np.array_equal(exact_div(np.array([3, 6, 9]), 3, "x"), [1, 2, 3])
+    for value in (13, np.array([4, 8, 13])):
+        with pytest.raises(IdentityViolation, match="x: not divisible by 4"):
+            exact_div(value, 4, "x")

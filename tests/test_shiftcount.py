@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,23 @@ def test_query_validation():
         max_shift_count(f7, p7, 4)             # coset has only 3 elements
     with pytest.raises(ValueError):
         max_shift_count(f7, p7, 0)
+
+
+def test_max_shift_count_refuses_oversized_work_before_allocating(monkeypatch):
+    # F_2^12, t = 4: the (q, q) table would take 64 MB (16 GiB at 2^16);
+    # F_4093, t = 5: C(2046, 5) * 4093 candidates for the search
+    for name in ("quad_counts", "_label_rows"):
+        monkeypatch.setattr(shiftcount, name, pytest.fail)
+    for p, m, n, t in [(2, 12, 3, 4), (4093, 1, 2, 5)]:
+        f, part = get_field(p, m), get_partition(p, m, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="subset search too large"):
+                max_shift_count(f, part, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, (p, m, peak)
 
 
 def test_known_maxima():
