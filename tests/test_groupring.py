@@ -5,6 +5,7 @@ import pytest
 
 from charsum.characters import memo
 from charsum.cyclotomic import jacobi_cubic
+from charsum.errors import IdentityViolation, exact_div
 from charsum.groupring import (GroupRingElement, characteristic_fn,
                                cubic_sigma, gr_mul, monomial, phi,
                                quadratic_sigma)
@@ -156,6 +157,15 @@ def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
         a._check_same_field(b)
     assert a != b
+
+
+def test_exact_div_vec_raises():
+    # the sigma vectors are divided exactly on their int64 coefficients
+    f = get_field(3)
+    el = GroupRingElement(f, [3, 6, 9])
+    assert same(exact_div(el.coeffs, 3, "x"), GroupRingElement(f, [1, 2, 3]))
+    with pytest.raises(IdentityViolation):
+        exact_div(GroupRingElement(f, [3, 6, 10]).coeffs, 3, "x")
 
 
 def test_coefficients_above_the_bound_are_refused():
