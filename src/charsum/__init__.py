@@ -22,16 +22,16 @@ from .groupring import (GroupRingElement, characteristic_fn, cubic_sigma,
 from .repcount import (brute_rep_count, closed_rep_count_cubic,
                        closed_rep_count_quadratic, perron_table,
                        rep_count_zero)
-from .shiftcount import (affine_max_shift3, affine_max_shift4,
-                         closed_form_max3, max_shift_count, shift_count)
+from .shiftcount import (affine_max_shift, closed_form_max3, max_shift_count,
+                         shift_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CosetPartition", "EisensteinInt", "FieldSpec",
     "FieldTable", "GroupRingElement", "IdentityViolation", "OMEGA",
-    "UnsupportedCharacterError", "a_beta", "affine_max_shift3",
-    "affine_max_shift4", "brute_rep_count",
+    "UnsupportedCharacterError", "a_beta", "affine_max_shift",
+    "brute_rep_count",
     "build_field", "char_sum_moment", "character_exists",
     "characteristic_fn", "closed_form_max3", "closed_rep_count_cubic",
     "closed_rep_count_quadratic", "cubic_sigma", "find_irreducible",

@@ -12,18 +12,15 @@ the absolute trace to Z_p.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from . import registry
 from .characters import (CosetPartition, fold_pairs, label_pairs, memo,
                          pair_table)
-from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
+from .eisenstein import (OMEGA_COMPLEX, EisensteinInt, from_omega_counts,
+                         omega_pow)
 from .errors import IdentityViolation
 from .field import FieldTable
-
-_W = cmath.exp(2j * cmath.pi / 3)    # the cubic character's value w, numerically
 
 
 @registry.op
@@ -81,7 +78,8 @@ def gauss_sum(field: FieldTable, part: CosetPartition, mode: str = "numeric"):
         return from_omega_counts(*counts)
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    values = (1.0, -1.0) if part.n == 2 else (1, _W, _W * _W)
+    w = OMEGA_COMPLEX
+    values = (1.0, -1.0) if part.n == 2 else (1, w, w * w)
     return _numeric_gauss(field, lab, values)
 
 
@@ -98,7 +96,8 @@ def jacobi_from_gauss(field: FieldTable, part: CosetPartition) -> complex:
     if part.n != 3:
         raise ValueError("cubic partition expected")
     g = memo(part, gauss_sum)
-    g_bar = _numeric_gauss(field, part.labels, (1, _W * _W, _W))   # w <-> w^2
+    w = OMEGA_COMPLEX
+    g_bar = _numeric_gauss(field, part.labels, (1, w * w, w))   # w <-> w^2
     return g * g / g_bar
 
 

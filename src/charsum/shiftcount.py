@@ -25,6 +25,10 @@ run the exhaustive search, which keeps, per candidate prefix, the per-beta
 single vectorized comparison; subtrees that cannot beat the current best
 are pruned.  Either way the first maximum in lexicographic element order is
 kept, so the reported witness is deterministic.
+
+Every rule of a shift query lives here, each bound at its allocation:
+``max_shift_count`` for all t, ``affine_max_shift`` (t = 3 and 4) for the
+t = 4 table; ``closed_form_max3`` is None where no closed form is stated.
 """
 
 from __future__ import annotations
@@ -107,30 +111,25 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
 
     The witness is the lexicographically least maximizing subset in
     element-index order.  t <= 4 take the affine reduction: t = 1 and t = 2
-    in closed form, t = 3 and t = 4 by ``affine_max_shift3`` and
-    ``affine_max_shift4``; larger t run the exhaustive search.  A t = 4 table
-    or a search above its size bound raises ValueError before allocating.
+    in closed form, t = 3 and t = 4 by ``affine_max_shift`` (which bounds the
+    t = 4 table); larger t run the exhaustive search.  Raises ValueError for
+    t < 1, a coset smaller than t, or a search above its bound (2e10).
     """
     if t < 1:
-        raise ValueError("t must be positive")
+        raise ValueError("--t must be positive")
     coset0 = part.cosets[0]
     if len(coset0) < t:
-        raise ValueError(
-            f"coset size {len(coset0)} is too small for t = {t}")
-    if (field.q ** 2 > 1 << 22 if t == 4
-            else t > 4 and math.comb(len(coset0), t) * field.q > 2e10):
-        raise ValueError("subset search too large; reduce --t or the field")
+        raise ValueError(f"coset size {len(coset0)} < t = {t}")
     if t == 1:
         return field.q - 1, (int(coset0[0]),)
     if t == 2:
         pairs = int(np.trace(label_pairs(field, part, 1, 1)))
         return pairs, (int(coset0[0]), int(coset0[1]))
-    if t == 3:
-        return affine_max_shift3(field, part)
-    if t == 4:
-        return affine_max_shift4(field, part)
-    rows = _label_rows(field, part, coset0)
-    best, wit = _scan_max(rows, t)
+    if t <= 4:
+        return affine_max_shift(field, part, t)
+    if math.comb(len(coset0), t) * field.q > 2e10:
+        raise ValueError("subset search too large; reduce --t or the field")
+    best, wit = _scan_max(_label_rows(field, part, coset0), t)
     return best, tuple(int(coset0[w]) for w in wit)
 
 
@@ -175,17 +174,26 @@ def affine_ratios(field: FieldTable, e1: int, e2: int, xs) -> np.ndarray:
                          field.add_vec(field.neg(e1), xs))
 
 
-def _affine_walk(field: FieldTable, part: CosetPartition,
-                 table: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Max of a reduction table over distinct ratios not in {0, 1}, and the
-    lex-first subset of coset 0 whose ratios attain it.
-
-    ``table`` is M(d) (t = 3) or M2(d1, d2) (t = 4).  The walk takes the
-    prefixes e_i < e_j of coset 0 in lex order; per prefix, d[x] =
-    (e_x - e_i)/(e_j - e_i) for each later e_x, and the first increasing
-    index tuple x with table[d[x]] = max gives the witness.  Rows d_l that
-    hold no maximum are skipped.
+@registry.op
+def affine_max_shift(field: FieldTable, part: CosetPartition,
+                     t: int) -> tuple[int, tuple[int, ...]]:
+    """max N(t) for t = 3 or 4 by the affine reduction, with the lex-first
+    witness: the max of M (``triple_counts``) or M2 (``quad_counts``) over
+    distinct ratios not in {0, 1}.  The walk takes the prefixes e_i < e_j of
+    coset 0 in lex order; per prefix, d[x] = (e_x - e_i)/(e_j - e_i) for
+    each later e_x, and the first increasing index tuple x with
+    table[d[x]] = max gives the witness; rows d_l that hold no maximum are
+    skipped.  Raises ValueError for any other t, and for a t = 4 table above
+    q^2 = 2^22 cells before building it.
     """
+    if t == 3:
+        table = memo(part, triple_counts)
+    elif t == 4:
+        if field.q ** 2 > 1 << 22:
+            raise ValueError("subset search too large; reduce --t or the field")
+        table = memo(part, quad_counts)
+    else:
+        raise ValueError(f"the affine reduction takes t = 3 or 4, not {t}")
     masked = np.array(table)
     masked[:2] = -1                      # a ratio of 0 or 1
     if masked.ndim == 2:
@@ -194,7 +202,7 @@ def _affine_walk(field: FieldTable, part: CosetPartition,
     best = int(masked.max())
     top = masked == best
     live = top.reshape(field.q, -1).any(axis=1)
-    later = top.ndim - 1                 # elements after the row element
+    later = t - 3                        # elements after the row element
     coset0 = part.cosets[0]
     for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
         d = affine_ratios(field, int(coset0[i]), int(coset0[j]), coset0[j + 1:])
@@ -210,53 +218,25 @@ def _affine_walk(field: FieldTable, part: CosetPartition,
 
 
 @registry.op
-def affine_max_shift3(field: FieldTable,
-                      part: CosetPartition) -> tuple[int, tuple[int, ...]]:
-    """max N(3) by the affine reduction, with the lex-first witness.
-
-    x -> s*x + e maps {0, 1, d} onto the triple {e, e+s, e+s*d}, and scaling
-    by s only permutes coset labels, so that triple has N = M(d)
-    (``triple_counts``); M(d) >= 1 exactly when some same-coset triple
-    realises d.  Hence max N(3) = max over d not in {0, 1} of M(d), and
-    ``_affine_walk`` finds the witness.
-    """
-    return _affine_walk(field, part, memo(part, triple_counts))
-
-
-def affine_max_shift4(field: FieldTable,
-                      part: CosetPartition) -> tuple[int, tuple[int, ...]]:
-    """max N(4) by the affine reduction, with the lex-first witness.
-
-    As for t = 3: {e, e+s, e+s*d1, e+s*d2} has N = M2(d1, d2)
-    (``quad_counts``), so max N(4) = max over distinct d1, d2 not in {0, 1}
-    of M2, and ``_affine_walk`` finds the witness.
-    """
-    return _affine_walk(field, part, memo(part, quad_counts))
-
-
-@registry.op
-def closed_form_max3(field: FieldTable, n: int) -> int:
+def closed_form_max3(field: FieldTable, n: int) -> int | None:
     """Predicted value of 1 + max N(3) from the case closed forms.
 
     Quadratic: (q-1)/4 for p = 1 mod 4; (q+1)/4 for p = 3 mod 4, m odd;
-    (q-1)/4 for p = 3 mod 4, m even.  Cubic (characteristic 2 only):
-    (q + 2^(m/2) - 2)/9 for m/2 even, (q + 2^(m/2+1) + 1)/9 for m/2 odd.
+    (q-1)/4 for p = 3 mod 4, m even.  Cubic: (q + 2^(m/2) - 2)/9 for m/2
+    even, (q + 2^(m/2+1) + 1)/9 for m/2 odd, in characteristic 2; None in odd
+    characteristic, where no closed form is stated.
     """
     q, p, m = field.q, field.p, field.m
     if n == 2:
         if p == 2:
             raise UnsupportedCharacterError("quadratic case needs odd p")
-        if p % 4 == 1 or m % 2 == 0:
-            num = q - 1
-        else:
-            num = q + 1
+        num = q - 1 if p % 4 == 1 or m % 2 == 0 else q + 1
         if num % 4:
             raise IdentityViolation("closed form is not an integer")
         return num // 4
     if n == 3:
         if p != 2:
-            raise ValueError(
-                "the cubic closed form is stated for characteristic 2 only")
+            return None
         if m % 2:
             raise UnsupportedCharacterError("cubic case needs even m")
         h = m // 2

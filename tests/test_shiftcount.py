@@ -11,9 +11,9 @@ from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
-from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift3,
-                                affine_max_shift4, closed_form_max3,
-                                extension_counts, max_shift_count, shift_count)
+from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift,
+                                closed_form_max3, extension_counts,
+                                max_shift_count, shift_count)
 from conftest import get_field, get_partition
 
 
@@ -64,23 +64,30 @@ def test_query_validation():
         max_shift_count(f7, p7, 4)             # coset has only 3 elements
     with pytest.raises(ValueError):
         max_shift_count(f7, p7, 0)
+    f13, p13 = get_field(13), get_partition(13, 1, 2)
+    for t in (2, 5):                        # the reduction covers t = 3, 4 only
+        with pytest.raises(ValueError, match="t = 3 or 4"):
+            affine_max_shift(f13, p13, t)
 
 
 def test_max_shift_count_refuses_oversized_work_before_allocating(monkeypatch):
-    # F_2^12, t = 4: the (q, q) table would take 64 MB (16 GiB at 2^16);
+    # F_2^12, t = 4: the (q, q) table would take 64 MB (16 GiB at 2^16),
+    # by max_shift_count and by the affine route called directly;
     # F_4093, t = 5: C(2046, 5) * 4093 candidates for the search
     for name in ("quad_counts", "_label_rows"):
         monkeypatch.setattr(shiftcount, name, pytest.fail)
-    for p, m, n, t in [(2, 12, 3, 4), (4093, 1, 2, 5)]:
+    for query, p, m, n, t in [(max_shift_count, 2, 12, 3, 4),
+                              (affine_max_shift, 2, 12, 3, 4),
+                              (max_shift_count, 4093, 1, 2, 5)]:
         f, part = get_field(p, m), get_partition(p, m, n)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="subset search too large"):
-                max_shift_count(f, part, t)
+                query(f, part, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 16, (p, m, peak)
+        assert peak < 1 << 16, (query.__name__, p, m, peak)
 
 
 def test_known_maxima():
@@ -101,8 +108,7 @@ def test_closed_form_values():
     assert closed_form_max3(get_field(7, 2), 2) == 12      # q = 49, p = 3 mod 4, m even
     assert closed_form_max3(get_field(13), 2) == 3         # p = 1 mod 4
     assert closed_form_max3(get_field(7), 2) == 2          # p = 3 mod 4, m odd
-    with pytest.raises(ValueError):
-        closed_form_max3(get_field(7), 3)                  # cubic form needs p = 2
+    assert closed_form_max3(get_field(7), 3) is None       # cubic form needs p = 2
 
 
 def test_closed_form_that_is_no_integer_is_an_identity_violation():
@@ -117,7 +123,7 @@ def test_closed_form_that_is_no_integer_is_an_identity_violation():
 def test_affine_max_matches_subset_search(case):
     p, m, n = case
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert affine_max_shift3(f, part) == searched_max(f, part)
+    assert affine_max_shift(f, part, 3) == searched_max(f, part)
 
 
 @pytest.mark.parametrize("p,m,n", triple_fields(200))
@@ -155,7 +161,7 @@ def test_witness_walk_reaches_every_row(monkeypatch, p, m, n):
         table = np.zeros(f.q, dtype=np.int64)
         table[d] = 1
         monkeypatch.setattr(shiftcount, "triple_counts", lambda field, part: table)
-        assert affine_max_shift3(f, partition(f, n)) == (1, triple)
+        assert affine_max_shift(f, partition(f, n), 3) == (1, triple)
 
 
 @pytest.mark.parametrize("p,m,n", [(5, 2, 3), (17, 1, 2)])
@@ -177,7 +183,7 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
         table = np.zeros((f.q, f.q), dtype=np.int32)
         table[d1, d2] = 1
         monkeypatch.setattr(shiftcount, "quad_counts", lambda field, part: table)
-        assert affine_max_shift4(f, partition(f, n)) == (1, quad)
+        assert affine_max_shift(f, partition(f, n), 4) == (1, quad)
 
 
 @given(st.sampled_from(QUAD_FIELDS))
