@@ -161,10 +161,8 @@ def _emit_csv(args, results, rendered) -> str:
         writer.writerow(["beta_label", "i", "j", "count"])
         for row in results["classes"]:
             writer.writerow([row["beta_label"], row["i"], row["j"], row["count"]])
-        for key in ("qr_as_two_qr", "qr_as_two_nonres",
-                    "nonres_as_two_qr", "nonres_as_two_nonres"):
-            if key in results:
-                writer.writerow([key, "", "", results[key]])
+        writer.writerows([key, "", "", value]
+                         for key, value in results.items() if key != "classes")
     else:
         writer.writerow(["name", "expected", "actual", "pass"])
         writer.writerows(c.values() for c in rendered)

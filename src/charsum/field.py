@@ -19,6 +19,9 @@ Two canonical choices make every output reproducible across runs:
   on an extension field, whose indices below p are the prime subfield:
   their orders divide p - 1 < q - 1.
 
+Construction computes in Z_p[x]/(f) on int64 matrices, through the
+companion matrix of the modulus f; m (p - 1)^2 >= 2^63 is refused.
+
 Everything here is exhaustive-by-design, so field sizes are capped: every
 ``build_field`` call checks 2**16, or the CHARSUM_SIZE_CAP environment
 variable if set.
@@ -91,92 +94,72 @@ def prime_powers(limit: int, minimum: int = 2) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over Z_p.  Coefficient lists, constant term first,
-# trailing zeros trimmed.  Only used during field construction.
+# Arithmetic in Z_p[x]/(f) for field construction, on matrices.  With C the
+# companion matrix of a monic f of degree m, g -> g(C) is an injective ring
+# map of Z_p[x]/(f) into the m x m matrices over Z_p (Lidl and Niederreiter,
+# Finite Fields, ch. 2): g(C) = 0 exactly when f | g, and g(C) is invertible
+# exactly when gcd(g, f) = 1.  g(C) is also the matrix of y -> g y in the
+# basis 1, x, ..., x^(m-1), column i holding the coordinates of g x^i.
+# Products run in int64, where an entry sums m terms below p^2, so every
+# entry point refuses m (p - 1)^2 >= 2^63 before forming one.
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+def _check_int64(p: int, m: int) -> None:
+    if m * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"m (p - 1)^2 >= 2^63 for p = {p}, m = {m}: int64 would wrap")
 
 
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fi) % p
-        a.pop()
-    return _ptrim(a)
+def _companion(f, p: int) -> np.ndarray:
+    """C = x(C): ones below the diagonal, -f_0 .. -f_{m-1} in the last column."""
+    c = np.eye(len(f) - 1, k=-1, dtype=np.int64)
+    c[:, -1] = [-a % p for a in f[:-1]]
+    return c
 
 
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
+def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a**e mod p for e >= 1, by square and multiply from the top bit down."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = out @ out % p
+        if bit == "1":
+            out = out @ a % p
+    return out
 
 
-def _xpowmod(e: int, f: list[int], p: int) -> list[int]:
-    """x**e mod f by square and multiply."""
-    result = [1]
-    base = _pmod([0, 1], f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
+def _full_rank(a: np.ndarray, p: int) -> bool:
+    """Whether a square matrix over Z_p, entries in [0, p), is invertible."""
+    rows = a.tolist()
+    for col in range(len(rows)):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        scale = pow(pivot[col], -1, p)
+        rows = [[(x - r[col] * scale * y) % p for x, y in zip(r, pivot)]
+                for r in rows]
+    return True
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over Z_p.
+    """Irreducibility of a monic polynomial over Z_p (Rabin's test).
 
-    Certified by x**(p**m) == x (mod f) together with
-    gcd(x**(p**(m/l)) - x, f) == 1 for every prime l dividing m.
+    With C the companion matrix of f, certified by C**(p**m) == C, that is
+    x**(p**m) == x (mod f), together with C**(p**(m/l)) - C of full rank,
+    that is gcd(x**(p**(m/l)) - x, f) == 1, for every prime l dividing m.
+    Raises ValueError where m (p - 1)^2 >= 2^63.
     """
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")
+    _check_int64(p, m)
     if m == 1:
         return True
-
-    def xpow_minus_x(k: int) -> list[int]:
-        diff = _xpowmod(p ** k, f, p)
-        diff += [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % p
-        return _ptrim(diff)
-
-    if xpow_minus_x(m):
-        return False
-    for ell in prime_factors(m):
-        if len(_pgcd(f, xpow_minus_x(m // ell), p)) != 1:
-            return False
-    return True
+    c = _companion(f, p)
+    frobenius = [c]                     # C**(p**k) for k = 0 .. m
+    for _ in range(m):
+        frobenius.append(_matpow(frobenius[-1], p, p))
+    return (np.array_equal(frobenius[m], c)
+            and all(_full_rank((frobenius[m // ell] - c) % p, p)
+                    for ell in prime_factors(m)))
 
 
 @registry.op
@@ -207,7 +190,7 @@ class FieldSpec:
     """Validated description of F_{p^m}: characteristic, degree, modulus.
 
     The modulus is a length-(m+1) coefficient tuple, constant term first,
-    leading coefficient 1, irreducible over Z_p.
+    leading coefficient 1, irreducible over Z_p; m (p - 1)^2 < 2^63.
     """
 
     p: int
@@ -219,6 +202,7 @@ class FieldSpec:
             raise ValueError(f"p = {self.p} is not prime")
         if self.m < 1:
             raise ValueError("m must be positive")
+        _check_int64(self.p, self.m)
         mod = tuple(int(c) for c in self.modulus)
         object.__setattr__(self, "modulus", mod)
         if len(mod) != self.m + 1 or mod[-1] != 1:
@@ -277,56 +261,46 @@ class FieldTable:
         self.dlog_table = np.full(self.q, -1, dtype=np.int64)
         self.dlog_table[self.exp] = np.arange(self.q - 1, dtype=np.int64)
 
-    # -- construction helpers (polynomial arithmetic, no tables yet) --
+    # -- construction helpers (matrices over Z_p, no tables yet) --
 
-    def _idx_to_poly(self, x: int) -> list[int]:
-        return _ptrim([(x // self.p ** i) % self.p for i in range(self.m)])
-
-    def _poly_to_idx(self, poly: list[int]) -> int:
-        return sum(c * self.p ** i for i, c in enumerate(poly))
-
-    def _raw_mul(self, x: int, y: int) -> int:
-        f = list(self.spec.modulus)
-        return self._poly_to_idx(
-            _pmulmod(self._idx_to_poly(x), self._idx_to_poly(y), f, self.p))
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, x)
-            x = self._raw_mul(x, x)
-            e >>= 1
-        return r
+    def _mul_matrix(self, g: int) -> np.ndarray:
+        """M_g = g(C), the matrix of y -> g y: column i holds the coordinates
+        of g eta^i, which is C times column i - 1."""
+        p, m = self.p, self.m
+        out = np.empty((m, m), dtype=np.int64)
+        out[:, 0] = [g // p ** i % p for i in range(m)]
+        if m > 1:                       # a prime field's M_g is just [[g]]
+            c = _companion(self.spec.modulus, p)
+            for i in range(1, m):
+                out[:, i] = c @ out[:, i - 1] % p
+        return out
 
     def _find_alpha(self) -> int:
         if self.q == 2:
             return 1
+        p, m = self.p, self.m
         cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
-        # on a prime field the index is the residue, so Python's pow applies
-        power = (lambda g, e: pow(g, e, self.p)) if self.m == 1 else self._raw_pow
+        # on a prime field the index is the residue, so Python's pow applies;
+        # otherwise column 0 of M_g**e = M_(g**e) holds the coordinates of g**e
+        place = p ** np.arange(m)
+        power = ((lambda g, e: pow(g, e, p)) if m == 1 else
+                 lambda g, e: _matpow(self._mul_matrix(g), e, p)[:, 0] @ place)
         # indices below p are the prime subfield, too small to generate
         # F_q* when m > 1
-        for g in range(2 if self.m == 1 else self.p, self.q):
+        for g in range(2 if m == 1 else p, self.q):
             if all(power(g, e) != 1 for e in cofactors):
                 return g
         raise RuntimeError("no primitive element found")
 
     def _build_exp(self) -> np.ndarray:
         q, p, m = self.q, self.p, self.m
-        # multiplication by alpha is linear with matrix A; by doubling, the
+        # multiplication by alpha has matrix A = M_alpha; by doubling, the
         # coordinate rows of alpha**0 .. alpha**(k-1) times (A**k)^T are
         # those of alpha**k .. alpha**(2k-1), so O(log q) products suffice
-        f = list(self.spec.modulus)
-        apoly = self._idx_to_poly(self.alpha)
         # a product entry sums m terms below p^2, an index is below q: int32
         # halves the rows wherever both fit
         dtype = np.int32 if max(m * (p - 1) ** 2, q) < 2 ** 31 else np.int64
-        mat = np.zeros((m, m), dtype=dtype)
-        for i in range(m):
-            col = _pmulmod(apoly, [0] * i + [1], f, p)
-            for r, c in enumerate(col):
-                mat[r, i] = c
+        mat = self._mul_matrix(self.alpha).astype(dtype)
         if p == 2:
             return self._build_exp_bits(mat)
         rows = np.zeros((max(q - 1, 1), m), dtype=dtype)

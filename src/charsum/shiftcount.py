@@ -183,18 +183,17 @@ def affine_max_shift(field: FieldTable, part: CosetPartition,
     coset 0 in lex order; per prefix, d[x] = (e_x - e_i)/(e_j - e_i) for
     each later e_x, and the first increasing index tuple x with
     table[d[x]] = max gives the witness; rows d_l that hold no maximum are
-    skipped.  Raises ValueError for any other t, and for a t = 4 table above
-    q^2 = 2^22 cells before building it.
+    skipped.  Raises ValueError for any other t, for a coset smaller than t,
+    and for a t = 4 table above q^2 = 2^22 cells, each before the table.
     """
-    if t == 3:
-        table = memo(part, triple_counts)
-    elif t == 4:
-        if field.q ** 2 > 1 << 22:
-            raise ValueError("subset search too large; reduce --t or the field")
-        table = memo(part, quad_counts)
-    else:
+    coset0 = part.cosets[0]
+    if t not in (3, 4):
         raise ValueError(f"the affine reduction takes t = 3 or 4, not {t}")
-    masked = np.array(table)
+    if len(coset0) < t:
+        raise ValueError(f"coset size {len(coset0)} < t = {t}")
+    if t == 4 and field.q ** 2 > 1 << 22:
+        raise ValueError("subset search too large; reduce --t or the field")
+    masked = np.array(memo(part, triple_counts if t == 3 else quad_counts))
     masked[:2] = -1                      # a ratio of 0 or 1
     if masked.ndim == 2:
         masked[:, :2] = -1
@@ -203,7 +202,6 @@ def affine_max_shift(field: FieldTable, part: CosetPartition,
     top = masked == best
     live = top.reshape(field.q, -1).any(axis=1)
     later = t - 3                        # elements after the row element
-    coset0 = part.cosets[0]
     for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
         d = affine_ratios(field, int(coset0[i]), int(coset0[j]), coset0[j + 1:])
         for l in np.flatnonzero(live[d[:len(d) - later]]).tolist():

@@ -46,6 +46,38 @@ def test_find_irreducible_is_minimal(p, m):
         assert not is_irreducible(cand, p)
 
 
+def monic(p, m):
+    """Every monic polynomial of degree m over Z_p, constant term first."""
+    return [[k // p ** i % p for i in range(m)] + [1] for k in range(p ** m)]
+
+
+@pytest.mark.parametrize("p,m_max", [(2, 6), (3, 4), (5, 4)])
+def test_is_irreducible_matches_trial_division(p, m_max):
+    # f of degree m is reducible exactly when a monic factor of degree
+    # 1 .. m/2 divides it
+    for m in range(1, m_max + 1):
+        divisors = [d for k in range(1, m // 2 + 1) for d in monic(p, k)]
+        for f in monic(p, m):
+            expected = all(any(poly_rem(f, d, p)) for d in divisors)
+            assert is_irreducible(f, p) == expected, (p, f)
+
+
+def test_int64_range_is_refused_before_any_product(monkeypatch):
+    p = 2 ** 31 + 11                    # prime; (p - 1)^2 < 2^63 <= 2 (p - 1)^2
+    assert is_prime(p)
+    assert is_irreducible([0, 1], p) and FieldSpec(p, 1, (0, 1)).q == p
+
+    def no_products(*args):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr(field_mod, "_companion", no_products)
+    for call in (lambda: is_irreducible([1, 0, 1], p),
+                 lambda: FieldSpec(p, 2, (1, 0, 1)),
+                 lambda: find_irreducible(p, 2)):
+        with pytest.raises(ValueError, match="int64"):
+            call()
+
+
 def unfiltered_lex_search(p, m):
     """The modulus search without the root pre-filter: every candidate in
     lex order goes to the irreducibility test."""
@@ -120,13 +152,13 @@ def test_alpha_canonical_values():
 
 
 def test_prime_field_alpha_matches_the_polynomial_search():
-    # prime fields search with pow(g, e, p); the polynomial _raw_pow is the
+    # prime fields search with pow(g, e, p); the polynomial power is the
     # reference, the least g of order p - 1 either way
     for p in filter(is_prime, range(3, 2000)):
         f = build_field(p)
         cofactors = [(p - 1) // ell for ell in prime_factors(p - 1)]
         alpha = next(g for g in range(2, p)
-                     if all(f._raw_pow(g, e) != 1 for e in cofactors))
+                     if all(poly_pow(f.spec, g, e) != 1 for e in cofactors))
         assert f.alpha == alpha, p
 
 
@@ -206,7 +238,7 @@ def test_exp_table_matches_polynomial_powers(p, m):
     f = get_field(p, m)
     hs = np.random.default_rng(p * m).integers(0, f.q - 1, 40).tolist()
     for h in [0, 1, f.q - 2] + hs:
-        assert f.exp[h] == f._raw_pow(f.alpha, h)
+        assert f.exp[h] == poly_pow(f.spec, f.alpha, h)
 
 
 def test_index_coeffs_bijection():
@@ -278,7 +310,7 @@ def test_mul_agrees_with_polynomial_route():
     rng = np.random.default_rng(5)
     for _ in range(100):
         x, y = (int(v) for v in rng.integers(0, f.q, 2))
-        assert f.mul(x, y) == f._raw_mul(x, y)
+        assert f.mul(x, y) == poly_mul(f.spec, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +318,39 @@ def test_mul_agrees_with_polynomial_route():
 # coordinates off the index, kept as the oracle: a sum gathers coordinate rows
 # of a (q, m) table and adds them mod p, the negation is digit-wise, and the
 # exp table doubles coordinate rows by integer matrix products, the columns of
-# A being alpha * eta^i by polynomial product.
+# A being alpha * eta^i by polynomial product.  The polynomial product and
+# power read the modulus only, so they stay independent of the companion
+# matrices that field construction runs on.
+
+def poly_rem(a, f, p):
+    """a mod the monic f over Z_p, both coefficient lists, constant term first."""
+    a, m = [c % p for c in a], len(f) - 1
+    for k in range(len(a) - 1, m - 1, -1):
+        c = a[k]
+        for i, fi in enumerate(f):
+            a[k - m + i] = (a[k - m + i] - c * fi) % p
+    return a[:m]
+
+
+def poly_mul(spec, x, y):
+    """The index of x * y in Z_p[eta]/(modulus), by schoolbook product."""
+    p, m = spec.p, spec.m
+    xs, ys = ([v // p ** i % p for i in range(m)] for v in (x, y))
+    prod = [0] * (2 * m - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            prod[i + j] += a * b
+    return sum(c * p ** i for i, c in enumerate(poly_rem(prod, spec.modulus, p)))
+
+
+def poly_pow(spec, x, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = poly_mul(spec, out, x)
+        x, e = poly_mul(spec, x, x), e >> 1
+    return out
+
 
 @functools.lru_cache(maxsize=None)
 def digit_table(p, m):
@@ -304,7 +368,8 @@ def digit_neg(f):
 
 def matmul_exp(f):
     d, place = digit_table(f.p, f.m), f.p ** np.arange(f.m)
-    mat = np.stack([d[f._raw_mul(f.alpha, f.p ** i)] for i in range(f.m)], axis=1)
+    mat = np.stack([d[poly_mul(f.spec, f.alpha, f.p ** i)] for i in range(f.m)],
+                   axis=1)
     rows = np.zeros((f.q - 1, f.m), dtype=np.int64)
     rows[0, 0] = 1
     power, k = mat, 1

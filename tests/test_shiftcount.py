@@ -68,6 +68,9 @@ def test_query_validation():
     for t in (2, 5):                        # the reduction covers t = 3, 4 only
         with pytest.raises(ValueError, match="t = 3 or 4"):
             affine_max_shift(f13, p13, t)
+    for p, t in ((5, 3), (7, 4)):           # a coset of (p - 1)/2 < t elements
+        with pytest.raises(ValueError, match=f"coset size {(p - 1) // 2} < t = {t}"):
+            affine_max_shift(get_field(p), get_partition(p, 1, 2), t)
 
 
 def test_max_shift_count_refuses_oversized_work_before_allocating(monkeypatch):
