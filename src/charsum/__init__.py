@@ -10,6 +10,18 @@ the additive group algebra, and the quasi-duality linking maximal
 representation counts to maximal shift counts.
 """
 
+import os
+
+# numpy's OpenBLAS starts one worker thread per extra CPU at import, and
+# they spin in every charsum process though charsum makes no BLAS call:
+# every `@` and np.matmul here (field._matpow, FieldTable._mul_matrix,
+# _find_alpha, _build_exp, _build_exp_bits) multiplies int32/int64 arrays,
+# which numpy computes in its own loops, never in BLAS; convolve's
+# np.linalg.norm(v, axis=-1) is a ufunc reduction; pocketfft is
+# single-threaded.  So one thread changes no result.  This must run before
+# the first import of numpy (through .characters); a caller's own value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .characters import (CosetPartition, char_sum_moment, character_exists,
                          partition, winterhof_counts)
 from .cyclotomic import (a_beta, gauss_sum, jacobi_cubic, jacobi_from_gauss)

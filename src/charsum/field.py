@@ -145,8 +145,10 @@ def is_irreducible(f: list[int], p: int) -> bool:
     With C the companion matrix of f, certified by C**(p**m) == C, that is
     x**(p**m) == x (mod f), together with C**(p**(m/l)) - C of full rank,
     that is gcd(x**(p**(m/l)) - x, f) == 1, for every prime l dividing m.
-    Raises ValueError where m (p - 1)^2 >= 2^63.
+    Raises ValueError where p is not prime or m (p - 1)^2 >= 2^63.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")

@@ -59,6 +59,28 @@ def test_field_info_imports_no_random_generator():
     assert proc.stderr.splitlines()[-1] == "False"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_import_starts_no_blas_worker_threads():
+    # charsum makes no BLAS call, so the package pins OpenBLAS to the one
+    # calling thread unless the caller set its own value
+    root = Path(__file__).resolve().parent.parent
+    code = ("import os; import charsum.cli; "
+            "print(len(os.listdir('/proc/self/task')) == 1, "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def child(env):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert child(env) == ["True", "1"]
+    assert child(dict(env, OPENBLAS_NUM_THREADS="2"))[1] == "2"
+
+
 def test_field_tables_catch_a_frobenius_that_is_not_additive():
     # alpha^3 and alpha^4 trade places: exp and dlog stay inverse bijections,
     # alpha still has order q - 1, but x -> x^2 moves two images

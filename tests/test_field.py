@@ -78,6 +78,13 @@ def test_int64_range_is_refused_before_any_product(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("f, p", [([1, 1, 1], 4), ([1, 0, 1], 6),
+                                  ([1, 0, 1], 1), ([1, 0, 1], 0)])
+def test_is_irreducible_refuses_p_not_prime(f, p):
+    with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+        is_irreducible(f, p)
+
+
 def unfiltered_lex_search(p, m):
     """The modulus search without the root pre-filter: every candidate in
     lex order goes to the irreducibility test."""
