@@ -13,6 +13,7 @@ raises ``ValueError`` on a value it cannot check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
 from .field import convolve, prime_factors
-from .groupring import (GroupRingElement, characteristic_fn, cubic_sigma,
-                        gr_mul, monomial, phi, quadratic_sigma)
+from .groupring import GroupRingElement, cubic_sigma, gr_mul, quadratic_sigma
 from .repcount import (brute_rep_count, closed_rep_class_table,
                        closed_rep_count_cubic, closed_rep_count_quadratic,
                        cubic_K, perron_table, rep_count_table, rep_count_zero,
@@ -75,15 +75,14 @@ def complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _sigma_json(sig) -> dict:
+def _sigma_json(coeffs: np.ndarray) -> dict:
     """Compact form: every sigma here is uniform away from the origin."""
-    coeffs = sig.coeffs
     body = {"coeff_at_zero": int(coeffs[0])}
     rest = coeffs[1:]
-    if sig.field.q > 1 and np.all(rest == rest[0]):
+    if len(rest) and np.all(rest == rest[0]):
         body["coeff_elsewhere"] = int(rest[0])
-    if sig.field.q <= 64:
-        body["coeffs"] = sig.to_json()
+    if len(coeffs) <= 64:                               # sparse {index: coeff}
+        body["coeffs"] = {str(int(i)): int(coeffs[i]) for i in np.flatnonzero(coeffs)}
     return body
 
 
@@ -190,14 +189,18 @@ def perron(field, part):
                       for key, _, beta, ij in cases]), []
 
 
+def require_coset_indices(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("coset indices must lie in [0, n)")
+
+
 def rep_query(field, part, beta, i, j):
     """One count R(beta, i, j) by its closed form, the (q-1)/n rule at
     beta = 0, against enumeration."""
     n = part.n
     if not 0 <= beta < field.q:
         raise ValueError(f"--beta must lie in [0, {field.q})")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("coset indices must lie in [0, n)")
+    require_coset_indices(n, i, j)
     if beta == 0:
         closed = rep_count_zero(field, part, i, j)
         brute = rep_count_zero_brute(field, part, i, j)
@@ -300,32 +303,30 @@ def charpoly(field, part):
     """The coset characteristic functions are the roots of their equation
     X^n - sigma1 X^(n-1) + ... = 0, with closed-form coefficients; the
     products f_i f_j are read off the pair table."""
-    fs = [characteristic_fn(field, part, j) for j in range(part.n)]
-    ph, total = phi(field), sum(f.coeffs for f in fs)
+    f = part.indicators()                               # row j is f_j
+    ph, total = np.ones(field.q, dtype=np.int64), f.sum(axis=0)
     pairs = memo(part, pair_table)                      # pairs[i, j] = f_i f_j
-    found = [holds("partition_identity",
-                   np.array_equal(monomial(field, 0).coeffs + total, ph.coeffs))]
+    el = partial(GroupRingElement, field)       # gr_mul's operands: see groupring
+    found = [holds("partition_identity",                # sum f_j = Phi - X^0
+                   np.array_equal(total, ph - (np.arange(field.q) == 0)))]
     if part.n == 2:
         found.append(holds("phi_squared_equals_q_phi", np.array_equal(
-            gr_mul(ph, ph).coeffs, field.q * ph.coeffs)))
+            gr_mul(el(ph), el(ph)).coeffs, field.q * ph)))
         jac, sigmas = None, quadratic_sigma(field, part)
         products = {"sigma1_matches_sum": total, "sigma2_matches_product": pairs[0, 1]}
     else:
-        jac = memo(part, jacobi_cubic)
-        sigmas = cubic_sigma(field, part)
-        f01 = GroupRingElement(field, pairs[0, 1])
+        jac, sigmas = memo(part, jacobi_cubic), cubic_sigma(field, part)
         products = {"sigma1_matches_sum": total,
                     "sigma2_matches_pair_sum": pairs[0, 1] + pairs[1, 2] + pairs[2, 0],
-                    "sigma3_matches_product": gr_mul(f01, fs[2]).coeffs}
-    found += [holds(name, np.array_equal(s.coeffs, prod))
+                    "sigma3_matches_product": gr_mul(el(pairs[0, 1]), el(f[2])).coeffs}
+    found += [holds(name, np.array_equal(s, prod))
               for (name, prod), s in zip(products.items(), sigmas)]
     # Horner at every root at once: ((f - s1) f + s2) f - s3 on the (n, q)
     # stack, in int64: |f - s1| <= 1 and each step convolves with f (sum
     # < q) and adds a sigma below q^2, so entries stay below 2 q^2 < 2^33.
-    f = part.indicators()
-    residuals = f - sigmas[0].coeffs
+    residuals = f - sigmas[0]
     for k, s in enumerate(sigmas[1:], 2):
-        residuals = convolve(field, residuals, f) + (-1) ** k * s.coeffs
+        residuals = convolve(field, residuals, f) + (-1) ** k * s
     found += [holds(f"residual_zero_at_f{j}", not r.any())
               for j, r in enumerate(residuals)]
     results = {"n": part.n,

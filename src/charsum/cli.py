@@ -94,14 +94,20 @@ def _field_meta(field: FieldTable) -> dict:
     }
 
 
+def _repcount(a):
+    """The query --beta names, else the table; both refuse a bad coset index."""
+    if a.beta is not None:
+        return a.n, [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]
+    checks.require_coset_indices(a.n, a.i, a.j)
+    return a.n, [checks.rep_table, checks.zero_sum, checks.perron]
+
+
 # verb -> (the character order of its partition, None for none; the check
 # families that make its report), from the parsed arguments
 VERBS = {
     "field-info": lambda a: (None, [checks.field_tables]),
     "partition": lambda a: (a.n, [checks.cosets]),
-    "repcount": lambda a: (a.n, [checks.rep_table, checks.zero_sum, checks.perron]
-                           if a.beta is None else
-                           [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]),
+    "repcount": _repcount,
     "jacobi": lambda a: (3, [checks.jacobi]),
     "gauss": lambda a: (a.n, [checks.gauss]),
     "charpoly": lambda a: (a.n, [checks.charpoly]),
@@ -132,9 +138,14 @@ def _run_families(args):
 @registry.op
 def run(args):
     cap = env_size_cap()
-    if not 3 <= args.q_max <= cap:
-        raise _UsageError(f"--q-max must lie in [3, {cap}]")
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    # --scope all must reach every op (op_coverage), and the shift-count
+    # ops need a 3-element coset: F_7 has the first
+    low = 7 if args.scope == "all" else 3
+    if not low <= args.q_max <= cap:
+        raise _UsageError(f"--q-max must lie in [{low}, {cap}] for --scope {args.scope}")
+    if args.threads < 0:
+        raise _UsageError("--threads must be 0 (the CPU count) or more")
+    threads = args.threads or os.cpu_count() or 1
     verify_mod.cached_field.cache_clear()
     sweeps = verify_mod.run_scope(args.scope, args.q_max, threads)
     found = [equal(f"{sw.name}_failures", 0, len(sw.failures)) for sw in sweeps]

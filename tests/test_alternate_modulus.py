@@ -7,7 +7,7 @@ import pytest
 
 from charsum import build_field, checks, jacobi_cubic, partition
 from charsum.cyclotomic import a_beta, chi_bar_times
-from charsum.groupring import characteristic_fn, cubic_sigma, gr_mul, quadratic_sigma
+from charsum.groupring import GroupRingElement, cubic_sigma, gr_mul, quadratic_sigma
 from charsum.repcount import closed_rep_class_table, rep_count_table
 
 
@@ -49,19 +49,21 @@ def test_jacobi_and_sums_still_exact(f25_alt):
 
 
 def test_equations_still_hold(f9_alt, f25_alt):
+    def mul(f, a, b):
+        return gr_mul(GroupRingElement(f, a), GroupRingElement(f, b)).coeffs
+
     part = partition(f9_alt, 2)
-    f0 = characteristic_fn(f9_alt, part, 0)
-    f1 = characteristic_fn(f9_alt, part, 1)
+    f0, f1 = part.indicators()
     s1, s2 = quadratic_sigma(f9_alt, part)
-    assert np.array_equal(s1.coeffs, f0.coeffs + f1.coeffs) and s2 == gr_mul(f0, f1)
+    assert np.array_equal(s1, f0 + f1) and np.array_equal(s2, mul(f9_alt, f0, f1))
     part3 = partition(f25_alt, 3)
-    fs = [characteristic_fn(f25_alt, part3, k) for k in range(3)]
+    fs = part3.indicators()
     s1, s2, s3 = cubic_sigma(f25_alt, part3)
-    assert s3 == gr_mul(gr_mul(fs[0], fs[1]), fs[2])
+    assert np.array_equal(s3, mul(f25_alt, mul(f25_alt, fs[0], fs[1]), fs[2]))
     for root in fs:
-        r2 = gr_mul(root, root)
-        assert not (gr_mul(r2, root).coeffs - gr_mul(s1, r2).coeffs
-                    + gr_mul(s2, root).coeffs - s3.coeffs).any()
+        r2 = mul(f25_alt, root, root)
+        assert not (mul(f25_alt, r2, root) - mul(f25_alt, s1, r2)
+                    + mul(f25_alt, s2, root) - s3).any()
 
 
 def test_duality_still_holds(f9_alt, f25_alt):

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from charsum import checks, registry
-from charsum.characters import CosetPartition
+from charsum import checks, groupring, registry
+from charsum.characters import CosetPartition, pair_table, partition
 from charsum.cli import VERBS, _build_parser, main
 from charsum.cyclotomic import a_beta
-from charsum.errors import IdentityViolation
+from charsum.errors import IdentityViolation, exact_div
 from charsum.field import build_field
 from conftest import count_calls, get_field, get_partition
 
@@ -234,8 +235,19 @@ def test_a_declared_op_never_invoked_fails_coverage(capsys, monkeypatch):
                                "--q-max", "31", "--threads", "1")
     assert code == 2
     assert [c for c in report["checks"] if not c["pass"]] == [
-        {"name": "op_coverage", "expected": "27 ops invoked",
-         "actual": "26 ops invoked, missing: ['throwaway']", "pass": False}]
+        {"name": "op_coverage", "expected": "25 ops invoked",
+         "actual": "24 ops invoked, missing: ['throwaway']", "pass": False}]
+
+
+def test_verify_scope_all_needs_a_q_max_that_reaches_every_op(capsys):
+    # below F_7 no coset has 3 elements, so the shift-count ops never run
+    code, out, err = run_cli(capsys, "verify", "--scope", "all", "--q-max", "6")
+    assert code == 1 and out == "" and "--q-max must lie in [7, " in err
+    code, report, _ = run_json(capsys, "verify", "--scope", "all",
+                               "--q-max", "7", "--threads", "1")
+    assert code == 0
+    assert [c["pass"] for c in report["checks"] if c["name"] == "op_coverage"] == [True]
+    assert run_cli(capsys, "verify", "--scope", "duality", "--q-max", "3")[0] == 0
 
 
 def test_an_op_that_raises_is_recorded(monkeypatch):
@@ -259,7 +271,7 @@ def test_ops_keep_their_name_and_module():
                         and getattr(obj, "__module__", None) == mod.__name__):
                     assert obj.__name__ == obj.__wrapped__.__name__ == attr
                     declared.append(attr)
-    assert sorted(declared) == sorted(registry.ALL_OPS) and len(declared) == 26
+    assert sorted(declared) == sorted(registry.ALL_OPS) and len(declared) == 24
 
 
 def test_usage_errors_exit_1(capsys):
@@ -279,7 +291,7 @@ def test_usage_errors_exit_1(capsys):
                  "2^99999999999"):
         code, out, err = run_cli(capsys, "field-info", "--field", spec)
         assert code == 1 and "exceeds the size cap" in err and out == ""
-    # the query arguments of repcount --beta and shift
+    # out-of-range arguments of repcount, shift and verify --threads
     for argv, message in (
             (("repcount", "--field", "7", "--beta", "7"), "--beta must lie in [0, 7)"),
             (("repcount", "--field", "7", "--beta", "-1"), "--beta must lie in [0, 7)"),
@@ -287,6 +299,11 @@ def test_usage_errors_exit_1(capsys):
              "coset indices must lie in [0, n)"),
             (("repcount", "--field", "7", "--n", "3", "--beta", "1", "--j", "-1"),
              "coset indices must lie in [0, n)"),
+            # the table reads no index, but refuses a bad one as --beta does
+            (("repcount", "--field", "7", "--i", "5"), "coset indices must lie in [0, n)"),
+            (("repcount", "--field", "7", "--n", "3", "--j", "-1"),
+             "coset indices must lie in [0, n)"),
+            (("verify", "--threads", "-1"), "--threads must be 0 (the CPU count) or more"),
             (("shift", "--field", "13", "--t", "0"), "--t must be positive")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and f"usage error: {message}" in err
@@ -300,6 +317,59 @@ def test_cosets_family_catches_swapped_cosets():
     passed = {c.name: c.passed for c in found}
     assert passed["coset_1_size"] and not passed["coset_1_is_alpha^1_coset_0"]
     assert all(c.passed for c in checks.cosets(fld, part)[1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_charpoly_family_catches_each_fault(monkeypatch, n):
+    # every check name charpoly prints is turned false by one of four faults
+    fld = get_field(13)
+    x0 = np.eye(1, fld.q, dtype=np.int64)[0]
+
+    def failing(part=None):
+        # a fresh partition each time, so no memo carries a fault over
+        _, found, _ = checks.charpoly(fld, part or partition(fld, n))
+        return {c.name for c in found if not c.passed}
+
+    names = {c.name for c in checks.charpoly(fld, partition(fld, n))[1]}
+    assert failing() == set()
+    caught = {}
+    # the element 1 relabelled -1, so the f_j miss it; J reads no pair
+    # through 1 (its partner would be 0), so cubic_sigma still computes
+    part = partition(fld, n)
+    labels = part.labels.copy()
+    labels[1] = -1
+    cosets = (part.cosets[0][part.cosets[0] != 1], *part.cosets[1:])
+    caught["relabel"] = failing(CosetPartition(fld, n, False, labels, cosets))
+    # a closed-form sigma (sigma2 for n = 2, sigma3 for n = 3) plus X^0
+    with monkeypatch.context() as mp:
+        mp.setattr(groupring, "exact_div", lambda v, k, what: exact_div(v, k, what) + x0)
+        caught["sigma"] = failing()
+    # f_0 f_1 off the pair table plus X^0
+    with monkeypatch.context() as mp:
+        def perturbed_pairs(field, part):
+            table = pair_table(field, part).copy()
+            table[0, 1] += x0
+            return table
+        mp.setattr(checks, "pair_table", perturbed_pairs)
+        caught["pairs"] = failing()
+    # a gr_mul product (Phi^2 for n = 2, (f_0 f_1) f_2 for n = 3) plus X^0
+    with monkeypatch.context() as mp:
+        def perturbed_product(a, b):
+            out = groupring.gr_mul(a, b)
+            out.coeffs[0] += 1
+            return out
+        mp.setattr(checks, "gr_mul", perturbed_product)
+        caught["gr_mul"] = failing()
+    last_sigma, sigma2, product = (
+        ("sigma2_matches_product", "sigma2_matches_product", "phi_squared_equals_q_phi")
+        if n == 2 else
+        ("sigma3_matches_product", "sigma2_matches_pair_sum", "sigma3_matches_product"))
+    expected = {"relabel": {"partition_identity", "sigma1_matches_sum"},
+                "sigma": {last_sigma, *(f"residual_zero_at_f{j}" for j in range(n))},
+                "pairs": {sigma2}, "gr_mul": {product}}
+    for fault, turned in expected.items():
+        assert turned <= caught[fault], fault
+    assert set().union(*caught.values()) == names
 
 
 def test_every_verb_but_verify_runs_from_the_verbs_table():

@@ -10,7 +10,7 @@ from charsum import field as field_mod
 from charsum.cli import main
 from charsum.errors import IdentityViolation
 from charsum.field import _fft_error_bound, convolve, prime_powers
-from charsum.groupring import characteristic_fn, gr_mul, phi
+from charsum.groupring import GroupRingElement, gr_mul
 from conftest import get_field, get_partition
 
 SMALL_FIELDS = [(p, m) for p, m, _ in prime_powers(81)]
@@ -160,13 +160,13 @@ def test_cubic_products_at_the_size_cap_take_the_exact_transform():
     # bound; the l2 bound keeps it and the three-fold coset product on the
     # int64 transform
     field, part = get_field(2, 16), get_partition(2, 16, 3)
-    f0, f1, f2 = (characteristic_fn(field, part, j) for j in range(3))
-    s1 = phi(field)
+    f0, f1, f2 = (GroupRingElement(field, f) for f in part.indicators())
+    s1 = GroupRingElement(field, np.ones(field.q, dtype=np.int64))
     s1.coeffs[0] = 0
     triple = gr_mul(gr_mul(f0, f1), f2)
     square = gr_mul(s1, s1)
     cube = gr_mul(square, s1)
     assert triple.coeffs.dtype == cube.coeffs.dtype == np.int64
     assert field.q * int(np.abs(square.coeffs).sum()) * (field.q - 1) > 2 ** 62
-    assert triple.coeff_sum() == (field.q - 1) ** 3 // 27
-    assert cube.coeff_sum() == (field.q - 1) ** 3
+    assert triple.coeffs.sum() == (field.q - 1) ** 3 // 27
+    assert cube.coeffs.sum() == (field.q - 1) ** 3

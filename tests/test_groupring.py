@@ -6,86 +6,88 @@ import pytest
 from charsum.characters import memo
 from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation, exact_div
-from charsum.groupring import (GroupRingElement, characteristic_fn,
-                               cubic_sigma, gr_mul, monomial, phi,
+from charsum.groupring import (GroupRingElement, cubic_sigma, gr_mul,
                                quadratic_sigma)
 from conftest import count_calls, get_field, get_partition
 
 
-def same(a, b) -> bool:
-    """Coefficient equality of elements or int64 coefficient arrays."""
-    return np.array_equal(getattr(a, "coeffs", a), getattr(b, "coeffs", b))
+def x(f, gamma: int, coeff: int = 1) -> np.ndarray:
+    """coeff * X^gamma: the unit vector at gamma, scaled."""
+    out = np.zeros(f.q, dtype=np.int64)
+    out[gamma] = coeff
+    return out
 
 
-def unit(f) -> np.ndarray:
-    """Coefficients of X^0, the identity of the group algebra."""
-    return monomial(f, 0).coeffs
+def ones(f) -> np.ndarray:
+    """Phi, the all-ones element: the sum of X^gamma over the whole field."""
+    return np.ones(f.q, dtype=np.int64)
 
 
-def test_monomial_product_wraps_mod_p():
+def mul(f, a, b) -> np.ndarray:
+    """The product of two coefficient arrays through ``gr_mul``."""
+    return gr_mul(GroupRingElement(f, a), GroupRingElement(f, b)).coeffs
+
+
+def test_unit_vector_product_wraps_mod_p():
     f3 = get_field(3)
-    assert gr_mul(monomial(f3, 1), monomial(f3, 2)) == monomial(f3, 0)
+    assert np.array_equal(mul(f3, x(f3, 1), x(f3, 2)), x(f3, 0))
 
 
 def test_square_of_sum_f3():
     f3 = get_field(3)
-    el = GroupRingElement(f3, monomial(f3, 1).coeffs + monomial(f3, 2).coeffs)
-    sq = gr_mul(el, el)
-    assert sq.to_json() == {"0": 2, "1": 1, "2": 1}
+    el = x(f3, 1) + x(f3, 2)
+    assert mul(f3, el, el).tolist() == [2, 1, 1]
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (2, 2), (3, 2), (7, 1)])
 def test_phi_is_scaled_idempotent(p, m):
     f = get_field(p, m)
-    ph = phi(f)
-    assert same(gr_mul(ph, ph), f.q * ph.coeffs)
-    rng = np.random.default_rng(20)
-    v = GroupRingElement(f, rng.integers(-5, 6, f.q))
-    assert same(gr_mul(ph, v), v.coeff_sum() * ph.coeffs)
+    ph = ones(f)
+    assert np.array_equal(mul(f, ph, ph), f.q * ph)
+    v = np.random.default_rng(20).integers(-5, 6, f.q)
+    assert np.array_equal(mul(f, ph, v), v.sum() * ph)
 
 
-def test_characteristic_fn_examples():
+def test_indicator_rows_examples():
+    # row j of part.indicators() is the characteristic function f_j
     f3 = get_field(3)
-    assert characteristic_fn(f3, get_partition(3, 1, 2), 0) == monomial(f3, 1)
+    assert np.array_equal(get_partition(3, 1, 2).indicators()[0], x(f3, 1))
     f5 = get_field(5)
-    f5_b1 = characteristic_fn(f5, get_partition(5, 1, 2), 1)
-    assert same(f5_b1, monomial(f5, 2).coeffs + monomial(f5, 3).coeffs)
+    assert np.array_equal(get_partition(5, 1, 2).indicators()[1],
+                          x(f5, 2) + x(f5, 3))
     f4 = get_field(2, 2)
-    p4 = get_partition(2, 2, 3)
     alpha2 = f4.mul(f4.alpha, f4.alpha)
-    assert characteristic_fn(f4, p4, 2) == monomial(f4, alpha2)
+    assert np.array_equal(get_partition(2, 2, 3).indicators()[2], x(f4, alpha2))
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 1, 2), (5, 1, 2), (3, 2, 2),
                                    (2, 2, 3), (7, 1, 3), (2, 4, 3)])
 def test_partition_identity(p, m, n):
     f = get_field(p, m)
-    part = get_partition(p, m, n)
-    total = unit(f)
-    for j in range(n):
-        total = total + characteristic_fn(f, part, j).coeffs
-    assert same(total, phi(f))
+    fs = get_partition(p, m, n).indicators()
+    assert fs.shape == (n, f.q)
+    assert np.array_equal(x(f, 0) + fs.sum(axis=0), ones(f))
 
 
 def test_quadratic_sigma_examples():
     f3 = get_field(3)
     s1, s2 = quadratic_sigma(f3, get_partition(3, 1, 2))
-    assert s2 == monomial(f3, 0)
+    assert np.array_equal(s2, x(f3, 0))
     f5 = get_field(5)
     s1, s2 = quadratic_sigma(f5, get_partition(5, 1, 2))
-    assert same(s2, phi(f5).coeffs - unit(f5))
+    assert np.array_equal(s2, ones(f5) - x(f5, 0))
+    assert s1.dtype == s2.dtype == np.int64
 
 
 def test_cubic_sigma_examples():
     f4 = get_field(2, 2)
-    p4 = get_partition(2, 2, 3)
-    s1, s2, s3 = cubic_sigma(f4, p4)
-    assert s3 == monomial(f4, 0)
-    assert same(s2, phi(f4).coeffs - unit(f4))
+    s1, s2, s3 = cubic_sigma(f4, get_partition(2, 2, 3))
+    assert np.array_equal(s3, x(f4, 0))
+    assert np.array_equal(s2, ones(f4) - x(f4, 0))
     f7 = get_field(7)
-    p7 = get_partition(7, 1, 3)
-    s1, s2, s3 = cubic_sigma(f7, p7)
-    assert same(s2, 2 * (phi(f7).coeffs - unit(f7)))
+    s1, s2, s3 = cubic_sigma(f7, get_partition(7, 1, 3))
+    assert np.array_equal(s2, 2 * (ones(f7) - x(f7, 0)))
+    assert s1.dtype == s2.dtype == s3.dtype == np.int64
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (7, 1), (2, 6), (13, 1), (7, 2), (2, 12)])
@@ -97,75 +99,63 @@ def test_cubic_sigma3_is_the_unreduced_product(monkeypatch, p, m):
     convolutions = count_calls(monkeypatch, "convolve")
     s1, _, s3 = cubic_sigma(f, part)
     assert convolutions == []
-    ph, t = phi(f).coeffs, (jac + jac.conj()).a
-    cube = gr_mul(gr_mul(s1, s1), s1)
-    tail = gr_mul(GroupRingElement(f, (3 + t) * unit(f) - 3 * ph),
-                  GroupRingElement(f, f.q * unit(f) - ph))
-    assert same(27 * s3.coeffs, cube.coeffs + tail.coeffs)
+    ph, t, one = ones(f), (jac + jac.conj()).a, x(f, 0)
+    cube = mul(f, mul(f, s1, s1), s1)
+    tail = mul(f, (3 + t) * one - 3 * ph, f.q * one - ph)
+    assert np.array_equal(27 * s3, cube + tail)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2)])
 def test_quadratic_equation_holds(p, m):
     f = get_field(p, m)
     part = get_partition(p, m, 2)
-    f0 = characteristic_fn(f, part, 0)
-    f1 = characteristic_fn(f, part, 1)
+    f0, f1 = part.indicators()
     s1, s2 = quadratic_sigma(f, part)
-    assert same(s1, f0.coeffs + f1.coeffs)
-    assert s2 == gr_mul(f0, f1)
+    assert np.array_equal(s1, f0 + f1)
+    assert np.array_equal(s2, mul(f, f0, f1))
     for root in (f0, f1):
-        res = gr_mul(root, root).coeffs - gr_mul(s1, root).coeffs + s2.coeffs
-        assert not res.any()
+        assert not (mul(f, root, root) - mul(f, s1, root) + s2).any()
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (7, 1), (13, 1), (5, 2)])
 def test_cubic_equation_holds(p, m):
     f = get_field(p, m)
     part = get_partition(p, m, 3)
-    fs = [characteristic_fn(f, part, j) for j in range(3)]
+    fs = part.indicators()
     s1, s2, s3 = cubic_sigma(f, part)
-    assert same(s1, fs[0].coeffs + fs[1].coeffs + fs[2].coeffs)
-    assert same(s2, gr_mul(fs[0], fs[1]).coeffs + gr_mul(fs[1], fs[2]).coeffs
-                + gr_mul(fs[2], fs[0]).coeffs)
-    assert s3 == gr_mul(gr_mul(fs[0], fs[1]), fs[2])
+    assert np.array_equal(s1, fs.sum(axis=0))
+    assert np.array_equal(s2, mul(f, fs[0], fs[1]) + mul(f, fs[1], fs[2])
+                          + mul(f, fs[2], fs[0]))
+    assert np.array_equal(s3, mul(f, mul(f, fs[0], fs[1]), fs[2]))
     for root in fs:
-        r2 = gr_mul(root, root)
-        res = (gr_mul(r2, root).coeffs - gr_mul(s1, r2).coeffs
-               + gr_mul(s2, root).coeffs - s3.coeffs)
-        assert not res.any()
+        r2 = mul(f, root, root)
+        assert not (mul(f, r2, root) - mul(f, s1, r2) + mul(f, s2, root) - s3).any()
 
 
 def test_ring_laws_random_elements():
     f = get_field(7)
     rng = np.random.default_rng(21)
     for _ in range(25):
-        a = GroupRingElement(f, rng.integers(-4, 5, f.q))
-        b = GroupRingElement(f, rng.integers(-4, 5, f.q))
-        c = GroupRingElement(f, rng.integers(-4, 5, f.q))
-        assert gr_mul(a, b) == gr_mul(b, a)
-        assert gr_mul(gr_mul(a, b), c) == gr_mul(a, gr_mul(b, c))
-        assert same(gr_mul(a, GroupRingElement(f, b.coeffs + c.coeffs)),
-                    gr_mul(a, b).coeffs + gr_mul(a, c).coeffs)
-        assert gr_mul(a, monomial(f, 0)) == a
+        a, b, c = (rng.integers(-4, 5, f.q) for _ in range(3))
+        assert np.array_equal(mul(f, a, b), mul(f, b, a))
+        assert np.array_equal(mul(f, mul(f, a, b), c), mul(f, a, mul(f, b, c)))
+        assert np.array_equal(mul(f, a, b + c), mul(f, a, b) + mul(f, a, c))
+        assert np.array_equal(mul(f, a, x(f, 0)), a)
 
 
 def test_field_mismatch_rejected():
-    a = monomial(get_field(3), 1)
-    b = monomial(get_field(5), 1)
-    with pytest.raises(ValueError):
-        gr_mul(a, b)
-    with pytest.raises(ValueError):
-        a._check_same_field(b)
-    assert a != b
+    f3, f5 = get_field(3), get_field(5)
+    with pytest.raises(ValueError, match="different fields"):
+        gr_mul(GroupRingElement(f3, x(f3, 1)), GroupRingElement(f5, x(f5, 1)))
+    with pytest.raises(ValueError, match="length 3"):
+        GroupRingElement(f3, x(f5, 1))
 
 
 def test_exact_div_vec_raises():
     # the sigma vectors are divided exactly on their int64 coefficients
-    f = get_field(3)
-    el = GroupRingElement(f, [3, 6, 9])
-    assert same(exact_div(el.coeffs, 3, "x"), GroupRingElement(f, [1, 2, 3]))
+    assert exact_div(np.array([3, 6, 9]), 3, "x").tolist() == [1, 2, 3]
     with pytest.raises(IdentityViolation):
-        exact_div(GroupRingElement(f, [3, 6, 10]).coeffs, 3, "x")
+        exact_div(np.array([3, 6, 10]), 3, "x")
 
 
 def test_coefficients_above_the_bound_are_refused():
@@ -173,19 +163,19 @@ def test_coefficients_above_the_bound_are_refused():
     # raises (FFT on F_3, Walsh-Hadamard on F_2^2), and a coefficient
     # outside int64 fails at construction
     for f in (get_field(3), get_field(2, 2)):
-        big = GroupRingElement(f, [2 ** 40, 2 ** 40] + [0] * (f.q - 2))
+        big = x(f, 0, 2 ** 40) + x(f, 1, 2 ** 40)
         with pytest.raises(ValueError, match=re.escape(f"F_{f.spec.label()} ")):
-            gr_mul(big, big)
+            mul(f, big, big)
         with pytest.raises(OverflowError):
             GroupRingElement(f, [2 ** 63] + [0] * (f.q - 1))
-        shifted = gr_mul(big, monomial(f, 1))          # within the bound
-        assert shifted.to_json() == {str(f.add(x, 1)): 2 ** 40 for x in (0, 1)}
+        shifted = mul(f, big, x(f, 1))                  # within the bound
+        assert np.array_equal(shifted, x(f, f.add(0, 1), 2 ** 40)
+                              + x(f, f.add(1, 1), 2 ** 40))
 
 
-def test_scalar_coefficients_multiply_monomial_at_zero():
-    # a scalar c is c X^0, the monomial at the additive identity
+def test_scalar_coefficients_multiply_unit_vector_at_zero():
+    # a scalar c is c X^0, the unit vector at the additive identity
     f = get_field(5)
-    s = monomial(f, 0, 7)
-    assert s.to_json() == {"0": 7}
-    assert gr_mul(s, monomial(f, 3, 2)).to_json() == {"3": 14}
-    assert same(gr_mul(s, phi(f)), 7 * phi(f).coeffs)
+    s = x(f, 0, 7)
+    assert np.array_equal(mul(f, s, x(f, 3, 2)), x(f, 3, 14))
+    assert np.array_equal(mul(f, s, ones(f)), 7 * ones(f))
