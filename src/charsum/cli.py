@@ -141,6 +141,9 @@ def run(args):
     # --scope all must reach every op (op_coverage), and the shift-count
     # ops need a 3-element coset: F_7 has the first
     low = 7 if args.scope == "all" else 3
+    if cap < low:
+        raise _UsageError(f"CHARSUM_SIZE_CAP = {cap} is below {low}, the"
+                          f" smallest --q-max of --scope {args.scope}")
     if not low <= args.q_max <= cap:
         raise _UsageError(f"--q-max must lie in [{low}, {cap}] for --scope {args.scope}")
     if args.threads < 0:

@@ -15,9 +15,9 @@ Two canonical choices make every output reproducible across runs:
   modulus is accepted and verified for cross-checks against other
   systems);
 * the primitive element ``alpha`` is the generator with the smallest
-  index.  Indices are tried in order from 2 on a prime field and from p
-  on an extension field, whose indices below p are the prime subfield:
-  their orders divide p - 1 < q - 1.
+  index.  Indices are tried in order from 1 on a prime field (1
+  generates only F_2*) and from p on an extension field, whose indices
+  below p are the prime subfield: their orders divide p - 1 < q - 1.
 
 Construction computes in Z_p[x]/(f) on int64 matrices, through the
 companion matrix of the modulus f; m (p - 1)^2 >= 2^63 is refused.
@@ -42,8 +42,12 @@ DEFAULT_SIZE_CAP = 1 << 16
 
 
 def env_size_cap() -> int:
-    """The cap every field is built under: CHARSUM_SIZE_CAP if set."""
-    return int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
+    """The cap every field is built under: CHARSUM_SIZE_CAP if set, which
+    must then be a positive integer (ValueError naming it otherwise)."""
+    text = os.environ.get("CHARSUM_SIZE_CAP", str(DEFAULT_SIZE_CAP))
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"CHARSUM_SIZE_CAP = {text!r} is not a positive integer")
+    return int(text)
 
 
 def is_prime(n: int) -> bool:
@@ -153,8 +157,6 @@ def is_irreducible(f: list[int], p: int) -> bool:
     if m < 1 or f[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")
     _check_int64(p, m)
-    if m == 1:
-        return True
     c = _companion(f, p)
     frobenius = [c]                     # C**(p**k) for k = 0 .. m
     for _ in range(m):
@@ -223,20 +225,16 @@ class FieldSpec:
 
 
 def parse_field_spec(text: str) -> tuple[int, int, tuple[int, ...] | None]:
-    """Parse 'p', 'p^m' or 'p^m:c0,c1,...,cm' into (p, m, modulus-or-None)."""
-    text = text.strip()
-    modulus = None
-    if ":" in text:
-        base, coeffs = text.split(":", 1)
-        modulus = tuple(int(c) for c in coeffs.split(","))
-    else:
-        base = text
-    if "^" in base:
-        ps, ms = base.split("^", 1)
-        p, m = int(ps), int(ms)
-    else:
-        p, m = int(base), 1
-    return p, m, modulus
+    """Parse 'p', 'p^m' or 'p^m:c0,c1,...,cm' into (p, m, modulus-or-None);
+    any other form raises ValueError quoting the spec."""
+    base, colon, coeffs = text.strip().partition(":")
+    ps, caret, ms = base.partition("^")
+    try:
+        return (int(ps), int(ms) if caret else 1,
+                tuple(int(c) for c in coeffs.split(",")) if colon else None)
+    except ValueError:
+        raise ValueError(f"field spec {text!r} is not p, p^m or"
+                         " p^m:c0,c1,...,cm") from None
 
 
 class FieldTable:
@@ -271,15 +269,12 @@ class FieldTable:
         p, m = self.p, self.m
         out = np.empty((m, m), dtype=np.int64)
         out[:, 0] = [g // p ** i % p for i in range(m)]
-        if m > 1:                       # a prime field's M_g is just [[g]]
-            c = _companion(self.spec.modulus, p)
-            for i in range(1, m):
-                out[:, i] = c @ out[:, i - 1] % p
+        c = _companion(self.spec.modulus, p)
+        for i in range(1, m):
+            out[:, i] = c @ out[:, i - 1] % p
         return out
 
     def _find_alpha(self) -> int:
-        if self.q == 2:
-            return 1
         p, m = self.p, self.m
         cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
         # on a prime field the index is the residue, so Python's pow applies;
@@ -288,8 +283,8 @@ class FieldTable:
         power = ((lambda g, e: pow(g, e, p)) if m == 1 else
                  lambda g, e: _matpow(self._mul_matrix(g), e, p)[:, 0] @ place)
         # indices below p are the prime subfield, too small to generate
-        # F_q* when m > 1
-        for g in range(2 if m == 1 else p, self.q):
+        # F_q* when m > 1; on a prime field 1 generates only F_2*
+        for g in range(1 if m == 1 else p, self.q):
             if all(power(g, e) != 1 for e in cofactors):
                 return g
         raise RuntimeError("no primitive element found")
@@ -297,49 +292,35 @@ class FieldTable:
     def _build_exp(self) -> np.ndarray:
         q, p, m = self.q, self.p, self.m
         # multiplication by alpha has matrix A = M_alpha; by doubling, the
-        # coordinate rows of alpha**0 .. alpha**(k-1) times (A**k)^T are
-        # those of alpha**k .. alpha**(2k-1), so O(log q) products suffice
+        # images of alpha**0 .. alpha**(k-1) under A**k are alpha**k ..
+        # alpha**(2k-1), so O(log q) products suffice.  For p = 2 an index is
+        # its coordinate vector, so the powers stay indices and the image
+        # under B is the XOR of B's columns, read as indices, over the set
+        # bits; for odd p the powers are coordinate rows, times B^T mod p
         # a product entry sums m terms below p^2, an index is below q: int32
         # halves the rows wherever both fit
         dtype = np.int32 if max(m * (p - 1) ** 2, q) < 2 ** 31 else np.int64
-        mat = self._mul_matrix(self.alpha).astype(dtype)
-        if p == 2:
-            return self._build_exp_bits(mat)
-        rows = np.zeros((max(q - 1, 1), m), dtype=dtype)
-        rows[0, 0] = 1
-        power, k = mat, 1
-        while k < len(rows):
-            step = min(k, len(rows) - k)
-            np.matmul(rows[:step], power.T, out=rows[k:k + step])
-            rows[k:k + step] %= p
+        # alpha**0 .. alpha**(q-1), zero until written; the last must be 1
+        powers = (np.zeros(q, dtype=np.int64) if p == 2
+                  else np.zeros((q, m), dtype=dtype))
+        powers.flat[0] = 1                  # index 1, coordinates (1, 0, ..)
+        power, k = self._mul_matrix(self.alpha).astype(dtype), 1
+        while k < q:
+            step = min(k, q - k)
+            xs, out = powers[:step], powers[k:k + step]
+            if p == 2:
+                for i, col in enumerate((power.T @ self._pplace).tolist()):
+                    out ^= -(xs >> i & 1) & col
+            else:
+                np.matmul(xs, power.T, out=out)
+                out %= p
             power = power @ power % p
             k += step
-        e = (rows @ self._pplace.astype(dtype)).astype(np.int64)
-        if e[0] != 1 or (mat @ rows[-1]) % p @ self._pplace != 1:
+        if p > 2:
+            powers = (powers @ self._pplace.astype(dtype)).astype(np.int64)
+        if powers[0] != 1 or powers[-1] != 1:
             raise RuntimeError("alpha does not have order q-1")
-        return e
-
-    def _build_exp_bits(self, mat: np.ndarray) -> np.ndarray:
-        """The doubling of ``_build_exp`` for p = 2 on indices: an index is
-        its coordinate vector, so its image under a matrix B is the XOR of
-        B's columns, read as indices, over its set bits."""
-        def image(b, xs):
-            out = np.zeros_like(xs)
-            for i, col in enumerate((b.T @ self._pplace).tolist()):
-                out ^= -(xs >> i & 1) & col
-            return out
-
-        e = np.empty(self.q - 1, dtype=np.int64)
-        e[0] = 1
-        power, k = mat, 1
-        while k < len(e):
-            step = min(k, len(e) - k)
-            e[k:k + step] = image(power, e[:step])
-            power = power @ power % 2
-            k += step
-        if e[0] != 1 or image(mat, e[-1:])[0] != 1:
-            raise RuntimeError("alpha does not have order q-1")
-        return e
+        return powers[:-1]
 
     # -- scalar element operations --
 
@@ -509,8 +490,7 @@ def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
 # |Ha|_2 |Hb|_2 = q |a|_2 |b|_2.  So q |a|_2 |b|_2 < 2^62 keeps every
 # intermediate inside int64 with a factor of two to spare for the float
 # norms; a zero operand gives 0 even if the other one's transform wraps.
-# Certificate: the low m bits of every entry are zero before the shift, and
-# sum(a * b) = sum(a) * sum(b).
+# Certificate: the low m bits of every entry are zero before the shift.
 #
 # Odd p: irfftn(rfftn * rfftn).  Round-off: a radix-2 FFT of length N has
 # relative 2-norm error at most log2(N) * eta, eta ~ (1 + 4 sqrt(2)) u
@@ -520,7 +500,7 @@ def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
 # 2003, Math. Comp. 72, Thm 5.1); 20 is rounded up to c = 32.  pocketfft runs
 # an axis shorter than 50 as radix passes, generic ones being length-p sums:
 # charged p levels.  A longer prime axis runs Bluestein, a convolution of
-# length < 4p: 3 log2(4p) levels.
+# length < 4p: 3 log2(4p) levels.  Certificate: max |x - rint(x)| < 1/4.
 
 
 def _fft_error_bound(field: FieldTable, norm_a: float, norm_b: float) -> float:
@@ -538,19 +518,24 @@ def convolve(field: FieldTable, a, b) -> np.ndarray:
     for p = 2 an int64 Walsh-Hadamard transform, q |a|_2 |b|_2 < 2^62,
     certified by q dividing every entry before the final shift; for odd p
     the FFT, within the round-off bound, certified by max |x - rint(x)| <
-    1/4.  Both also check sum(a * b) = sum(a) * sum(b) and raise
-    IdentityViolation on a failed certificate.  Operands above the bound
+    1/4.  Either result must also satisfy sum(a * b) = sum(a) * sum(b); a
+    failed certificate raises IdentityViolation.  Operands above the bound
     raise ValueError: nothing is ever computed that could wrap."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     norm_a, norm_b = (np.linalg.norm(v, axis=-1).max() for v in (a, b))
-    if field.p == 2:
-        if field.q * norm_a * norm_b < 2.0 ** 62:
-            return _wht_convolve(field, a, b)
-    elif _fft_error_bound(field, norm_a, norm_b) < 1 / 8:
-        return _fft_convolve(field, a, b)
-    raise ValueError(
-        f"convolution over F_{field.spec.label()} exceeds the exact int64 bound"
-        f" (operand 2-norms {norm_a:.3g} and {norm_b:.3g})")
+    if field.p == 2 and field.q * norm_a * norm_b < 2.0 ** 62:
+        out = _wht_convolve(field, a, b)
+    elif field.p > 2 and _fft_error_bound(field, norm_a, norm_b) < 1 / 8:
+        out = _fft_convolve(field, a, b)
+    else:
+        raise ValueError(
+            f"convolution over F_{field.spec.label()} exceeds the exact int64 bound"
+            f" (operand 2-norms {norm_a:.3g} and {norm_b:.3g})")
+    if np.any(out.sum(-1) != a.sum(-1) * b.sum(-1)):
+        raise IdentityViolation(
+            f"convolution over F_{field.spec.label()} failed its certificate"
+            " (coefficient sums differ)")
+    return out
 
 
 def _wht(v: np.ndarray, m: int) -> np.ndarray:
@@ -579,10 +564,6 @@ def _wht_convolve(field: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray
             f"Walsh-Hadamard convolution over F_{field.spec.label()} failed its"
             " certificate (low bits: an entry is not a multiple of q)")
     out >>= m
-    if np.any(out.sum(-1) != a.sum(-1) * b.sum(-1)):
-        raise IdentityViolation(
-            f"Walsh-Hadamard convolution over F_{field.spec.label()} failed its"
-            " certificate (coefficient sums differ)")
     return out
 
 
@@ -596,8 +577,8 @@ def _fft_convolve(field: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray
     out = np.rint(x)
     drift = float(np.abs(x - out).max())
     out = out.astype(np.int64)
-    if drift >= 1 / 4 or np.any(out.sum(-1) != a.sum(-1) * b.sum(-1)):
+    if drift >= 1 / 4:
         raise IdentityViolation(
             f"FFT convolution over F_{field.spec.label()} failed its certificate"
-            f" (max distance to an integer {drift:.3g}, or coefficient sums differ)")
+            f" (max distance to an integer {drift:.3g})")
     return out

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charsum import checks, groupring, registry
-from charsum.characters import CosetPartition, pair_table, partition
+from charsum import characters, checks, groupring, registry
+from charsum.characters import CosetPartition, label_pairs, pair_table, partition
 from charsum.cli import VERBS, _build_parser, main
 from charsum.cyclotomic import a_beta
 from charsum.errors import IdentityViolation, exact_div
-from charsum.field import build_field
+from charsum.field import FieldTable, build_field, convolve
+from charsum.repcount import brute_rep_count
 from conftest import count_calls, get_field, get_partition
 
 
@@ -319,6 +321,16 @@ def test_cosets_family_catches_swapped_cosets():
     assert all(c.passed for c in checks.cosets(fld, part)[1])
 
 
+def unlabelled_one(fld, n):
+    """A fresh partition with the element 1 relabelled -1, so no f_j and no
+    coset holds it."""
+    part = partition(fld, n)
+    labels = part.labels.copy()
+    labels[1] = -1
+    cosets = (part.cosets[0][part.cosets[0] != 1], *part.cosets[1:])
+    return CosetPartition(fld, n, False, labels, cosets)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_charpoly_family_catches_each_fault(monkeypatch, n):
     # every check name charpoly prints is turned false by one of four faults
@@ -335,11 +347,7 @@ def test_charpoly_family_catches_each_fault(monkeypatch, n):
     caught = {}
     # the element 1 relabelled -1, so the f_j miss it; J reads no pair
     # through 1 (its partner would be 0), so cubic_sigma still computes
-    part = partition(fld, n)
-    labels = part.labels.copy()
-    labels[1] = -1
-    cosets = (part.cosets[0][part.cosets[0] != 1], *part.cosets[1:])
-    caught["relabel"] = failing(CosetPartition(fld, n, False, labels, cosets))
+    caught["relabel"] = failing(unlabelled_one(fld, n))
     # a closed-form sigma (sigma2 for n = 2, sigma3 for n = 3) plus X^0
     with monkeypatch.context() as mp:
         mp.setattr(groupring, "exact_div", lambda v, k, what: exact_div(v, k, what) + x0)
@@ -370,6 +378,105 @@ def test_charpoly_family_catches_each_fault(monkeypatch, n):
     for fault, turned in expected.items():
         assert turned <= caught[fault], fault
     assert set().union(*caught.values()) == names
+
+
+# check names of the families that read the pair table that no fault can
+# turn false, with the reason
+UNREACHABLE = {
+    "jacobi": {
+        "norm_equals_q": "jacobi_cubic raises IdentityViolation on a norm"
+                         " other than q before the family compares it",
+        "j_plus_conj_rational": "z + conj z is rational for every z in Z[w]",
+    },
+}
+
+
+def spot(name):
+    """A spot check's name up to its sampled arguments: a_beta_at_{beta}
+    and loop_oracle_at_beta_{beta}_i{i}_j{j} read a_beta_at_ and
+    loop_oracle_at_; other names are left as they are."""
+    return re.sub(r"_at_.*", "_at_", name)
+
+
+@pytest.mark.parametrize("family,n,p,m", [
+    ("rep_table", 2, 13, 1), ("rep_table", 3, 13, 1), ("sigma_chain", 2, 13, 1),
+    ("sigma_chain", 3, 13, 1), ("jacobi", 3, 13, 1), ("jacobi", 3, 2, 4)])
+def test_pair_table_families_catch_each_fault(monkeypatch, family, n, p, m):
+    # every check name rep_table, sigma_chain and jacobi print is turned
+    # false by one injected fault, or listed in UNREACHABLE
+    fld, run = get_field(p, m), getattr(checks, family)
+
+    def failing(part=None):
+        # a fresh partition each time, so no memo carries a fault over
+        _, found, _ = run(fld, part or partition(fld, n))
+        return {spot(c.name) for c in found if not c.passed}
+
+    def pairs_off_by_one(field, a, b):      # f_0 f_1 one too many everywhere
+        out = convolve(field, a, b)
+        out[0, 1] += 1
+        return out
+
+    def one_pair_too_many(field, part, gamma, sign=-1):
+        h = label_pairs(field, part, gamma, sign)
+        h[0, 0] += 1
+        return h
+
+    real_trace = FieldTable.trace_vec
+
+    def trace_off_at_one(self):
+        tr = real_trace(self).copy()
+        tr[1] = (tr[1] + 1) % self.p
+        return tr
+
+    def swapped_cosets(mp):
+        part = partition(fld, n)
+        c0, c1, *rest = part.cosets
+        return CosetPartition(fld, n, False, part.labels, (c1, c0, *rest))
+
+    # each fault patches through mp, and may hand the family a partition
+    faults = {
+        # pair_table is the one caller of characters.convolve
+        "pairs": lambda mp: mp.setattr(characters, "convolve", pairs_off_by_one),
+        "loop_oracle": lambda mp: mp.setattr(
+            checks, "brute_rep_count", lambda *args: brute_rep_count(*args) + 1),
+        "swapped": swapped_cosets,
+        "unlabelled_one": lambda mp: unlabelled_one(fld, n),
+        # the enumeration behind char_sum_moment and winterhof_counts
+        "label_pairs": lambda mp: mp.setattr(characters, "label_pairs",
+                                             one_pair_too_many),
+        # A(alpha) = conj(chi)(alpha) J: a unit times J, so its norm is still q
+        "j_at_alpha": lambda mp: mp.setattr(
+            checks, "jacobi_cubic", lambda field, part: a_beta(field, part, field.alpha)),
+        "trace": lambda mp: mp.setattr(FieldTable, "trace_vec", trace_off_at_one),
+    }
+    char2 = fld.p == 2
+    expected = {
+        "rep_table": {
+            "pairs": {"closed_equals_brute_all_beta", "table_symmetric_in_i_j",
+                      "counts_sum_to_q_minus_2"},
+            "loop_oracle": {"loop_oracle_at_"}},
+        "sigma_chain": {
+            "swapped": {"coset_0_dlog_mod_n"},
+            "unlabelled_one": {"first_moment"},
+            "pairs": {"sigma_chain_all_shifts", "winterhof_counts_at_"},
+            "label_pairs": {"winterhof_counts_at_", "shifted_moment_at_"}},
+        "jacobi": {
+            "pairs": {"a_beta_identity_all_beta"},
+            "j_at_alpha": {"matches_gauss_quotient", "a_beta_identity_all_beta",
+                           "a_beta_at_", *(["char2_closed_form"] if char2 else [])},
+            "trace": {"matches_gauss_quotient", "gauss_abs_square_equals_q",
+                      *(["exact_gauss_equals_closed_form"] if char2 else [])}},
+    }[family]
+    names = {spot(c.name) for c in run(fld, partition(fld, n))[1]}
+    assert failing() == set()
+    caught = {}
+    for fault, turned in expected.items():
+        with monkeypatch.context() as mp:
+            caught[fault] = failing(faults[fault](mp))
+        assert turned <= caught[fault], fault
+    unreachable = set(UNREACHABLE.get(family, {}))
+    assert set().union(*caught.values()) == names - unreachable
+    assert unreachable <= names
 
 
 def test_every_verb_but_verify_runs_from_the_verbs_table():
@@ -417,6 +524,32 @@ def test_size_cap_env(capsys, monkeypatch):
     assert code == 1 and out == ""
     monkeypatch.setenv("CHARSUM_SIZE_CAP", "200")
     assert run_cli(capsys, "field-info", "--field", "11^2")[0] == 0
+    # a value that is not a positive integer is refused by name, before any
+    # field is built or sweep run
+    for value in ("abc", "-3", "0", "2.5", ""):
+        monkeypatch.setenv("CHARSUM_SIZE_CAP", value)
+        for argv in (("field-info", "--field", "7"),
+                     ("verify", "--scope", "all", "--q-max", "7")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "", value
+            assert (f"usage error: CHARSUM_SIZE_CAP = {value!r} is not a positive"
+                    " integer") in err
+    # a cap below the scope's smallest --q-max says so, not an empty range
+    monkeypatch.setenv("CHARSUM_SIZE_CAP", "5")
+    code, out, err = run_cli(capsys, "verify", "--scope", "all", "--q-max", "5")
+    assert code == 1 and out == ""
+    assert ("usage error: CHARSUM_SIZE_CAP = 5 is below 7, the smallest --q-max"
+            " of --scope all") in err
+    assert run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "5",
+                   "--threads", "1")[0] == 0
+
+
+@pytest.mark.parametrize("spec", ["abc", "2^", "7:1,x", "^3", "2^3^4", "3^2:", ""])
+def test_bad_field_spec_is_named(capsys, spec):
+    code, out, err = run_cli(capsys, "field-info", "--field", spec)
+    assert code == 1 and out == ""
+    assert (f"usage error: field spec {spec!r} is not p, p^m or"
+            " p^m:c0,c1,...,cm") in err
 
 
 def test_verify_reports_a_failing_field_and_carries_on(capsys, monkeypatch):

@@ -138,6 +138,7 @@ def test_parse_field_spec():
     assert parse_field_spec("13") == (13, 1, None)
     assert parse_field_spec("2^4") == (2, 4, None)
     assert parse_field_spec("2^2:1,1,1") == (2, 2, (1, 1, 1))
+    assert parse_field_spec(" 7:1,1 ") == (7, 1, (1, 1))
 
 
 def test_fieldspec_rejects_bad_inputs(monkeypatch):
@@ -441,6 +442,22 @@ def test_index_arithmetic_matches_the_digit_oracle(p, m):
         assert f.coeffs(x) == tuple(digit_table(p, m)[x].tolist())
         assert f.index(f.coeffs(x)) == x
     assert np.array_equal(f.neg_vec(xs), digit_neg(f))
+    assert np.array_equal(f.exp, matmul_exp(f))
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4)])
+def test_order_certificate_refuses_a_matrix_that_is_not_g_of_c(monkeypatch, p, m):
+    # _build_exp doubles by whatever matrix _mul_matrix gives it; M_alpha
+    # with columns 0 and 1 swapped is no g(C), and A^(q-1) != I for it, so the
+    # one certificate refuses it, on indices (p = 2) as on coordinate rows
+    f = get_field(p, m)
+    assert np.array_equal(f._build_exp(), f.exp)
+    swapped = f._mul_matrix(f.alpha)[:, [1, 0, *range(2, m)]]
+    assert not np.array_equal(field_mod._matpow(swapped, f.q - 1, p),
+                              np.eye(m, dtype=np.int64))
+    monkeypatch.setattr(FieldTable, "_mul_matrix", lambda self, g: swapped)
+    with pytest.raises(RuntimeError, match="^alpha does not have order q-1$"):
+        f._build_exp()
 
 
 @pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (251, 2)])
