@@ -24,7 +24,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .characters import (CosetPartition, char_sum_moment, character_exists,
                          partition, winterhof_counts)
-from .cyclotomic import (a_beta, gauss_sum, jacobi_cubic, jacobi_from_gauss)
+from .cyclotomic import (a_beta, exact_gauss_sum, gauss_sum, jacobi_cubic,
+                         jacobi_from_gauss)
 from .eisenstein import EisensteinInt, OMEGA, omega_pow
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import (FieldSpec, FieldTable, build_field, find_irreducible,
@@ -40,12 +41,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CosetPartition", "EisensteinInt", "FieldSpec", "FieldTable",
-    "GroupRingElement", "IdentityViolation", "OMEGA", "UnsupportedCharacterError",
-    "a_beta", "affine_max_shift", "brute_rep_count", "build_field",
-    "char_sum_moment", "character_exists", "closed_form_max3",
-    "closed_rep_count_cubic", "closed_rep_count_quadratic", "cubic_sigma",
-    "find_irreducible", "gauss_sum", "gr_mul", "jacobi_cubic",
-    "jacobi_from_gauss", "max_shift_count", "omega_pow", "parse_field_spec",
-    "partition", "perron_table", "prime_powers", "quadratic_sigma",
-    "rep_count_zero", "shift_count", "winterhof_counts",
+    "GroupRingElement", "IdentityViolation", "OMEGA",
+    "UnsupportedCharacterError", "a_beta", "affine_max_shift",
+    "brute_rep_count", "build_field", "char_sum_moment", "character_exists",
+    "closed_form_max3", "closed_rep_count_cubic", "closed_rep_count_quadratic",
+    "cubic_sigma", "exact_gauss_sum", "find_irreducible", "gauss_sum", "gr_mul",
+    "jacobi_cubic", "jacobi_from_gauss", "max_shift_count", "omega_pow",
+    "parse_field_spec", "partition", "perron_table", "prime_powers",
+    "quadratic_sigma", "rep_count_zero", "shift_count", "winterhof_counts",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import registry
-from .eisenstein import EisensteinInt, from_omega_counts, omega_pow
+from .eisenstein import from_omega_counts
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import FieldTable, convolve
 
@@ -59,25 +59,12 @@ class CosetPartition:
         self._memo = {}     # see ``memo``
 
     def label(self, x: int) -> int:
-        """Coset index of x, or -1 for the zero element."""
-        return int(self.labels[x])
+        """Coset index of x, or -1 for the zero element; x must lie in [0, q)."""
+        return int(self.labels[self.field.require_element(x)])
 
     def indicators(self) -> np.ndarray:
         """Rows f_c = [x in C_c] of the coset characteristic functions, (n, q)."""
         return (self.labels == np.arange(self.n)[:, None]).astype(np.int64)
-
-    def char_value(self, x: int):
-        """Character value: 0/+-1 for n = 2, an EisensteinInt for n = 3."""
-        lab = self.label(x)
-        if self.n == 2:
-            return 0 if lab < 0 else (1, -1)[lab]
-        return EisensteinInt(0) if lab < 0 else omega_pow(lab)
-
-    def conj_value(self, x: int):
-        lab = self.label(x)
-        if self.n == 2:
-            return 0 if lab < 0 else (1, -1)[lab]
-        return EisensteinInt(0) if lab < 0 else omega_pow(-lab)
 
     def __repr__(self):
         tag = ", conjugate" if self.conjugate else ""
@@ -138,7 +125,7 @@ def label_pairs(field: FieldTable, part: CosetPartition, gamma: int,
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     lab, n = part.labels, part.n
     xs = field._arange if sign == 1 else field.neg_vec(field._arange)
-    lab_y = lab[field.add_vec(gamma, xs)]
+    lab_y = lab[field.add_vec(field.require_element(gamma), xs)]
     # cell (label(x) + 1, label(y) + 1): row and column 0 take the zero elements
     cells = lab * (n + 1) + lab_y + (n + 2)
     return np.bincount(cells, minlength=(n + 1) ** 2).reshape(n + 1, -1)[1:, 1:]

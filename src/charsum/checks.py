@@ -20,16 +20,15 @@ import numpy as np
 from . import registry
 from .characters import (char_sum_moment, label_pairs, memo, pair_table,
                          winterhof_counts, winterhof_sweep)
-from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, gauss_sum,
-                         jacobi_char2_closed_form, jacobi_cubic,
+from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, exact_gauss_sum,
+                         gauss_sum, jacobi_char2_closed_form, jacobi_cubic,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
 from .field import convolve, prime_factors
 from .groupring import GroupRingElement, cubic_sigma, gr_mul, quadratic_sigma
 from .repcount import (brute_rep_count, closed_rep_class_table,
                        closed_rep_count_cubic, closed_rep_count_quadratic,
-                       cubic_K, perron_table, rep_count_table, rep_count_zero,
-                       rep_count_zero_brute)
+                       cubic_K, perron_table, rep_count_table, rep_count_zero)
 from .shiftcount import (affine_ratios, closed_form_max3, extension_counts,
                          max_shift_count, quad_counts, shift_count, triple_counts)
 
@@ -95,10 +94,9 @@ def field_tables(field, part):
     checked as F(x + eta^i) = F(x) + F(eta^i) for every x and basis element
     eta^i: with F(0) = 0, induction over the digits of y gives F(x + y) =
     F(x) + F(y) for all x, y."""
-    order_ok = field.q == 2 or (
-        field.pow_(field.alpha, field.q - 1) == 1
-        and all(field.pow_(field.alpha, (field.q - 1) // ell) != 1
-                for ell in prime_factors(field.q - 1)))
+    order_ok = (field.pow_(field.alpha, field.q - 1) == 1
+                and all(field.pow_(field.alpha, (field.q - 1) // ell) != 1
+                        for ell in prime_factors(field.q - 1)))
     dlog = field.dlog_table
     found = [holds("alpha_order_q_minus_1", order_ok),
              equal("dlog_bijection", field.q - 1,          # distinct logs
@@ -203,11 +201,10 @@ def rep_query(field, part, beta, i, j):
     require_coset_indices(n, i, j)
     if beta == 0:
         closed = rep_count_zero(field, part, i, j)
-        brute = rep_count_zero_brute(field, part, i, j)
     else:
         closed = (closed_rep_count_quadratic if n == 2 else closed_rep_count_cubic)(
             field, part, beta, i, j)
-        brute = brute_rep_count(field, part, beta, i, j)
+    brute = brute_rep_count(field, part, beta, i, j)
     query = {"n": n, "beta": beta, "i": i, "j": j, "count": closed,
              "method": "closed-form"}
     if n == 3 and beta:
@@ -259,7 +256,7 @@ def jacobi(field, part):
         closed = jacobi_char2_closed_form(field.m)
         found.append(equal("char2_closed_form", closed, jac))
         found.append(equal("exact_gauss_equals_closed_form", closed,
-                           gauss_sum(field, part, mode="exact")))
+                           exact_gauss_sum(field, part)))
     delta = abs(quotient - jac.to_complex())
     found.append(holds("matches_gauss_quotient", delta < JACOBI_NUM_TOL,
                        f"|delta| = {delta:.3e}"))
@@ -289,7 +286,7 @@ def gauss(field, part):
                    f"|G|^2 = {abs(g_num) ** 2:.12g}")]
     results = {"n": part.n, "numeric": complex_json(g_num)}
     if field.p == 2:
-        g_exact = gauss_sum(field, part, mode="exact")
+        g_exact = exact_gauss_sum(field, part)
         results["exact"] = g_exact.to_json()
         found.append(holds("exact_matches_numeric",
                            abs(g_exact.to_complex() - g_num) < 1e-6))

@@ -171,7 +171,7 @@ def run(args):
 def _emit_csv(args, results, rendered) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if args.verb == "repcount" and "classes" in results:
+    if "classes" in results:
         writer.writerow(["beta_label", "i", "j", "count"])
         for row in results["classes"]:
             writer.writerow([row["beta_label"], row["i"], row["j"], row["count"]])

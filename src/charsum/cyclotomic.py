@@ -1,10 +1,11 @@
 """Jacobi and Gauss sums for the quadratic and cubic characters.
 
 Jacobi sums of the cubic character are computed directly in Z[w] by
-counting label pairs, which keeps them exact.  Gauss sums are exact only
-in characteristic 2 (the additive character takes values +-1 there); for
-odd p they live in a larger cyclotomic ring, so they are computed
-numerically and used purely as cross-checks against the exact values.
+counting label pairs, which keeps them exact.  ``gauss_sum`` is the Gauss
+sum in floating point for every p, used purely as a cross-check against
+the exact values; ``exact_gauss_sum`` is exact, in Z[w], only in
+characteristic 2 (the additive character takes values +-1 there), since
+for odd p the sum lives in a larger cyclotomic ring.
 
 The canonical additive character is psi(x) = exp(2*pi*i*Tr(x)/p) with Tr
 the absolute trace to Z_p.
@@ -62,25 +63,23 @@ def a_beta_sweep(field: FieldTable,
 
 
 @registry.op
-def gauss_sum(field: FieldTable, part: CosetPartition, mode: str = "numeric"):
-    """Gauss sum of the partition's character against the canonical psi.
-
-    mode="exact" is only available for p = 2 (returns an EisensteinInt);
-    mode="numeric" works for any p and returns a complex value.
-    """
-    lab = part.labels
-    if mode == "exact":
-        if field.p != 2:
-            raise ValueError("exact Gauss sums require characteristic 2")
-        nz = field._arange[1:]
-        sign = 1 - 2 * field.trace_vec()[nz].astype(np.int64)      # (-1)**Tr(x)
-        counts = [int(sign[lab[nz] == k].sum()) for k in range(3)]
-        return from_omega_counts(*counts)
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}")
+def gauss_sum(field: FieldTable, part: CosetPartition) -> complex:
+    """Gauss sum of the partition's character against the canonical psi,
+    numerically, for every p."""
     w = OMEGA_COMPLEX
     values = (1.0, -1.0) if part.n == 2 else (1, w, w * w)
-    return _numeric_gauss(field, lab, values)
+    return _numeric_gauss(field, part.labels, values)
+
+
+def exact_gauss_sum(field: FieldTable, part: CosetPartition) -> EisensteinInt:
+    """The Gauss sum exactly in Z[w]; characteristic 2 only, where
+    psi(x) = (-1)**Tr(x)."""
+    if field.p != 2:
+        raise ValueError("exact Gauss sums require characteristic 2")
+    nz = field._arange[1:]
+    sign = 1 - 2 * field.trace_vec()[nz].astype(np.int64)      # (-1)**Tr(x)
+    lab = part.labels[nz]
+    return from_omega_counts(*(int(sign[lab == k].sum()) for k in range(3)))
 
 
 def _numeric_gauss(field: FieldTable, labels: np.ndarray, values) -> complex:

@@ -324,6 +324,12 @@ class FieldTable:
 
     # -- scalar element operations --
 
+    def require_element(self, x: int) -> int:
+        """x, if it is an element index in [0, q); a ValueError otherwise."""
+        if not 0 <= x < self.q:
+            raise ValueError(f"element {x} is outside F_{self.spec.label()} = [0, {self.q})")
+        return x
+
     def add(self, x: int, y: int) -> int:
         return int(self._add(x, y))
 
@@ -356,7 +362,7 @@ class FieldTable:
         """Exponent h with alpha**h == x; x == 0 is a domain error."""
         if x == 0:
             raise ValueError("discrete log of zero is undefined")
-        return int(self.dlog_table[x])
+        return int(self.dlog_table[self.require_element(x)])
 
     def trace(self, x: int) -> int:
         """Absolute trace to Z_p, returned as an integer in [0, p)."""

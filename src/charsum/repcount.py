@@ -3,9 +3,11 @@
 R(beta, i, j) counts ordered pairs: x from coset j, y from coset i.
 "Ordered" matters: the count enumerates field elements z = x with
 y = beta - x determined, so (x, y) and (y, x) are distinct solutions when
-i == j.  The brute-force routines here are the oracle every closed form
-is checked against: reads of ``characters.label_pairs``, which enumerates
-pairs and never peeks at the formulas or the pair table.
+i == j.  ``brute_rep_count`` is the oracle every closed form is checked
+against, at every beta in [0, q), 0 included: a read of
+``characters.label_pairs``, which enumerates pairs and never peeks at the
+formulas or the pair table.  An element outside [0, q) is refused with
+ValueError.
 
 Closed forms:
   n = 2:  R = (q - 2 - chi2(beta)*((-1)^i + (-1)^j) - (-1)^(i+j)*chi2(-1)) / 4
@@ -35,9 +37,8 @@ from .field import FieldTable
 @registry.op
 def brute_rep_count(field: FieldTable, part: CosetPartition,
                     beta: int, i: int, j: int) -> int:
-    """Oracle: the x in coset j with beta - x in coset i, by ``label_pairs``."""
-    if beta == 0:
-        raise ValueError("beta = 0 is handled by rep_count_zero")
+    """Oracle for every beta in [0, q), 0 included: the x in coset j with
+    beta - x in coset i, by ``label_pairs``."""
     return int(label_pairs(field, part, beta)[j, i])
 
 
@@ -98,12 +99,6 @@ def rep_count_zero(field: FieldTable, part: CosetPartition,
     if (j + lab_m1) % n == i % n:
         return (field.q - 1) // n
     return 0
-
-
-def rep_count_zero_brute(field: FieldTable, part: CosetPartition,
-                         i: int, j: int) -> int:
-    """Oracle for the zero-sum counts: the x in coset j with -x in coset i."""
-    return int(label_pairs(field, part, 0)[j, i])
 
 
 def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarray:

@@ -14,7 +14,7 @@ from charsum import checks
 from charsum.checks import GAUSS_ABS_REL_TOL, JACOBI_NUM_TOL
 from charsum.errors import IdentityViolation
 from charsum.field import prime_powers
-from charsum.repcount import rep_count_zero, rep_count_zero_brute
+from charsum.repcount import brute_rep_count, rep_count_zero
 from charsum.verify import cached_field
 from charsum.characters import partition
 
@@ -84,7 +84,7 @@ def test_criterion_4_zero_sum_counts():
     f9 = cached_field(3, 2)
     p9 = partition(f9, 2)
     val = rep_count_zero(f9, p9, 0, 0)
-    assert val == 4 == rep_count_zero_brute(f9, p9, 0, 0)
+    assert val == 4 == brute_rep_count(f9, p9, 0, 0, 0)
     assert val != (3 - 1) // 2                  # not the literal prime-field value
     documented = any("F_3^2" in note and "4" in note for note in sweep.notes)
     assert documented, "F_9 discrepancy note missing from the report"

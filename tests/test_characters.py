@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -7,9 +8,10 @@ from charsum import EisensteinInt, UnsupportedCharacterError, char_sum_moment
 from charsum.characters import (character_exists, fold_pairs, label_pairs,
                                 memo, pair_table, partition, winterhof_counts,
                                 winterhof_sweep)
-from charsum.cyclotomic import a_beta, jacobi_cubic
-from charsum.repcount import brute_rep_count, rep_count_zero_brute
-from charsum.shiftcount import max_shift_count
+from charsum.cyclotomic import a_beta, chi_bar_times, jacobi_cubic
+from charsum.repcount import (brute_rep_count, closed_rep_count_cubic,
+                              closed_rep_count_quadratic, cubic_K)
+from charsum.shiftcount import max_shift_count, shift_count
 from conftest import get_field, get_partition
 
 
@@ -82,14 +84,35 @@ def test_char_of_minus_one():
         assert get_partition(p, m, 3).label(get_field(p, m).neg(1)) == 0
 
 
-def test_char_values():
-    p2 = get_partition(7, 1, 2)
-    assert p2.char_value(0) == 0
-    assert p2.char_value(1) == 1 and p2.char_value(3) == -1
-    p3 = get_partition(7, 1, 3)
-    assert p3.char_value(0) == EisensteinInt(0)
-    assert p3.char_value(3) == EisensteinInt(0, 1)
-    assert p3.conj_value(3) == EisensteinInt(-1, -1)
+# every public op that takes an element, called at x
+ELEMENT_CALLS = {
+    "brute_rep_count": lambda f, part, x: brute_rep_count(f, part, x, 0, 0),
+    "closed_rep_count": lambda f, part, x: (
+        closed_rep_count_quadratic if part.n == 2 else closed_rep_count_cubic)(
+        f, part, x, 0, 0),
+    "cubic_K": lambda f, part, x: cubic_K(part, x, 0, 0, EisensteinInt(1)),
+    "chi_bar_times": lambda f, part, x: chi_bar_times(part, x, EisensteinInt(1)),
+    "a_beta": lambda f, part, x: a_beta(f, part, x),
+    "winterhof_counts": lambda f, part, x: winterhof_counts(f, part, x),
+    "char_sum_moment": lambda f, part, x: char_sum_moment(f, part, x),
+    "shift_count": lambda f, part, x: shift_count(f, part, [x]),
+    "dlog": lambda f, part, x: f.dlog(x),
+}
+
+
+@pytest.mark.parametrize("p,m,n,name", [
+    (p, m, n, name) for p, m, n in [(7, 1, 2), (7, 1, 3), (2, 4, 3)]
+    for name in ELEMENT_CALLS if n == 3 or name not in ("cubic_K", "a_beta")])
+def test_elements_outside_the_field_are_refused(p, m, n, name):
+    # -1 and q used to index the tables as q - 1 and 0 (or raise a bare
+    # IndexError); q - 1 is answered
+    f, part = get_field(p, m), get_partition(p, m, n)
+    call = ELEMENT_CALLS[name]
+    call(f, part, f.q - 1)
+    for x in (-1, f.q):
+        with pytest.raises(ValueError, match=rf"element {x} is outside "
+                                             rf"F_{re.escape(f.spec.label())} "):
+            call(f, part, x)
 
 
 def test_first_moment_examples():
@@ -174,7 +197,7 @@ def test_label_pairs_rejects_other_signs():
 
 def _oracle_values(f, part):
     n, r = part.n, range(part.n)
-    out = {"zero": [[rep_count_zero_brute(f, part, i, j) for j in r] for i in r],
+    out = {"zero": [[brute_rep_count(f, part, 0, i, j) for j in r] for i in r],
            "moment": char_sum_moment(f, part),
            "n2": max_shift_count(f, part, 2)}
     for beta in range(1, f.q):

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charsum import characters, checks, groupring, registry
+from charsum import characters, checks, cli, groupring, registry, repcount
 from charsum.characters import CosetPartition, label_pairs, pair_table, partition
 from charsum.cli import VERBS, _build_parser, main
 from charsum.cyclotomic import a_beta
 from charsum.errors import IdentityViolation, exact_div
-from charsum.field import FieldTable, build_field, convolve
+from charsum.field import FieldTable, build_field, convolve, parse_field_spec
 from charsum.repcount import brute_rep_count
 from conftest import count_calls, get_field, get_partition
 
@@ -476,6 +476,135 @@ def test_pair_table_families_catch_each_fault(monkeypatch, family, n, p, m):
         assert turned <= caught[fault], fault
     unreachable = set(UNREACHABLE.get(family, {}))
     assert set().union(*caught.values()) == names - unreachable
+    assert unreachable <= names
+
+
+def off_by_one(module, name):
+    """A fault: ``module.name`` answers one more than it should."""
+    real = getattr(module, name)
+    return lambda mp: mp.setattr(module, name, lambda *args: real(*args) + 1)
+
+
+def field_fault(mutate):
+    """A fault: the verb's field, freshly built, changed by ``mutate``."""
+    def install(mp):
+        def built(*args, **kwargs):
+            fld = build_field(*args, **kwargs)
+            mutate(fld)
+            return fld
+        mp.setattr(cli, "build_field", built)
+    return install
+
+
+def _alpha_one(fld):        # 1 generates only {1}
+    fld.alpha = 1
+
+
+def _dlog_repeated(fld):    # alpha^2 takes alpha's log: dlog is no bijection
+    fld.dlog_table[fld.exp[2]] = 1
+
+
+def _exp_swapped(fld):      # see test_field_tables_catch_a_frobenius_...
+    fld.exp[[3, 4]] = fld.exp[[4, 3]]
+    fld.dlog_table[fld.exp[[3, 4]]] = [3, 4]
+
+
+def _gauss_scaled(mp):      # the numeric G off by a factor 1.001
+    real = checks.gauss_sum
+    mp.setattr(checks, "gauss_sum", lambda field, part: 1.001 * real(field, part))
+
+
+# family, its keyword arguments, the verb that prints it, and for each fault
+# the check names it turns false
+FAMILY_FAULTS = {
+    "field_tables-13": ("field_tables", {}, ["field-info", "--field", "13"], {
+        "alpha": {"alpha_order_q_minus_1"},
+        "dlog": {"dlog_bijection", "frobenius_additive"}}),
+    "field_tables-2^4": ("field_tables", {}, ["field-info", "--field", "2^4"], {
+        "alpha": {"alpha_order_q_minus_1"}, "dlog": {"dlog_bijection"},
+        "exp": {"frobenius_additive"}}),
+    "zero_sum-13": ("zero_sum", {}, ["repcount", "--field", "13"], {
+        "zero_rule": {f"zero_sum_count_i{i}_j{j}" for i in range(2) for j in range(2)}}),
+    "zero_sum-7^2": ("zero_sum", {}, ["repcount", "--field", "7^2", "--n", "3"], {
+        "zero_rule": {f"zero_sum_count_i{i}_j{j}" for i in range(3) for j in range(3)}}),
+    "perron-13": ("perron", {}, ["repcount", "--field", "13"], {
+        "class_table": {"qr_as_two_qr", "qr_as_two_nonres", "nonres_as_two_nonres",
+                        "nonres_as_two_qr"},
+        "loop_oracle": {"qr_as_two_qr_matches_brute", "qr_as_two_nonres_matches_brute",
+                        "nonres_as_two_nonres_matches_brute",
+                        "nonres_as_two_qr_matches_brute"}}),
+    "rep_query-beta-0": (
+        "rep_query", {"beta": 0, "i": 1, "j": 1},
+        ["repcount", "--field", "3^2", "--beta", "0", "--i", "1", "--j", "1"], {
+            "loop_oracle": {"closed_equals_brute"},
+            "zero_rule": {"closed_equals_brute"}}),
+    "rep_query-beta-5": (
+        "rep_query", {"beta": 5, "i": 1, "j": 2},
+        ["repcount", "--field", "13", "--n", "3", "--beta", "5", "--i", "1",
+         "--j", "2"], {
+            "loop_oracle": {"closed_equals_brute"},
+            "closed_cubic": {"closed_equals_brute"}}),
+    "gauss-2^4": ("gauss", {}, ["gauss", "--field", "2^4", "--n", "3"], {
+        "gauss_scaled": {"abs_square_equals_q", "exact_matches_numeric"},
+        "exact_gauss": {"exact_matches_numeric"}}),
+    "gauss-13": ("gauss", {}, ["gauss", "--field", "13"], {
+        "gauss_scaled": {"abs_square_equals_q"}}),
+    "duality-13": ("duality", {}, ["duality", "--field", "13"], {
+        "shift_count": {"witness_reproduces_max"},
+        "triple_counts": {"reduction_matches_row_counts"},
+        "class_table_max": {"duality_holds"},
+        "closed_form": {"closed_form_matches"}}),
+    "shift-t3": ("shift", {"t": 3}, ["shift", "--field", "13", "--t", "3"], {
+        "shift_count": {"witness_reproduces_max"},
+        "closed_form": {"closed_form_matches"}}),
+    "shift-t4": ("shift", {"t": 4}, ["shift", "--field", "13", "--t", "4"], {
+        "shift_count": {"witness_reproduces_max"},
+        "quad_counts": {"reduction_matches_row_counts"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_FAULTS))
+def test_families_catch_each_fault_through_main(capsys, monkeypatch, case):
+    # every check name field_tables, zero_sum, perron, rep_query, gauss,
+    # duality and shift print is turned false by one injected fault, with
+    # exit 2 from main, or listed in UNREACHABLE
+    family, kwargs, argv, expected = FAMILY_FAULTS[case]
+    faults = {
+        "alpha": field_fault(_alpha_one), "dlog": field_fault(_dlog_repeated),
+        "exp": field_fault(_exp_swapped),
+        # the (q-1)/n rule; the enumeration oracle at every beta, 0 included
+        "zero_rule": off_by_one(checks, "rep_count_zero"),
+        "loop_oracle": off_by_one(checks, "brute_rep_count"),
+        "closed_cubic": off_by_one(checks, "closed_rep_count_cubic"),
+        # the class table perron_table reads, and the one max R reads
+        "class_table": off_by_one(repcount, "closed_rep_class_table"),
+        "class_table_max": off_by_one(checks, "closed_rep_class_table"),
+        "gauss_scaled": _gauss_scaled,
+        "exact_gauss": off_by_one(checks, "exact_gauss_sum"),
+        "shift_count": off_by_one(checks, "shift_count"),
+        "triple_counts": off_by_one(checks, "triple_counts"),
+        "quad_counts": off_by_one(checks, "quad_counts"),
+        "closed_form": off_by_one(checks, "closed_form_max3"),
+    }
+    spec, n = argv[2], (int(argv[argv.index("--n") + 1]) if "--n" in argv else 2)
+    fld = build_field(*parse_field_spec(spec)[:2])
+    part = None if family == "field_tables" else partition(fld, n)
+    names = {spot(c.name) for c in getattr(checks, family)(fld, part, **kwargs)[1]}
+
+    def failing():
+        code, report, _ = run_json(capsys, *argv)
+        return code, {spot(c["name"]) for c in report["checks"] if not c["pass"]}
+
+    assert failing() == (0, set())
+    caught = set()
+    for fault, turned in expected.items():
+        with monkeypatch.context() as mp:
+            faults[fault](mp)
+            code, failed = failing()
+        assert code == 2 and turned <= failed, fault
+        caught |= failed & names
+    unreachable = set(UNREACHABLE.get(family, {}))
+    assert caught == names - unreachable
     assert unreachable <= names
 
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from charsum.cyclotomic import (a_beta, a_beta_sweep, chi_bar_times,
-                                gauss_sum, jacobi_char2_closed_form,
-                                jacobi_cubic, jacobi_from_gauss)
+                                exact_gauss_sum, gauss_sum,
+                                jacobi_char2_closed_form, jacobi_cubic,
+                                jacobi_from_gauss)
 from charsum.eisenstein import (EisensteinInt, OMEGA, from_omega_counts,
                                 omega_pow)
 from conftest import get_field, get_partition
@@ -108,25 +109,23 @@ def test_a_beta_identity_exhaustive(p, m):
 
 def test_gauss_exact_char2():
     for m, g in ((2, 2), (4, -4), (6, 8)):
-        assert gauss_sum(get_field(2, m), get_partition(2, m, 3),
-                         mode="exact") == EisensteinInt(g)
+        assert exact_gauss_sum(get_field(2, m), get_partition(2, m, 3)) \
+            == EisensteinInt(g)
     with pytest.raises(ValueError):
-        gauss_sum(get_field(5), get_partition(5, 1, 2), mode="exact")
-    with pytest.raises(ValueError):
-        gauss_sum(get_field(5), get_partition(5, 1, 2), mode="symbolic")
+        exact_gauss_sum(get_field(5), get_partition(5, 1, 2))
 
 
 def test_gauss_numeric_classical_values():
-    g5 = gauss_sum(get_field(5), get_partition(5, 1, 2), mode="numeric")
+    g5 = gauss_sum(get_field(5), get_partition(5, 1, 2))
     assert abs(g5 - cmath.sqrt(5)) < 1e-9
-    g7 = gauss_sum(get_field(7), get_partition(7, 1, 2), mode="numeric")
+    g7 = gauss_sum(get_field(7), get_partition(7, 1, 2))
     assert abs(g7 - 1j * cmath.sqrt(7)) < 1e-9
 
 
 @pytest.mark.parametrize("p,m,n", [(5, 1, 2), (7, 1, 2), (3, 2, 2),
                                    (2, 2, 3), (7, 1, 3), (13, 1, 3), (5, 2, 3)])
 def test_gauss_abs_square_is_q(p, m, n):
-    g = gauss_sum(get_field(p, m), get_partition(p, m, n), mode="numeric")
+    g = gauss_sum(get_field(p, m), get_partition(p, m, n))
     assert abs(abs(g) ** 2 - p ** m) <= 1e-9 * p ** m
 
 
@@ -160,6 +159,6 @@ def test_conjugate_flag_conjugates_sums():
     j = jacobi_cubic(f, get_partition(13, 1, 3))
     j_conj = jacobi_cubic(f, get_partition(13, 1, 3, conjugate=True))
     assert j_conj == j.conj()
-    g = gauss_sum(f, get_partition(13, 1, 3), mode="numeric")
-    g_conj = gauss_sum(f, get_partition(13, 1, 3, conjugate=True), mode="numeric")
+    g = gauss_sum(f, get_partition(13, 1, 3))
+    g_conj = gauss_sum(f, get_partition(13, 1, 3, conjugate=True))
     assert abs(g.conjugate() - g_conj) < 1e-9

@@ -9,7 +9,7 @@ from charsum.repcount import (brute_rep_count, closed_rep_class_table,
                               closed_rep_count_cubic,
                               closed_rep_count_quadratic, cubic_K,
                               perron_table, rep_count_table,
-                              rep_count_zero, rep_count_zero_brute)
+                              rep_count_zero)
 from conftest import get_field, get_partition
 
 
@@ -51,12 +51,12 @@ def test_cubic_example_f7():
 
 def test_beta_zero_routing_and_errors():
     f7, p7 = get_field(7), get_partition(7, 1, 2)
-    with pytest.raises(ValueError):
-        brute_rep_count(f7, p7, 0, 0, 0)
+    assert brute_rep_count(f7, p7, 0, 1, 0) == rep_count_zero(f7, p7, 1, 0) == 3
     with pytest.raises(ValueError):
         closed_rep_count_quadratic(f7, p7, 0, 0, 0)
     results, _, _ = checks.rep_query(f7, p7, 0, 1, 0)
     assert results["query"]["count"] == rep_count_zero(f7, p7, 1, 0)
+    assert results["brute_force"] == brute_rep_count(f7, p7, 0, 1, 0)
 
 
 def test_zero_sum_examples():
@@ -67,7 +67,7 @@ def test_zero_sum_examples():
     f9, p9 = get_field(3, 2), get_partition(3, 2, 2)
     # (q-1)/2 = 4, not the prime-field-literal (p-1)/2 = 1
     assert rep_count_zero(f9, p9, 0, 0) == 4
-    assert rep_count_zero_brute(f9, p9, 0, 0) == 4
+    assert brute_rep_count(f9, p9, 0, 0, 0) == 4
     f7, p7 = get_field(7), get_partition(7, 1, 2)
     assert rep_count_zero(f7, p7, 0, 0) == 0         # q = 3 mod 4
     assert rep_count_zero(f7, p7, 0, 1) == 3
@@ -82,7 +82,9 @@ def test_zero_sum_oracle_matches_a_scalar_loop(p, m, n):
     for i in range(n):
         for j in range(n):
             loop = sum(part.label(f.neg(int(x))) == i for x in part.cosets[j])
-            assert rep_count_zero_brute(f, part, i, j) == loop
+            # the one oracle answers beta = 0 as the closed (q-1)/n rule does
+            assert brute_rep_count(f, part, 0, i, j) == loop \
+                == rep_count_zero(f, part, i, j)
 
 
 @pytest.mark.parametrize("p,m,n", [(5, 1, 2), (13, 1, 2), (3, 2, 2), (7, 2, 2),
