@@ -30,10 +30,8 @@ from .eisenstein import EisensteinInt, OMEGA, omega_pow
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import (FieldSpec, FieldTable, build_field, find_irreducible,
                     parse_field_spec, prime_powers)
-from .groupring import GroupRingElement, cubic_sigma, gr_mul, quadratic_sigma
-from .repcount import (brute_rep_count, closed_rep_count_cubic,
-                       closed_rep_count_quadratic, perron_table,
-                       rep_count_zero)
+from .groupring import GroupRingElement, closed_sigmas, gr_mul
+from .repcount import brute_rep_count, closed_rep_count, perron_table
 from .shiftcount import (affine_max_shift, closed_form_max3, max_shift_count,
                          shift_count)
 
@@ -44,9 +42,9 @@ __all__ = [
     "GroupRingElement", "IdentityViolation", "OMEGA",
     "UnsupportedCharacterError", "a_beta", "affine_max_shift",
     "brute_rep_count", "build_field", "char_sum_moment", "character_exists",
-    "closed_form_max3", "closed_rep_count_cubic", "closed_rep_count_quadratic",
-    "cubic_sigma", "exact_gauss_sum", "find_irreducible", "gauss_sum", "gr_mul",
-    "jacobi_cubic", "jacobi_from_gauss", "max_shift_count", "omega_pow",
-    "parse_field_spec", "partition", "perron_table", "prime_powers",
-    "quadratic_sigma", "rep_count_zero", "shift_count", "winterhof_counts",
+    "closed_form_max3", "closed_rep_count", "closed_sigmas", "exact_gauss_sum",
+    "find_irreducible", "gauss_sum", "gr_mul", "jacobi_cubic",
+    "jacobi_from_gauss", "max_shift_count", "omega_pow", "parse_field_spec",
+    "partition", "perron_table", "prime_powers", "shift_count",
+    "winterhof_counts",
 ]

@@ -44,6 +44,11 @@ def require_character(field: FieldTable, n: int) -> None:
             f" (q - 1 = {field.q - 1})")
 
 
+def require_coset_indices(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("coset indices must lie in [0, n)")
+
+
 class CosetPartition:
     """Kernel-coset partition of F_q* under a character of order n."""
 

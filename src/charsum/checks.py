@@ -25,10 +25,9 @@ from .cyclotomic import (a_beta, a_beta_sweep, chi_bar_times, exact_gauss_sum,
                          jacobi_from_gauss)
 from .eisenstein import EisensteinInt
 from .field import convolve, prime_factors
-from .groupring import GroupRingElement, cubic_sigma, gr_mul, quadratic_sigma
-from .repcount import (brute_rep_count, closed_rep_class_table,
-                       closed_rep_count_cubic, closed_rep_count_quadratic,
-                       cubic_K, perron_table, rep_count_table, rep_count_zero)
+from .groupring import GroupRingElement, closed_sigmas, gr_mul
+from .repcount import (brute_rep_count, closed_rep_class_table, closed_rep_count,
+                       cubic_K, perron_table, rep_count_table)
 from .shiftcount import (affine_ratios, closed_form_max3, extension_counts,
                          max_shift_count, quad_counts, shift_count, triple_counts)
 
@@ -162,7 +161,7 @@ def zero_sum(field, part):
     n, q, p = part.n, field.q, field.p
     h = label_pairs(field, part, 0)
     found = [equal(f"zero_sum_count_i{i}_j{j}", int(h[j, i]),
-                   rep_count_zero(field, part, i, j))
+                   closed_rep_count(field, part, 0, i, j))
              for i in range(n) for j in range(n)]
     note = (f"nonzero cells are (q-1)/{n} = {(q - 1) // n}, "
             f"not the prime-field-literal (p-1)/{n} = {(p - 1) // n}")
@@ -187,23 +186,13 @@ def perron(field, part):
                       for key, _, beta, ij in cases]), []
 
 
-def require_coset_indices(n: int, i: int, j: int) -> None:
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("coset indices must lie in [0, n)")
-
-
 def rep_query(field, part, beta, i, j):
     """One count R(beta, i, j) by its closed form, the (q-1)/n rule at
     beta = 0, against enumeration."""
     n = part.n
     if not 0 <= beta < field.q:
         raise ValueError(f"--beta must lie in [0, {field.q})")
-    require_coset_indices(n, i, j)
-    if beta == 0:
-        closed = rep_count_zero(field, part, i, j)
-    else:
-        closed = (closed_rep_count_quadratic if n == 2 else closed_rep_count_cubic)(
-            field, part, beta, i, j)
+    closed = closed_rep_count(field, part, beta, i, j)
     brute = brute_rep_count(field, part, beta, i, j)
     query = {"n": n, "beta": beta, "i": i, "j": j, "count": closed,
              "method": "closed-form"}
@@ -306,13 +295,12 @@ def charpoly(field, part):
     el = partial(GroupRingElement, field)       # gr_mul's operands: see groupring
     found = [holds("partition_identity",                # sum f_j = Phi - X^0
                    np.array_equal(total, ph - (np.arange(field.q) == 0)))]
+    sigmas = closed_sigmas(field, part)
     if part.n == 2:
         found.append(holds("phi_squared_equals_q_phi", np.array_equal(
             gr_mul(el(ph), el(ph)).coeffs, field.q * ph)))
-        jac, sigmas = None, quadratic_sigma(field, part)
         products = {"sigma1_matches_sum": total, "sigma2_matches_product": pairs[0, 1]}
     else:
-        jac, sigmas = memo(part, jacobi_cubic), cubic_sigma(field, part)
         products = {"sigma1_matches_sum": total,
                     "sigma2_matches_pair_sum": pairs[0, 1] + pairs[1, 2] + pairs[2, 0],
                     "sigma3_matches_product": gr_mul(el(pairs[0, 1]), el(f[2])).coeffs}
@@ -328,8 +316,8 @@ def charpoly(field, part):
               for j, r in enumerate(residuals)]
     results = {"n": part.n,
                **{f"sigma{k}": _sigma_json(s) for k, s in enumerate(sigmas, 1)}}
-    if jac is not None:
-        results["jacobi"] = jac.to_json()
+    if part.n == 3:
+        results["jacobi"] = memo(part, jacobi_cubic).to_json()
     return results, found, []
 
 

@@ -22,7 +22,7 @@ import time
 from functools import partial
 
 from . import checks, registry
-from .characters import partition
+from .characters import partition, require_coset_indices
 from .checks import equal
 from .errors import IdentityViolation, UnsupportedCharacterError
 from .field import FieldTable, build_field, env_size_cap, parse_field_spec
@@ -98,7 +98,7 @@ def _repcount(a):
     """The query --beta names, else the table; both refuse a bad coset index."""
     if a.beta is not None:
         return a.n, [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]
-    checks.require_coset_indices(a.n, a.i, a.j)
+    require_coset_indices(a.n, a.i, a.j)
     return a.n, [checks.rep_table, checks.zero_sum, checks.perron]
 
 

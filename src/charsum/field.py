@@ -331,27 +331,28 @@ class FieldTable:
         return x
 
     def add(self, x: int, y: int) -> int:
-        return int(self._add(x, y))
+        return int(self._add(self.require_element(x), self.require_element(y)))
 
     def neg(self, x: int) -> int:
+        x = self.require_element(x)
         return int(x) if self.p == 2 else int(self._neg[x])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
+        if 0 in (self.require_element(x), self.require_element(y)):
             return 0
         return int(self.exp[(self.dlog_table[x] + self.dlog_table[y])
                             % (self.q - 1)])
 
     def inv(self, x: int) -> int:
-        if x == 0:
+        if self.require_element(x) == 0:
             raise ZeroDivisionError("inverse of zero")
         return int(self.exp[(-self.dlog_table[x]) % (self.q - 1)])
 
     def pow_(self, x: int, e: int) -> int:
-        if x == 0:
+        if self.require_element(x) == 0:
             if e <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a non-positive power")
             return 0
@@ -366,7 +367,7 @@ class FieldTable:
 
     def trace(self, x: int) -> int:
         """Absolute trace to Z_p, returned as an integer in [0, p)."""
-        return int(self.trace_vec()[x])
+        return int(self.trace_vec()[self.require_element(x)])
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         x = int(x)

@@ -16,6 +16,9 @@ wraps ``gr_mul`` and reads ``result.coeffs.dtype``, and the benchmark
 reports ``groupring.gr_mul.*``.  ROADMAP item 2, the benchmark contract
 change, unpins them; until then ``checks.charpoly`` forms its two products
 (Phi^2, and (f_0 f_1) f_2) through them, so ``gr_mul.calls`` keeps its count.
+
+The f_j are the n roots of X^n - sigma1 X^(n-1) + ... = 0;
+``closed_sigmas`` gives its coefficients in closed form, for either order.
 """
 
 from __future__ import annotations
@@ -50,45 +53,27 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(a.field, convolve(a.field, a.coeffs, b.coeffs))
 
 
-def _phi_minus_one(q: int) -> np.ndarray:
-    """sigma1 = Phi - 1 = f_0 + ... + f_{n-1}: 0 at X^0, 1 elsewhere."""
-    return (np.arange(q) > 0).astype(np.int64)
-
-
 @registry.op
-def quadratic_sigma(field: FieldTable,
-                    part: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form sum and product of the two quadratic characteristic functions.
+def closed_sigmas(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, ...]:
+    """Closed-form elementary symmetric functions sigma_1 .. sigma_n of the
+    n coset characteristic functions, which convolution confirms.
 
-    sigma1 = Phi - 1 and sigma2 = -(1/4) * [q*chi2(-1) - 1 - Phi*(q - 2 + chi2(-1))],
-    which convolution confirms equal f_0 + f_1 and f_0 * f_1.
-    """
-    if part.n != 2:
-        raise ValueError("quadratic partition expected")
-    q = field.q
-    chi_m1 = 1 if q % 4 == 1 else -1
-    num = np.full(q, q - 2 + chi_m1, dtype=np.int64)
-    num[0] += 1 - q * chi_m1
-    return _phi_minus_one(q), exact_div(num, 4, "quadratic sigma2")
-
-
-@registry.op
-def cubic_sigma(field: FieldTable, part: CosetPartition
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form elementary symmetric functions of the three cubic
-    characteristic functions.
-
-    sigma1 = Phi - 1,  sigma2 = (q-1)/3 * (Phi - 1),
-    sigma3 = (1/27) * [(Phi - 1)^3 + (3 - 3*Phi + J + conj(J)) * (q - Phi)],
+    sigma1 = Phi - 1 = f_0 + ... + f_{n-1}: 0 at X^0, 1 elsewhere.
+    n = 2:  sigma2 = -(1/4) * [q*chi2(-1) - 1 - Phi*(q - 2 + chi2(-1))].
+    n = 3:  sigma2 = (q-1)/3 * (Phi - 1),
+            sigma3 = (1/27) * [(Phi - 1)^3 + (3 - 3*Phi + J + conj(J)) * (q - Phi)],
     which Phi^2 = q Phi reduces to (q-1)(q+1+t) at X^0 and q^2 - 3q - t
     elsewhere, t = J + conj(J), so no product is formed here.
     """
-    if part.n != 3:
-        raise ValueError("cubic partition expected")
     q = field.q
+    s1 = (np.arange(q) > 0).astype(np.int64)
+    if part.n == 2:
+        chi_m1 = 1 if q % 4 == 1 else -1
+        num = np.full(q, q - 2 + chi_m1, dtype=np.int64)
+        num[0] += 1 - q * chi_m1
+        return s1, exact_div(num, 4, "quadratic sigma2")
     jac = memo(part, jacobi_cubic)
     t = (jac + jac.conj()).a            # z + conj(z) = (2a - b) + 0 w, rational
-    s1 = _phi_minus_one(q)
     num = np.full(q, q * q - 3 * q - t, dtype=np.int64)
     num[0] = (q - 1) * (q + 1 + t)
     return s1, (q - 1) // 3 * s1, exact_div(num, 27, "cubic sigma3")

@@ -1,6 +1,6 @@
 """Invocation registry backing the verify suite's coverage self-test.
 
-The ops are the 24 functions declared with ``@op``.  An op's name joins
+The ops are the 21 functions declared with ``@op``.  An op's name joins
 ``ALL_OPS`` when its module is imported, and each call records it before
 the body runs, so a call that raises still counts.  ``charsum verify
 --scope all`` then checks that each name in ``ALL_OPS`` was hit at least

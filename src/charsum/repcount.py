@@ -14,12 +14,17 @@ Closed forms:
   n = 3:  R = (q - 2 - K - conj(K)) / 9,
           K = chi3(beta)*(w^2i + w^2j) + w^(2i+j)
               - w^(2i+2j)*conj(chi3)(beta)*J(chi3, chi3)
-Both divisions are exact whenever the inputs are valid; a nonzero
-remainder raises IdentityViolation instead of truncating.
+Both depend on beta only through its class label(beta), so
+``closed_rep_class_table`` evaluates them once per (class, i, j) cell, the
+one place they are evaluated; the division by n^2 is exact whenever the
+inputs are valid, and a nonzero remainder raises IdentityViolation instead
+of truncating.
 
 For beta = 0 the count is (q-1)/n when coset j and coset (j + dlog(-1))
 coincide with coset i, else 0.  Note the value is (q-1)/n, not (p-1)/n:
 brute force on F_9 gives 4 = (9-1)/2, which pins the m > 1 reading.
+``closed_rep_count`` answers every beta, 0 included, from the two.  Every
+count refuses a coset index outside [0, n) with ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, label_pairs, memo, pair_table
+from .characters import (CosetPartition, label_pairs, memo, pair_table,
+                         require_coset_indices)
 from .cyclotomic import jacobi_cubic
 from .eisenstein import EisensteinInt, omega_pow
 from .errors import exact_div
@@ -39,6 +45,7 @@ def brute_rep_count(field: FieldTable, part: CosetPartition,
                     beta: int, i: int, j: int) -> int:
     """Oracle for every beta in [0, q), 0 included: the x in coset j with
     beta - x in coset i, by ``label_pairs``."""
+    require_coset_indices(part.n, i, j)
     return int(label_pairs(field, part, beta)[j, i])
 
 
@@ -49,24 +56,10 @@ def rep_count_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return memo(part, pair_table)
 
 
-@registry.op
-def closed_rep_count_quadratic(field: FieldTable, part: CosetPartition,
-                               beta: int, i: int, j: int) -> int:
-    if part.n != 2:
-        raise ValueError("quadratic closed form needs a quadratic partition")
-    if beta == 0:
-        raise ValueError("beta = 0 is handled by rep_count_zero")
-    chi_beta = (1, -1)[part.label(beta)]
-    chi_m1 = 1 if field.q % 4 == 1 else -1
-    val = (field.q - 2
-           - chi_beta * ((-1) ** i + (-1) ** j)
-           - (-1) ** (i + j) * chi_m1)
-    return exact_div(val, 4, "quadratic representation count")
-
-
 def cubic_K(part: CosetPartition, beta: int, i: int, j: int,
             jac: EisensteinInt) -> EisensteinInt:
     """The K term of the cubic closed form, exactly in Z[w]."""
+    require_coset_indices(part.n, i, j)
     lab = part.label(beta)
     if lab < 0:
         raise ValueError("beta must be nonzero")
@@ -77,45 +70,34 @@ def cubic_K(part: CosetPartition, beta: int, i: int, j: int,
             - omega_pow(2 * i + 2 * j) * chi_b_bar * jac)
 
 
-@registry.op
-def closed_rep_count_cubic(field: FieldTable, part: CosetPartition,
-                           beta: int, i: int, j: int) -> int:
-    if part.n != 3:
-        raise ValueError("cubic closed form needs a cubic partition")
-    if beta == 0:
-        raise ValueError("beta = 0 is handled by rep_count_zero")
-    k = cubic_K(part, beta, i, j, memo(part, jacobi_cubic))
-    # z + conj(z) = (2a - b) + 0 w for every z, so its a coordinate is all of it
-    return exact_div(field.q - 2 - (k + k.conj()).a, 9,
-                     "cubic representation count")
-
-
-@registry.op
-def rep_count_zero(field: FieldTable, part: CosetPartition,
-                   i: int, j: int) -> int:
-    """Decompositions of 0: (q-1)/n when -coset_j is coset_i, else 0."""
-    n = part.n
-    lab_m1 = part.label(field.neg(1))
-    if (j + lab_m1) % n == i % n:
-        return (field.q - 1) // n
-    return 0
-
-
 def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarray:
-    """Closed-form counts per class: out[label(beta), i, j]."""
-    n = part.n
-    reps = [int(part.cosets[c][0]) for c in range(n)]
-    out = np.empty((n, n, n), dtype=np.int64)
-    for c in range(n):
-        for i in range(n):
-            for j in range(n):
-                if n == 2:
-                    out[c, i, j] = closed_rep_count_quadratic(
-                        field, part, reps[c], i, j)
-                else:
-                    out[c, i, j] = closed_rep_count_cubic(
-                        field, part, reps[c], i, j)
-    return out
+    """Closed-form counts per class: out[label(beta), i, j], beta != 0."""
+    n, q = part.n, field.q
+    if n == 2:
+        c, i, j = np.indices((2, 2, 2))
+        chi_m1 = 1 if q % 4 == 1 else -1
+        num = (q - 2 - (-1) ** c * ((-1) ** i + (-1) ** j)
+               - (-1) ** (i + j) * chi_m1)
+    else:
+        jac = memo(part, jacobi_cubic)
+        ks = [cubic_K(part, int(part.cosets[c][0]), i, j, jac)
+              for c, i, j in np.ndindex(3, 3, 3)]
+        # z + conj(z) = (2a - b) + 0 w for every z, so its a coordinate is all of it
+        num = np.array([q - 2 - (k + k.conj()).a for k in ks]).reshape(3, 3, 3)
+    return exact_div(num, n * n, "representation count")
+
+
+@registry.op
+def closed_rep_count(field: FieldTable, part: CosetPartition,
+                     beta: int, i: int, j: int) -> int:
+    """R(beta, i, j) for every beta in [0, q): the class table at beta != 0,
+    the (q-1)/n rule at beta = 0 (-coset_j is coset_i)."""
+    require_coset_indices(part.n, i, j)
+    c = part.label(beta)
+    if c >= 0:
+        return int(memo(part, closed_rep_class_table)[c, i, j])
+    lab_m1 = part.label(field.neg(1))
+    return (field.q - 1) // part.n if (j + lab_m1) % part.n == i else 0
 
 
 @registry.op

@@ -7,7 +7,7 @@ import pytest
 
 from charsum import build_field, checks, jacobi_cubic, partition
 from charsum.cyclotomic import a_beta, chi_bar_times
-from charsum.groupring import GroupRingElement, cubic_sigma, gr_mul, quadratic_sigma
+from charsum.groupring import GroupRingElement, closed_sigmas, gr_mul
 from charsum.repcount import closed_rep_class_table, rep_count_table
 
 
@@ -54,11 +54,11 @@ def test_equations_still_hold(f9_alt, f25_alt):
 
     part = partition(f9_alt, 2)
     f0, f1 = part.indicators()
-    s1, s2 = quadratic_sigma(f9_alt, part)
+    s1, s2 = closed_sigmas(f9_alt, part)
     assert np.array_equal(s1, f0 + f1) and np.array_equal(s2, mul(f9_alt, f0, f1))
     part3 = partition(f25_alt, 3)
     fs = part3.indicators()
-    s1, s2, s3 = cubic_sigma(f25_alt, part3)
+    s1, s2, s3 = closed_sigmas(f25_alt, part3)
     assert np.array_equal(s3, mul(f25_alt, mul(f25_alt, fs[0], fs[1]), fs[2]))
     for root in fs:
         r2 = mul(f25_alt, root, root)

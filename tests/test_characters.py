@@ -9,8 +9,7 @@ from charsum.characters import (character_exists, fold_pairs, label_pairs,
                                 memo, pair_table, partition, winterhof_counts,
                                 winterhof_sweep)
 from charsum.cyclotomic import a_beta, chi_bar_times, jacobi_cubic
-from charsum.repcount import (brute_rep_count, closed_rep_count_cubic,
-                              closed_rep_count_quadratic, cubic_K)
+from charsum.repcount import brute_rep_count, closed_rep_count, cubic_K
 from charsum.shiftcount import max_shift_count, shift_count
 from conftest import get_field, get_partition
 
@@ -87,9 +86,7 @@ def test_char_of_minus_one():
 # every public op that takes an element, called at x
 ELEMENT_CALLS = {
     "brute_rep_count": lambda f, part, x: brute_rep_count(f, part, x, 0, 0),
-    "closed_rep_count": lambda f, part, x: (
-        closed_rep_count_quadratic if part.n == 2 else closed_rep_count_cubic)(
-        f, part, x, 0, 0),
+    "closed_rep_count": lambda f, part, x: closed_rep_count(f, part, x, 0, 0),
     "cubic_K": lambda f, part, x: cubic_K(part, x, 0, 0, EisensteinInt(1)),
     "chi_bar_times": lambda f, part, x: chi_bar_times(part, x, EisensteinInt(1)),
     "a_beta": lambda f, part, x: a_beta(f, part, x),
@@ -97,6 +94,14 @@ ELEMENT_CALLS = {
     "char_sum_moment": lambda f, part, x: char_sum_moment(f, part, x),
     "shift_count": lambda f, part, x: shift_count(f, part, [x]),
     "dlog": lambda f, part, x: f.dlog(x),
+    # the scalar field ops; the binary ones at either argument below
+    "add": lambda f, part, x: f.add(x, 1),
+    "neg": lambda f, part, x: f.neg(x),
+    "sub": lambda f, part, x: f.sub(x, 1),
+    "mul": lambda f, part, x: f.mul(x, 1),
+    "inv": lambda f, part, x: f.inv(x),
+    "pow_": lambda f, part, x: f.pow_(x, 1),
+    "trace": lambda f, part, x: f.trace(x),
 }
 
 
@@ -113,6 +118,11 @@ def test_elements_outside_the_field_are_refused(p, m, n, name):
         with pytest.raises(ValueError, match=rf"element {x} is outside "
                                              rf"F_{re.escape(f.spec.label())} "):
             call(f, part, x)
+    if name in ("add", "sub", "mul"):       # each argument alone, 0 beside it too
+        binary = getattr(f, name)
+        for args in ((1, -1), (f.q, 0), (0, f.q)):
+            with pytest.raises(ValueError, match="is outside F_"):
+                binary(*args)
 
 
 def test_first_moment_examples():

@@ -237,8 +237,8 @@ def test_a_declared_op_never_invoked_fails_coverage(capsys, monkeypatch):
                                "--q-max", "31", "--threads", "1")
     assert code == 2
     assert [c for c in report["checks"] if not c["pass"]] == [
-        {"name": "op_coverage", "expected": "25 ops invoked",
-         "actual": "24 ops invoked, missing: ['throwaway']", "pass": False}]
+        {"name": "op_coverage", "expected": "22 ops invoked",
+         "actual": "21 ops invoked, missing: ['throwaway']", "pass": False}]
 
 
 def test_verify_scope_all_needs_a_q_max_that_reaches_every_op(capsys):
@@ -273,7 +273,7 @@ def test_ops_keep_their_name_and_module():
                         and getattr(obj, "__module__", None) == mod.__name__):
                     assert obj.__name__ == obj.__wrapped__.__name__ == attr
                     declared.append(attr)
-    assert sorted(declared) == sorted(registry.ALL_OPS) and len(declared) == 24
+    assert sorted(declared) == sorted(registry.ALL_OPS) and len(declared) == 21
 
 
 def test_usage_errors_exit_1(capsys):
@@ -346,7 +346,7 @@ def test_charpoly_family_catches_each_fault(monkeypatch, n):
     assert failing() == set()
     caught = {}
     # the element 1 relabelled -1, so the f_j miss it; J reads no pair
-    # through 1 (its partner would be 0), so cubic_sigma still computes
+    # through 1 (its partner would be 0), so closed_sigmas still computes
     caught["relabel"] = failing(unlabelled_one(fld, n))
     # a closed-form sigma (sigma2 for n = 2, sigma3 for n = 3) plus X^0
     with monkeypatch.context() as mp:
@@ -509,6 +509,20 @@ def _exp_swapped(fld):      # see test_field_tables_catch_a_frobenius_...
     fld.dlog_table[fld.exp[[3, 4]]] = [3, 4]
 
 
+def moved_to_coset_0(src):
+    """A fault: the verb's partition built directly, with the first element
+    of coset ``src`` moved to coset 0, in its labels and its cosets."""
+    def install(mp):
+        def built(fld, n, conjugate=False):
+            part = partition(fld, n, conjugate)
+            x, cosets, labels = part.cosets[src][0], list(part.cosets), part.labels.copy()
+            labels[x] = 0
+            cosets[0], cosets[src] = np.sort(np.append(cosets[0], x)), cosets[src][1:]
+            return CosetPartition(fld, n, conjugate, labels, tuple(cosets))
+        mp.setattr(cli, "partition", built)
+    return install
+
+
 def _gauss_scaled(mp):      # the numeric G off by a factor 1.001
     real = checks.gauss_sum
     mp.setattr(checks, "gauss_sum", lambda field, part: 1.001 * real(field, part))
@@ -523,10 +537,16 @@ FAMILY_FAULTS = {
     "field_tables-2^4": ("field_tables", {}, ["field-info", "--field", "2^4"], {
         "alpha": {"alpha_order_q_minus_1"}, "dlog": {"dlog_bijection"},
         "exp": {"frobenius_additive"}}),
+    "cosets-13": ("cosets", {}, ["partition", "--field", "13"], {
+        "moved_1": {"coset_0_size", "coset_1_size", "coset_1_is_alpha^1_coset_0"}}),
+    "cosets-13-n3": ("cosets", {}, ["partition", "--field", "13", "--n", "3"], {
+        "moved_1": {"coset_0_size", "coset_1_size", "coset_1_is_alpha^1_coset_0",
+                    "coset_2_is_alpha^2_coset_0"},
+        "moved_2": {"coset_2_size"}}),
     "zero_sum-13": ("zero_sum", {}, ["repcount", "--field", "13"], {
-        "zero_rule": {f"zero_sum_count_i{i}_j{j}" for i in range(2) for j in range(2)}}),
+        "closed": {f"zero_sum_count_i{i}_j{j}" for i in range(2) for j in range(2)}}),
     "zero_sum-7^2": ("zero_sum", {}, ["repcount", "--field", "7^2", "--n", "3"], {
-        "zero_rule": {f"zero_sum_count_i{i}_j{j}" for i in range(3) for j in range(3)}}),
+        "closed": {f"zero_sum_count_i{i}_j{j}" for i in range(3) for j in range(3)}}),
     "perron-13": ("perron", {}, ["repcount", "--field", "13"], {
         "class_table": {"qr_as_two_qr", "qr_as_two_nonres", "nonres_as_two_nonres",
                         "nonres_as_two_qr"},
@@ -537,13 +557,13 @@ FAMILY_FAULTS = {
         "rep_query", {"beta": 0, "i": 1, "j": 1},
         ["repcount", "--field", "3^2", "--beta", "0", "--i", "1", "--j", "1"], {
             "loop_oracle": {"closed_equals_brute"},
-            "zero_rule": {"closed_equals_brute"}}),
+            "closed": {"closed_equals_brute"}}),
     "rep_query-beta-5": (
         "rep_query", {"beta": 5, "i": 1, "j": 2},
         ["repcount", "--field", "13", "--n", "3", "--beta", "5", "--i", "1",
          "--j", "2"], {
             "loop_oracle": {"closed_equals_brute"},
-            "closed_cubic": {"closed_equals_brute"}}),
+            "closed": {"closed_equals_brute"}}),
     "gauss-2^4": ("gauss", {}, ["gauss", "--field", "2^4", "--n", "3"], {
         "gauss_scaled": {"abs_square_equals_q", "exact_matches_numeric"},
         "exact_gauss": {"exact_matches_numeric"}}),
@@ -565,17 +585,17 @@ FAMILY_FAULTS = {
 
 @pytest.mark.parametrize("case", sorted(FAMILY_FAULTS))
 def test_families_catch_each_fault_through_main(capsys, monkeypatch, case):
-    # every check name field_tables, zero_sum, perron, rep_query, gauss,
-    # duality and shift print is turned false by one injected fault, with
+    # every check name field_tables, cosets, zero_sum, perron, rep_query,
+    # gauss, duality and shift print is turned false by one injected fault, with
     # exit 2 from main, or listed in UNREACHABLE
     family, kwargs, argv, expected = FAMILY_FAULTS[case]
     faults = {
         "alpha": field_fault(_alpha_one), "dlog": field_fault(_dlog_repeated),
         "exp": field_fault(_exp_swapped),
-        # the (q-1)/n rule; the enumeration oracle at every beta, 0 included
-        "zero_rule": off_by_one(checks, "rep_count_zero"),
+        "moved_1": moved_to_coset_0(1), "moved_2": moved_to_coset_0(2),
+        # the closed form and the enumeration oracle, at every beta, 0 included
+        "closed": off_by_one(checks, "closed_rep_count"),
         "loop_oracle": off_by_one(checks, "brute_rep_count"),
-        "closed_cubic": off_by_one(checks, "closed_rep_count_cubic"),
         # the class table perron_table reads, and the one max R reads
         "class_table": off_by_one(repcount, "closed_rep_class_table"),
         "class_table_max": off_by_one(checks, "closed_rep_class_table"),

@@ -155,7 +155,7 @@ def test_characteristic_two_never_calls_the_fft(monkeypatch, capsys):
 
 
 def test_cubic_products_at_the_size_cap_take_the_exact_transform():
-    # (Phi - 1)^3, the product cubic_sigma's closed form reduces, has
+    # (Phi - 1)^3, the product closed_sigmas' sigma3 reduces, has
     # q |a|_1 |b|_1 = q^4 > 2^62 at 2^16 and would be refused under an l1
     # bound; the l2 bound keeps it and the three-fold coset product on the
     # int64 transform

@@ -6,8 +6,7 @@ import pytest
 from charsum.characters import memo
 from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation, exact_div
-from charsum.groupring import (GroupRingElement, cubic_sigma, gr_mul,
-                               quadratic_sigma)
+from charsum.groupring import GroupRingElement, closed_sigmas, gr_mul
 from conftest import count_calls, get_field, get_partition
 
 
@@ -71,21 +70,21 @@ def test_partition_identity(p, m, n):
 
 def test_quadratic_sigma_examples():
     f3 = get_field(3)
-    s1, s2 = quadratic_sigma(f3, get_partition(3, 1, 2))
+    s1, s2 = closed_sigmas(f3, get_partition(3, 1, 2))
     assert np.array_equal(s2, x(f3, 0))
     f5 = get_field(5)
-    s1, s2 = quadratic_sigma(f5, get_partition(5, 1, 2))
+    s1, s2 = closed_sigmas(f5, get_partition(5, 1, 2))
     assert np.array_equal(s2, ones(f5) - x(f5, 0))
     assert s1.dtype == s2.dtype == np.int64
 
 
 def test_cubic_sigma_examples():
     f4 = get_field(2, 2)
-    s1, s2, s3 = cubic_sigma(f4, get_partition(2, 2, 3))
+    s1, s2, s3 = closed_sigmas(f4, get_partition(2, 2, 3))
     assert np.array_equal(s3, x(f4, 0))
     assert np.array_equal(s2, ones(f4) - x(f4, 0))
     f7 = get_field(7)
-    s1, s2, s3 = cubic_sigma(f7, get_partition(7, 1, 3))
+    s1, s2, s3 = closed_sigmas(f7, get_partition(7, 1, 3))
     assert np.array_equal(s2, 2 * (ones(f7) - x(f7, 0)))
     assert s1.dtype == s2.dtype == s3.dtype == np.int64
 
@@ -93,11 +92,11 @@ def test_cubic_sigma_examples():
 @pytest.mark.parametrize("p,m", [(2, 2), (7, 1), (2, 6), (13, 1), (7, 2), (2, 12)])
 def test_cubic_sigma3_is_the_unreduced_product(monkeypatch, p, m):
     # 27 sigma3 = (Phi - 1)^3 + (3 + t - 3 Phi)(q - Phi), t = J + conj(J),
-    # formed here by convolution; cubic_sigma forms no product
+    # formed here by convolution; closed_sigmas forms no product
     f, part = get_field(p, m), get_partition(p, m, 3)
     jac = memo(part, jacobi_cubic)
     convolutions = count_calls(monkeypatch, "convolve")
-    s1, _, s3 = cubic_sigma(f, part)
+    s1, _, s3 = closed_sigmas(f, part)
     assert convolutions == []
     ph, t, one = ones(f), (jac + jac.conj()).a, x(f, 0)
     cube = mul(f, mul(f, s1, s1), s1)
@@ -110,7 +109,7 @@ def test_quadratic_equation_holds(p, m):
     f = get_field(p, m)
     part = get_partition(p, m, 2)
     f0, f1 = part.indicators()
-    s1, s2 = quadratic_sigma(f, part)
+    s1, s2 = closed_sigmas(f, part)
     assert np.array_equal(s1, f0 + f1)
     assert np.array_equal(s2, mul(f, f0, f1))
     for root in (f0, f1):
@@ -122,7 +121,7 @@ def test_cubic_equation_holds(p, m):
     f = get_field(p, m)
     part = get_partition(p, m, 3)
     fs = part.indicators()
-    s1, s2, s3 = cubic_sigma(f, part)
+    s1, s2, s3 = closed_sigmas(f, part)
     assert np.array_equal(s1, fs.sum(axis=0))
     assert np.array_equal(s2, mul(f, fs[0], fs[1]) + mul(f, fs[1], fs[2])
                           + mul(f, fs[2], fs[0]))

@@ -176,7 +176,7 @@ def test_a_violation_in_one_job_stays_in_its_sweep_and_field(capsys, monkeypatch
                                          (3, 3, 2, 3)])
 def test_charpoly_stacks_its_products(monkeypatch, p, m, n, calls):
     # n = 3: the pair table, f0 f1 times f2 and one call per Horner step,
-    # cubic_sigma being closed-form; n = 2: Phi^2, the pair table and one
+    # closed_sigmas being closed-form; n = 2: Phi^2, the pair table and one
     # Horner step.  A pair table already in the memo saves its call.
     field = get_field(p, m)
     for shared in (False, True):
