@@ -68,7 +68,7 @@ def closed_sigmas(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, 
     q = field.q
     s1 = (np.arange(q) > 0).astype(np.int64)
     if part.n == 2:
-        chi_m1 = 1 if q % 4 == 1 else -1
+        chi_m1 = (-1) ** part.label(field.neg(1))     # label 0: +1, label 1: -1
         num = np.full(q, q - 2 + chi_m1, dtype=np.int64)
         num[0] += 1 - q * chi_m1
         return s1, exact_div(num, 4, "quadratic sigma2")

@@ -75,7 +75,7 @@ def closed_rep_class_table(field: FieldTable, part: CosetPartition) -> np.ndarra
     n, q = part.n, field.q
     if n == 2:
         c, i, j = np.indices((2, 2, 2))
-        chi_m1 = 1 if q % 4 == 1 else -1
+        chi_m1 = (-1) ** part.label(field.neg(1))     # label 0: +1, label 1: -1
         num = (q - 2 - (-1) ** c * ((-1) ** i + (-1) ** j)
                - (-1) ** (i + j) * chi_m1)
     else:

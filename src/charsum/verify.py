@@ -5,16 +5,18 @@ of its range; ``SWEEPS`` names each sweep's family and fields.  Sweeps run
 field-major: one worker per distinct field builds it once, builds one
 partition per character order and runs every (sweep, n) job on it, so the
 tables several families read are computed once per partition
-(``characters.memo``).  The worker is a top-level function taking one
-tuple argument so the CLI can fan it out over a process pool; the parent
-regroups the outcomes per sweep in input order, which keeps reports
-byte-identical regardless of worker count.
+(``characters.memo``).  ``_pmap`` maps the worker over the fields, in
+the parent alone or with forked children that inherit it, so it need not
+be picklable; the parent regroups the outcomes per sweep in input order,
+which keeps reports byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
@@ -118,15 +120,85 @@ def _field_worker(args):
 # ---------------------------------------------------------------------------
 # sweep drivers
 
+# 4-byte tickets; 1024 of them fill 4 KiB, which every pipe buffers, so the
+# parent writes them all before it forks and never blocks on the write
+_TICKETS = 1024
+
+
 def _pmap(fn, items, threads: int):
-    # a fork-started pool launches all of its workers at the first submit, so
-    # more than there are items or CPUs would only be processes left idle
+    """[fn(it) for it in items], on min(threads, items, CPUs) processes: the
+    parent forks one child per extra worker and then works too.  Every
+    process takes tickets, the last (largest) items first, from one pipe
+    until it is empty, so the load stays balanced however the costs grow;
+    a ticket stands for one item, or for a run of neighbours when there are
+    more items than tickets.  A child sends its (index, result) pairs back
+    pickled once through its own pipe.  An exception in a child is raised
+    again in the parent, a child that leaves without its results raises
+    RuntimeError, and every child is reaped before ``_pmap`` returns or
+    raises."""
     workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    size = -(-len(items) // _TICKETS)            # items per ticket
+    tickets_r, tickets_w = os.pipe()
+    os.write(tickets_w, b"".join(k.to_bytes(4, "little")
+                                 for k in reversed(range(0, len(items), size))))
+    os.close(tickets_w)
+
+    def work():
+        # the pipe holds whole tickets and nothing writes to it any more,
+        # so each read returns one ticket (its first item) or, once the
+        # pipe is empty, b""
+        done = []
+        while ticket := os.read(tickets_r, 4):
+            k = int.from_bytes(ticket, "little")
+            done.extend((i, fn(items[i]))
+                        for i in reversed(range(k, min(k + size, len(items)))))
+        return done
+
+    children, replies = [], []                   # (pid, read end), its bytes
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        reply = (True, work())
+                    except Exception as exc:
+                        reply = (False, exc)
+                    with open(w, "wb") as out:
+                        pickle.dump(reply, out)
+                    status = 0
+                finally:
+                    os._exit(status)             # never back into the caller
+            os.close(w)
+            children.append((pid, r))
+        done = work()
+        for _, r in children:
+            with open(r, "rb", closefd=False) as f:
+                replies.append(f.read())
+    finally:
+        os.close(tickets_r)
+        for pid, r in children:
+            os.close(r)
+            if len(replies) < len(children):     # leaving on an exception
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    for pid, _ in children]
+    for (pid, _), data, status in zip(children, replies, statuses):
+        if status != 0:
+            raise RuntimeError(f"pool worker {pid} exited with status {status} "
+                               f"before sending its results")
+        ok, reply = pickle.loads(data)
+        if not ok:
+            raise reply
+        done.extend(reply)
+    out = [None] * len(items)
+    for i, res in done:
+        out[i] = res
+    return out
 
 
 def run_sweeps(jobs: dict, threads: int = 1) -> list[SweepResult]:

@@ -1,7 +1,9 @@
-import concurrent.futures
+import itertools
 import json
 import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -196,37 +198,105 @@ def test_charpoly_stacks_its_products(monkeypatch, p, m, n, calls):
 # ---------------------------------------------------------------------------
 # the worker pool
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
-    sizes: list = []
+@pytest.fixture
+def reaped():
+    """Fails a pool test that hangs for 60 s or leaves a child behind."""
+    def hung(signum, frame):
+        raise TimeoutError("the pool hung")
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+def counted_forks(monkeypatch) -> list:
+    """The pids of the children forked from now on, through the real fork."""
+    forks, real = [], os.fork
 
-    def __exit__(self, *exc):
-        return False
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
-    def map(self, fn, items):
-        return map(fn, items)
 
-
-def test_pool_is_capped_by_fields_and_cpus(monkeypatch, capsys):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+def test_pool_is_capped_by_fields_and_cpus(monkeypatch, capsys, reaped):
+    forks = counted_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     items = list(range(10))
+    # the parent is one of the workers: one fork per extra worker
     assert verify._pmap(str, items, 100000) == verify._pmap(str, items, 1)
+    assert len(forks) == 3
     assert verify._pmap(str, items[:3], 100000) == ["0", "1", "2"]
-    assert verify._pmap(str, items[:1], 100000) == ["0"]      # no pool for one
-    assert RecordingPool.sizes == [4, 3]
-    # through the CLI: five fields q <= 7 with --threads far above both caps
+    assert len(forks) == 3 + 2
+    assert verify._pmap(str, items[:1], 100000) == ["0"]      # no fork for one
+    assert len(forks) == 3 + 2
+    # through the CLI: four fields q <= 7 with --threads far above both caps
     argv = ["verify", "--scope", "sums", "--q-max", "7"]
     assert main(argv + ["--threads", "100000"]) == 0
     pooled = json.loads(capsys.readouterr().out)
-    assert RecordingPool.sizes == [4, 3, 4]
+    assert len(forks) == 3 + 2 + 3
     assert main(argv + ["--threads", "1"]) == 0
     serial = json.loads(capsys.readouterr().out)
     assert (pooled["results"], pooled["checks"]) == (serial["results"], serial["checks"])
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("in_child, in_parent, error, message", [
+    (lambda: _raise(ValueError("bad item")), lambda: None, ValueError, "^bad item$"),
+    (lambda: os._exit(7), lambda: None, RuntimeError, "status 7"),
+    # the parent fails while its child still works: the child is killed,
+    # not waited for
+    (lambda: time.sleep(600), lambda: _raise(KeyError("own share")), KeyError,
+     "own share"),
+], ids=["child-raises", "child-exits", "parent-raises"])
+def test_pool_failures_reach_the_caller(monkeypatch, reaped, in_child, in_parent,
+                                        error, message):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+    r, w = os.pipe()
+
+    def fn(item):
+        # two items, two workers: the parent holds its item until the child
+        # has taken the other one
+        if os.getpid() == parent:
+            os.read(r, 1)
+            in_parent()
+        else:
+            os.write(w, b"!")
+            in_child()
+        return item
+
+    try:
+        with pytest.raises(error, match=message):
+            verify._pmap(fn, [0, 1], 2)
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_pool_takes_the_largest_first_and_returns_in_order(monkeypatch, reaped):
+    # 20 000 items: more than there are tickets, so one stands for a run of
+    # 20, and with about half of them done in the child, more result bytes
+    # than its pipe holds
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    items = list(range(20000))
+    step = itertools.count()        # each process counts its own calls on
+    out = verify._pmap(lambda i: (i, os.getpid(), next(step)), items, 2)
+    assert len(forks) == 1
+    assert [i for i, _, _ in out] == items
+    # every process works from the last item down
+    for pid in {pid for _, pid, _ in out}:
+        steps = [k for _, p, k in out if p == pid]
+        assert steps == sorted(steps, reverse=True)
