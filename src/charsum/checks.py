@@ -8,10 +8,17 @@ check.  A verb renders the results and the checks; a sweep worker adds up
 line naming the field and keeps the notes.  A family whose verb takes more
 arguments (``rep_query``, ``shift``) takes them after the partition, and
 raises ``ValueError`` on a value it cannot check.
+
+Besides its exhaustive checks, ``rep_table``, ``sigma_chain`` and ``jacobi``
+each make two spot checks against the enumeration oracle, at points that
+``spot_draws`` takes from ``random.Random(seed).random()`` with a seed of q,
+q + 1 and q + 2: the same points, and so the same check names, on every
+Python and numpy version.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import partial
 
@@ -67,6 +74,14 @@ def violation(exc: Exception) -> Check:
 def _mismatches(bad: np.ndarray, where) -> str:
     """Empty when ``bad`` is empty, else how many and where the first one is."""
     return f"{len(bad)} mismatches, first at {where(bad[0])}" if len(bad) else ""
+
+
+def spot_draws(seed: int, *ranges: range) -> list[tuple[int, ...]]:
+    """Two spot points, each one value ``r[int(u * len(r))]`` from every
+    range r, where u runs through ``random.Random(seed).random()``: the one
+    method whose sequence Python keeps the same across versions."""
+    u = random.Random(seed).random
+    return [tuple(r[int(u() * len(r))] for r in ranges) for _ in range(2)]
 
 
 def complex_json(z: complex) -> dict:
@@ -142,10 +157,7 @@ def rep_table(field, part):
                    _mismatches(bad, lambda b: f"beta={b[0] + 1} i={b[1]} j={b[2]}"),
                    count=n * n * (q - 1))]
     # the table is the vectorized twin of the loop oracle; tie them together
-    rng = np.random.default_rng(q)
-    for _ in range(2):
-        beta = int(rng.integers(1, q))
-        i, j = int(rng.integers(n)), int(rng.integers(n))
+    for beta, i, j in spot_draws(q, range(1, q), range(n), range(n)):
         found.append(equal(f"loop_oracle_at_beta_{beta}_i{i}_j{j}",
                            brute_rep_count(field, part, beta, i, j),
                            int(brute[i, j, beta])))
@@ -190,8 +202,6 @@ def rep_query(field, part, beta, i, j):
     """One count R(beta, i, j) by its closed form, the (q-1)/n rule at
     beta = 0, against enumeration."""
     n = part.n
-    if not 0 <= beta < field.q:
-        raise ValueError(f"--beta must lie in [0, {field.q})")
     closed = closed_rep_count(field, part, beta, i, j)
     brute = brute_rep_count(field, part, beta, i, j)
     query = {"n": n, "beta": beta, "i": i, "j": j, "count": closed,
@@ -222,7 +232,7 @@ def sigma_chain(field, part):
         count=q - 1))
     # the sigma chain implies every shifted correlation equals -1; the two
     # spot calls below also cover the vectorized sweep itself
-    for g in np.random.default_rng(q + 1).integers(1, q, 2).tolist():
+    for g, in spot_draws(q + 1, range(1, q)):
         found.append(equal(f"winterhof_counts_at_{g}",
                            tuple(int(c) for c in rows[g - 1]),
                            winterhof_counts(field, part, g)))
@@ -261,7 +271,7 @@ def jacobi(field, part):
         "a_beta_identity_all_beta", not len(bad),
         _mismatches(bad, lambda b: f"A({b + 1}) = ({a_arr[b + 1]}, {b_arr[b + 1]}w)"),
         count=q - 1))
-    for beta in np.random.default_rng(q + 2).integers(1, q, 2).tolist():
+    for beta, in spot_draws(q + 2, range(1, q)):
         found.append(equal(f"a_beta_at_{beta}", chi_bar_times(part, beta, jac),
                            a_beta(field, part, beta)))
     return results, found, []

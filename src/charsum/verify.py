@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 from . import checks, registry
 from .characters import character_exists, partition
 from .checks import violation
-from .errors import IdentityViolation
 from .field import build_field, prime_powers
 
 
@@ -97,8 +96,9 @@ SWEEPS = {
 
 def _field_worker(args):
     """Every (sweep, n) job of one field as assertions, failure lines and
-    notes.  An IdentityViolation becomes a failed check of that job alone,
-    so the field's other jobs and the rest of the sweep are still reported."""
+    notes.  An exception raised in one job becomes a failed check of that
+    job alone, so the field's other jobs and the rest of the sweep are
+    still reported."""
     p, m, jobs = args
     fld = cached_field(p, m)
     parts, out = {}, []
@@ -107,7 +107,7 @@ def _field_worker(args):
             if n not in parts:
                 parts[n] = partition(fld, n)
             _, found, notes = getattr(checks, SWEEPS[name].family)(fld, parts[n])
-        except IdentityViolation as exc:
+        except Exception as exc:
             found, notes = [violation(exc)], []
         tag = _tag(p, m, n)
         out.append({"assertions": sum(c.count for c in found),

@@ -50,18 +50,6 @@ def test_field_info(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
-def test_field_info_imports_no_random_generator():
-    # the Frobenius check is exhaustive, so the verb draws no samples
-    root = Path(__file__).resolve().parent.parent
-    code = ("import sys; from charsum.cli import main; "
-            "main(['field-info', '--field', '3^4']); "
-            "print('numpy.random' in sys.modules, file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False"
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 def test_import_starts_no_blas_worker_threads():
@@ -82,6 +70,22 @@ def test_import_starts_no_blas_worker_threads():
 
     assert child(env) == ["True", "1"]
     assert child(dict(env, OPENBLAS_NUM_THREADS="2"))[1] == "2"
+
+
+def test_no_verb_imports_numpy_random():
+    # the spot checks draw from the standard library's random, so no verb
+    # and no sweep pays for loading numpy.random
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from charsum.cli import VERBS, main\n"
+            "codes = [main([verb, '--field', '13']) for verb in VERBS]\n"
+            "codes.append(main(['verify', '--scope', 'all', '--q-max', '31',"
+            " '--threads', '1']))\n"
+            "print(codes, 'numpy.random' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{[0] * (len(VERBS) + 1)} False"
 
 
 def test_field_tables_catch_a_frobenius_that_is_not_additive():
@@ -295,8 +299,10 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1 and "exceeds the size cap" in err and out == ""
     # out-of-range arguments of repcount, shift and verify --threads
     for argv, message in (
-            (("repcount", "--field", "7", "--beta", "7"), "--beta must lie in [0, 7)"),
-            (("repcount", "--field", "7", "--beta", "-1"), "--beta must lie in [0, 7)"),
+            (("repcount", "--field", "7", "--beta", "7"),
+             "element 7 is outside F_7 = [0, 7)"),
+            (("repcount", "--field", "7", "--beta", "-1"),
+             "element -1 is outside F_7 = [0, 7)"),
             (("repcount", "--field", "7", "--beta", "1", "--i", "2"),
              "coset indices must lie in [0, n)"),
             (("repcount", "--field", "7", "--n", "3", "--beta", "1", "--j", "-1"),
@@ -396,6 +402,22 @@ def spot(name):
     and loop_oracle_at_beta_{beta}_i{i}_j{j} read a_beta_at_ and
     loop_oracle_at_; other names are left as they are."""
     return re.sub(r"_at_.*", "_at_", name)
+
+
+def test_spot_checks_draw_pinned_points():
+    # spot_draws reads only random.Random(seed).random(), whose sequence
+    # Python keeps across versions; a change to the helper fails here
+    # instead of silently renaming spot checks in the reports
+    def spots(family, p, m, n):
+        _, found, _ = getattr(checks, family)(get_field(p, m), get_partition(p, m, n))
+        return [c.name for c in found if c.name != spot(c.name)]
+
+    assert spots("rep_table", 13, 1, 2) == ["loop_oracle_at_beta_4_i1_j1",
+                                            "loop_oracle_at_beta_11_i0_j0"]
+    assert spots("sigma_chain", 13, 1, 2) == [
+        "winterhof_counts_at_2", "shifted_moment_at_2",
+        "winterhof_counts_at_9", "shifted_moment_at_9"]
+    assert spots("jacobi", 2, 12, 3) == ["a_beta_at_1848", "a_beta_at_234"]
 
 
 @pytest.mark.parametrize("family,n,p,m", [

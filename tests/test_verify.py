@@ -174,6 +174,37 @@ def test_a_violation_in_one_job_stays_in_its_sweep_and_field(capsys, monkeypatch
             assert after == before
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("error", [ValueError, IndexError, ZeroDivisionError])
+def test_any_exception_in_one_job_stays_in_its_field(capsys, monkeypatch, reaped,
+                                                     error, threads):
+    # not only an IdentityViolation: whatever one (sweep, n) job raises is
+    # that job's one failed check, in the serial loop and in the fork pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "--scope", "sums", "--q-max", "50", "--threads", threads]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    real = checks.sigma_chain
+
+    def broken_at_f13(field, part):
+        if field.q == 13 and part.n == 3:
+            raise error("injected")
+        return real(field, part)
+
+    monkeypatch.setattr(checks, "sigma_chain", broken_at_f13)
+    assert main(argv) == 2
+    broken = json.loads(capsys.readouterr().out)
+    before, after = clean["results"]["sweeps"], broken["results"]["sweeps"]
+    assert after[0]["failures"] == [
+        f"F_13 n=3: {error.__name__}: expected no error, got injected"]
+    # the job's own assertions give way to its one failed check
+    lost = sum(c.count for c in real(get_field(13), get_partition(13, 1, 3))[1])
+    assert after[0]["assertions"] == before[0]["assertions"] - lost + 1
+    assert after[0]["fields"] == before[0]["fields"]
+    assert after[1] == before[1]
+    assert [c["pass"] for c in broken["checks"]] == [False, True]
+
+
 @pytest.mark.parametrize("p,m,n,calls", [(13, 1, 3, 4), (2, 4, 3, 4), (13, 1, 2, 3),
                                          (3, 3, 2, 3)])
 def test_charpoly_stacks_its_products(monkeypatch, p, m, n, calls):
