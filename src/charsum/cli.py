@@ -24,8 +24,8 @@ from functools import partial
 from . import checks, registry
 from .characters import partition, require_coset_indices
 from .checks import equal
-from .errors import IdentityViolation, UnsupportedCharacterError
-from .field import FieldTable, build_field, env_size_cap, parse_field_spec
+from .errors import IdentityViolation
+from .field import SIZE_CAP, FieldTable, build_field, parse_field_spec
 from . import verify as verify_mod
 
 SCOPES = ("all", *dict.fromkeys(sw.scope for sw in verify_mod.SWEEPS.values()))
@@ -137,15 +137,12 @@ def _run_families(args):
 
 @registry.op
 def run(args):
-    cap = env_size_cap()
     # --scope all must reach every op (op_coverage), and the shift-count
     # ops need a 3-element coset: F_7 has the first
     low = 7 if args.scope == "all" else 3
-    if cap < low:
-        raise _UsageError(f"CHARSUM_SIZE_CAP = {cap} is below {low}, the"
-                          f" smallest --q-max of --scope {args.scope}")
-    if not low <= args.q_max <= cap:
-        raise _UsageError(f"--q-max must lie in [{low}, {cap}] for --scope {args.scope}")
+    if not low <= args.q_max <= SIZE_CAP:
+        raise _UsageError(f"--q-max must lie in [{low}, {SIZE_CAP}]"
+                          f" for --scope {args.scope}")
     if args.threads < 0:
         raise _UsageError("--threads must be 0 (the CPU count) or more")
     threads = args.threads or os.cpu_count() or 1
@@ -198,7 +195,7 @@ def main(argv=None) -> int:
     try:
         results, found, fld = (run if args.verb == "verify"
                                else _run_families)(args)
-    except (UnsupportedCharacterError, IdentityViolation) as exc:
+    except IdentityViolation as exc:
         results, found, fld = {}, [checks.violation(exc)], None
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

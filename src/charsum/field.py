@@ -23,14 +23,12 @@ Construction computes in Z_p[x]/(f) on int64 matrices, through the
 companion matrix of the modulus f; m (p - 1)^2 >= 2^63 is refused.
 
 Everything here is exhaustive-by-design, so field sizes are capped: every
-``build_field`` call checks 2**16, or the CHARSUM_SIZE_CAP environment
-variable if set.
+``build_field`` call refuses q above ``SIZE_CAP`` = 2**16.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +36,7 @@ import numpy as np
 from . import registry
 from .errors import IdentityViolation
 
-DEFAULT_SIZE_CAP = 1 << 16
-
-
-def env_size_cap() -> int:
-    """The cap every field is built under: CHARSUM_SIZE_CAP if set, which
-    must then be a positive integer (ValueError naming it otherwise)."""
-    text = os.environ.get("CHARSUM_SIZE_CAP", str(DEFAULT_SIZE_CAP))
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"CHARSUM_SIZE_CAP = {text!r} is not a positive integer")
-    return int(text)
+SIZE_CAP = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -472,13 +461,13 @@ class FieldTable:
 def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
     """Construct F_{p^m} with the canonical (or a supplied) modulus.
 
-    The size cap (``env_size_cap``) is checked first, without forming a
-    power far above it, so an oversized p or m never reaches the primality
-    test or the modulus search; an invalid p or m is left to those."""
-    cap = env_size_cap()
-    if p >= 2 and m >= 1 and (p > cap or m >= cap.bit_length() or p ** m > cap):
+    ``SIZE_CAP`` is checked first, without forming a power far above it, so
+    an oversized p or m never reaches the primality test or the modulus
+    search; an invalid p or m is left to those."""
+    if p >= 2 and m >= 1 and (p > SIZE_CAP or m >= SIZE_CAP.bit_length()
+                              or p ** m > SIZE_CAP):
         q = p if m == 1 else f"{p}^{m}"
-        raise ValueError(f"q = {q} exceeds the size cap {cap}")
+        raise ValueError(f"q = {q} exceeds the size cap {SIZE_CAP}")
     if modulus is None:
         modulus = find_irreducible(p, m)
     return FieldTable(FieldSpec(p, m, tuple(modulus)))

@@ -39,8 +39,8 @@ import math
 import numpy as np
 
 from . import registry
-from .characters import CosetPartition, label_pairs, memo
-from .errors import IdentityViolation, UnsupportedCharacterError
+from .characters import CosetPartition, label_pairs, memo, require_character
+from .errors import IdentityViolation
 from .field import FieldTable, convolve
 
 DEAD = -2  # rows carry labels 0..n-1, -1 at zero elements, DEAD when ruled out
@@ -222,25 +222,21 @@ def closed_form_max3(field: FieldTable, n: int) -> int | None:
     Quadratic: (q-1)/4 for p = 1 mod 4; (q+1)/4 for p = 3 mod 4, m odd;
     (q-1)/4 for p = 3 mod 4, m even.  Cubic: (q + 2^(m/2) - 2)/9 for m/2
     even, (q + 2^(m/2+1) + 1)/9 for m/2 odd, in characteristic 2; None in odd
-    characteristic, where no closed form is stated.
+    characteristic, where no closed form is stated.  A field without a
+    character of order n is refused by ``require_character``.
     """
+    require_character(field, n)
     q, p, m = field.q, field.p, field.m
     if n == 2:
-        if p == 2:
-            raise UnsupportedCharacterError("quadratic case needs odd p")
         num = q - 1 if p % 4 == 1 or m % 2 == 0 else q + 1
         if num % 4:
             raise IdentityViolation("closed form is not an integer")
         return num // 4
-    if n == 3:
-        if p != 2:
-            return None
-        if m % 2:
-            raise UnsupportedCharacterError("cubic case needs even m")
-        h = m // 2
-        num = q + 2 ** h - 2 if h % 2 == 0 else q + 2 ** (h + 1) + 1
-        if num % 9:
-            raise IdentityViolation("closed form is not an integer")
-        return num // 9
-    raise ValueError("n must be 2 or 3")
+    if p != 2:
+        return None
+    h = m // 2
+    num = q + 2 ** h - 2 if h % 2 == 0 else q + 2 ** (h + 1) + 1
+    if num % 9:
+        raise IdentityViolation("closed form is not an integer")
+    return num // 9
 

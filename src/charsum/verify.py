@@ -96,14 +96,14 @@ SWEEPS = {
 
 def _field_worker(args):
     """Every (sweep, n) job of one field as assertions, failure lines and
-    notes.  An exception raised in one job becomes a failed check of that
-    job alone, so the field's other jobs and the rest of the sweep are
-    still reported."""
+    notes.  An exception raised in one job, the field's build included,
+    becomes a failed check of that job alone, so the field's other jobs and
+    the rest of the sweep are still reported."""
     p, m, jobs = args
-    fld = cached_field(p, m)
     parts, out = {}, []
     for name, n in jobs:
         try:
+            fld = cached_field(p, m)        # caches a build that succeeds
             if n not in parts:
                 parts[n] = partition(fld, n)
             _, found, notes = getattr(checks, SWEEPS[name].family)(fld, parts[n])

@@ -680,39 +680,36 @@ def test_tables_and_charpoly_run_above_4096(capsys):
         assert code == 0 and all(c["pass"] for c in report["checks"])
 
 
-def test_character_nonexistence_exits_2(capsys):
-    code, report, _ = run_json(capsys, "jacobi", "--field", "2^3")
-    assert code == 2
-    assert not report["checks"][0]["pass"]
-    code, _, _ = run_json(capsys, "repcount", "--field", "2^2", "--n", "2")
-    assert code == 2
+def test_field_without_the_character_is_a_usage_error(capsys):
+    # no character of the order asked for is bad input, not a failed check
+    for argv, message in (
+            (("jacobi", "--field", "2^3"),
+             "no character of order 3 exists over F_2^3 (q - 1 = 7)"),
+            (("partition", "--field", "2^4", "--n", "2"),
+             "no character of order 2 exists over F_2^4 (q - 1 = 15)"),
+            (("repcount", "--field", "2^2", "--n", "2"),
+             "no character of order 2 exists over F_2^2 (q - 1 = 3)")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"usage error: {message}" in err
 
 
 def test_size_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHARSUM_SIZE_CAP", "100")
-    assert run_cli(capsys, "field-info", "--field", "11^2")[0] == 1
-    code, out, _ = run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "200")
-    assert code == 1 and out == ""
-    monkeypatch.setenv("CHARSUM_SIZE_CAP", "200")
-    assert run_cli(capsys, "field-info", "--field", "11^2")[0] == 0
-    # a value that is not a positive integer is refused by name, before any
-    # field is built or sweep run
-    for value in ("abc", "-3", "0", "2.5", ""):
+    # the cap is field.SIZE_CAP: the environment does not move it
+    monkeypatch.delenv("CHARSUM_SIZE_CAP", raising=False)
+    calls = (("field-info", "--field", "11^2"),
+             ("verify", "--scope", "all", "--q-max", "7", "--threads", "1"))
+    clean = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in clean] == [0, 0]
+    for value in ("70000", "100", "5", "abc"):
         monkeypatch.setenv("CHARSUM_SIZE_CAP", value)
-        for argv in (("field-info", "--field", "7"),
-                     ("verify", "--scope", "all", "--q-max", "7")):
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 1 and out == "", value
-            assert (f"usage error: CHARSUM_SIZE_CAP = {value!r} is not a positive"
-                    " integer") in err
-    # a cap below the scope's smallest --q-max says so, not an empty range
-    monkeypatch.setenv("CHARSUM_SIZE_CAP", "5")
-    code, out, err = run_cli(capsys, "verify", "--scope", "all", "--q-max", "5")
-    assert code == 1 and out == ""
-    assert ("usage error: CHARSUM_SIZE_CAP = 5 is below 7, the smallest --q-max"
-            " of --scope all") in err
-    assert run_cli(capsys, "verify", "--scope", "repcount", "--q-max", "5",
-                   "--threads", "1")[0] == 0
+        code, out, err = run_cli(capsys, "field-info", "--field", "65537")
+        assert (code, out) == (1, ""), value
+        assert "usage error: q = 65537 exceeds the size cap 65536" in err
+        assert [run_cli(capsys, *argv)[:2] for argv in calls] == clean, value
+        code, out, err = run_cli(capsys, "verify", "--q-max", "65537")
+        assert (code, out) == (1, ""), value
+        assert "usage error: --q-max must lie in [7, 65536] for --scope all" in err
 
 
 @pytest.mark.parametrize("spec", ["abc", "2^", "7:1,x", "^3", "2^3^4", "3^2:", ""])

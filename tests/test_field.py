@@ -141,16 +141,15 @@ def test_parse_field_spec():
     assert parse_field_spec(" 7:1,1 ") == (7, 1, (1, 1))
 
 
-def test_fieldspec_rejects_bad_inputs(monkeypatch):
+def test_fieldspec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         FieldSpec(4, 1, (0, 1))                 # not prime
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (0, 0, 1))              # x^2 reducible
     with pytest.raises(ValueError):
         FieldSpec(3, 2, (1, 0, 2))              # not monic
-    monkeypatch.setenv("CHARSUM_SIZE_CAP", "100")
-    with pytest.raises(ValueError):
-        build_field(2, 8)                       # over cap
+    with pytest.raises(ValueError, match="exceeds the size cap 65536"):
+        build_field(2, 17)                      # over cap
 
 
 def test_alpha_canonical_values():

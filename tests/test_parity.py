@@ -10,6 +10,10 @@ one field, so its check list may have grown; everything else must match:
   and ``verify``: stdout byte for byte;
 * the other verbs: ``command``, ``field`` and ``results`` equal, and every
   recorded check present with the same value, in the same order.
+
+One case was re-recorded later: ``jacobi --field 2^3`` now exits 1 with
+empty stdout, because a field without the requested character is a usage
+error.
 """
 
 import json

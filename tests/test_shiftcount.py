@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
-from charsum.errors import IdentityViolation
+from charsum.errors import IdentityViolation, UnsupportedCharacterError
 from charsum.field import prime_powers
 from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift,
                                 closed_form_max3, extension_counts,
@@ -112,6 +112,12 @@ def test_closed_form_values():
     assert closed_form_max3(get_field(13), 2) == 3         # p = 1 mod 4
     assert closed_form_max3(get_field(7), 2) == 2          # p = 3 mod 4, m odd
     assert closed_form_max3(get_field(7), 3) is None       # cubic form needs p = 2
+    # a field without the character: the one refusal, require_character's
+    for (p, m), n in (((2, 4), 2), ((2, 3), 3), ((5, 1), 3)):
+        with pytest.raises(UnsupportedCharacterError, match=f"no character of order {n}"):
+            closed_form_max3(get_field(p, m), n)
+    with pytest.raises(ValueError, match="character order must be 2 or 3"):
+        closed_form_max3(get_field(7), 4)
 
 
 def test_closed_form_that_is_no_integer_is_an_identity_violation():

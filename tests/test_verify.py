@@ -15,7 +15,7 @@ from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation
 from charsum.repcount import closed_rep_class_table
 from charsum.shiftcount import quad_counts, triple_counts
-from charsum.verify import SWEEPS, cached_field, run_sweeps
+from charsum.verify import SWEEPS, run_sweeps
 from conftest import count_calls, get_field, get_partition
 
 
@@ -27,15 +27,6 @@ def test_jacobi_sweep_checks_every_beta_above_conv_cap():
     assert sweep.failures == []
     # norm, J + conj(J), Gauss quotient, |G|^2, two spot A(beta), all beta
     assert sweep.assertions == 6 + (q - 1)
-
-
-def test_sweep_fields_obey_the_size_cap_env(monkeypatch):
-    monkeypatch.setenv("CHARSUM_SIZE_CAP", "70000")
-    cached_field.cache_clear()
-    try:
-        assert cached_field(65537, 1).q == 65537
-    finally:
-        cached_field.cache_clear()
 
 
 def test_duality_sweep_runs_the_search_once_per_field(monkeypatch):
@@ -175,34 +166,51 @@ def test_a_violation_in_one_job_stays_in_its_sweep_and_field(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("error", [ValueError, IndexError, ZeroDivisionError])
+@pytest.mark.parametrize("error", [ValueError, IndexError, ZeroDivisionError,
+                                   RuntimeError])
 def test_any_exception_in_one_job_stays_in_its_field(capsys, monkeypatch, reaped,
                                                      error, threads):
     # not only an IdentityViolation: whatever one (sweep, n) job raises is
-    # that job's one failed check, in the serial loop and in the fork pool
+    # that job's one failed check, in the serial loop and in the fork pool.
+    # RuntimeError is raised by the build of F_13, which all its jobs share.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["verify", "--scope", "sums", "--q-max", "50", "--threads", threads]
     assert main(argv) == 0
     clean = json.loads(capsys.readouterr().out)
-    real = checks.sigma_chain
+    families = {name: getattr(checks, SWEEPS[name].family) for name in SWEEPS}
+    if error is RuntimeError:
+        real_build = verify.build_field
 
-    def broken_at_f13(field, part):
-        if field.q == 13 and part.n == 3:
-            raise error("injected")
-        return real(field, part)
+        def broken_at_f13(p, m):
+            if p ** m == 13:
+                raise error("injected")
+            return real_build(p, m)
 
-    monkeypatch.setattr(checks, "sigma_chain", broken_at_f13)
+        monkeypatch.setattr(verify, "build_field", broken_at_f13)
+        broken_jobs = {"character_sums": (2, 3), "jacobi_gauss": (3,)}
+    else:
+        def broken_at_f13(field, part):
+            if field.q == 13 and part.n == 3:
+                raise error("injected")
+            return families["character_sums"](field, part)
+
+        monkeypatch.setattr(checks, "sigma_chain", broken_at_f13)
+        broken_jobs = {"character_sums": (3,)}
     assert main(argv) == 2
     broken = json.loads(capsys.readouterr().out)
-    before, after = clean["results"]["sweeps"], broken["results"]["sweeps"]
-    assert after[0]["failures"] == [
-        f"F_13 n=3: {error.__name__}: expected no error, got injected"]
-    # the job's own assertions give way to its one failed check
-    lost = sum(c.count for c in real(get_field(13), get_partition(13, 1, 3))[1])
-    assert after[0]["assertions"] == before[0]["assertions"] - lost + 1
-    assert after[0]["fields"] == before[0]["fields"]
-    assert after[1] == before[1]
-    assert [c["pass"] for c in broken["checks"]] == [False, True]
+    for before, after in zip(clean["results"]["sweeps"], broken["results"]["sweeps"]):
+        ns = broken_jobs.get(after["name"], ())
+        assert after["failures"] == [
+            f"F_13 n={n}: {error.__name__}: expected no error, got injected"
+            for n in ns]
+        # each job's own assertions give way to its one failed check
+        lost = sum(c.count for n in ns for c in families[after["name"]](
+            get_field(13), get_partition(13, 1, n))[1])
+        assert after["assertions"] == before["assertions"] - lost + len(ns)
+        assert after["fields"] == before["fields"]
+        assert after["notes"] == before["notes"]
+    assert [c["pass"] for c in broken["checks"]] == [
+        sw["name"] not in broken_jobs for sw in broken["results"]["sweeps"]]
 
 
 @pytest.mark.parametrize("p,m,n,calls", [(13, 1, 3, 4), (2, 4, 3, 4), (13, 1, 2, 3),
