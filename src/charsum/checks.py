@@ -116,7 +116,8 @@ def field_tables(field, part):
              equal("dlog_bijection", field.q - 1,          # distinct logs
                    int(np.count_nonzero(np.bincount(dlog[dlog >= 0]))))]
     frob = np.zeros(field.q, dtype=np.int64)                # F(x) = x^p
-    frob[1:] = field.exp[dlog[1:] * field.p % (field.q - 1)]
+    # a log times p passes 2^31 at large p: the int32 logs widen first
+    frob[1:] = field.exp[dlog[1:].astype(np.int64) * field.p % (field.q - 1)]
     found.append(holds("frobenius_additive", all(
         np.array_equal(frob[field.add_row(field.p ** i)],
                        field.add_vec(int(frob[field.p ** i]), frob))

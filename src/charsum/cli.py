@@ -22,10 +22,11 @@ import time
 from functools import partial
 
 from . import checks, registry
-from .characters import partition, require_coset_indices
+from .characters import partition
 from .checks import equal
 from .errors import IdentityViolation
-from .field import SIZE_CAP, FieldTable, build_field, parse_field_spec
+from .field import (SIZE_CAP, FieldTable, build_field, field_order,
+                    parse_field_spec)
 from . import verify as verify_mod
 
 SCOPES = ("all", *dict.fromkeys(sw.scope for sw in verify_mod.SWEEPS.values()))
@@ -95,11 +96,20 @@ def _field_meta(field: FieldTable) -> dict:
 
 
 def _repcount(a):
-    """The query --beta names, else the table; both refuse a bad coset index."""
-    if a.beta is not None:
-        return a.n, [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]
-    require_coset_indices(a.n, a.i, a.j)
-    return a.n, [checks.rep_table, checks.zero_sum, checks.perron]
+    """The query --beta names, else the table.  Both refuse a coset index
+    outside [0, n), and the query a --beta outside the field, before the
+    field is built."""
+    for name in ("i", "j"):
+        if not 0 <= getattr(a, name) < a.n:
+            raise _UsageError(f"--{name} must lie in [0, {a.n}) for --n {a.n}")
+    if a.beta is None:
+        return a.n, [checks.rep_table, checks.zero_sum, checks.perron]
+    p, m, _ = parse_field_spec(a.field)
+    q = field_order(p, m)
+    if not 0 <= a.beta < q:
+        raise _UsageError(f"--beta must lie in [0, {q}) for F_"
+                          + (str(p) if m == 1 else f"{p}^{m}"))
+    return a.n, [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]
 
 
 # verb -> (the character order of its partition, None for none; the check

@@ -24,6 +24,17 @@ companion matrix of the modulus f; m (p - 1)^2 >= 2^63 is refused.
 
 Everything here is exhaustive-by-design, so field sizes are capped: every
 ``build_field`` call refuses q above ``SIZE_CAP`` = 2**16.
+
+The value tables a field holds are stored in the narrowest integer type
+that is exact for them.  ``exp`` holds element indices below q and
+``dlog_table`` logs below q - 1 (and -1 at 0), so with q <= ``SIZE_CAP``
+both are int32; the trace table holds residues below p, in the smallest
+signed type that holds p - 1 (int8 for p < 128, int16 for p < 2^15, int32
+above).  A product of two such values can pass 2^31 (a log times p does at
+p = 65521), so every such product is formed in int64; a sum of two logs
+stays below 2^17.  The index vectors numpy gathers with (``_arange``,
+``_neg``, the coset arrays) stay int64: numpy converts a narrower index
+array to intp, a new array, on every gather.
 """
 
 from __future__ import annotations
@@ -247,8 +258,8 @@ class FieldTable:
         self._trace = None
         self.alpha = self._find_alpha()
         self.exp = self._build_exp()
-        self.dlog_table = np.full(self.q, -1, dtype=np.int64)
-        self.dlog_table[self.exp] = np.arange(self.q - 1, dtype=np.int64)
+        self.dlog_table = np.full(self.q, -1, dtype=np.int32)
+        self.dlog_table[self.exp] = np.arange(self.q - 1, dtype=np.int32)
 
     # -- construction helpers (matrices over Z_p, no tables yet) --
 
@@ -306,10 +317,10 @@ class FieldTable:
             power = power @ power % p
             k += step
         if p > 2:
-            powers = (powers @ self._pplace.astype(dtype)).astype(np.int64)
+            powers = powers @ self._pplace.astype(dtype)
         if powers[0] != 1 or powers[-1] != 1:
             raise RuntimeError("alpha does not have order q-1")
-        return powers[:-1]
+        return powers[:-1].astype(np.int32)
 
     # -- scalar element operations --
 
@@ -405,8 +416,10 @@ class FieldTable:
         if x == 0:
             return out
         mask = ys != 0
-        out[mask] = self.exp[(self.dlog_table[x] + self.dlog_table[ys[mask]])
-                             % (self.q - 1)]
+        # the sum fits int32, but an int32 add pages in numpy loop code that
+        # nothing else runs: 64 KB of RSS on a small sweep
+        logs = self.dlog_table[ys[mask]].astype(np.int64)
+        out[mask] = self.exp[(logs + self.dlog_table[x]) % (self.q - 1)]
         return out
 
     def add_row(self, x: int) -> np.ndarray:
@@ -414,7 +427,8 @@ class FieldTable:
         return self._add(x, self._arange)
 
     def trace_vec(self) -> np.ndarray:
-        """Absolute traces of all elements as integers in [0, p).
+        """Absolute traces of all elements as integers in [0, p), in the
+        smallest signed type that holds p - 1.
 
         Tr is F_p-linear, so Tr(eta^i) on the basis, each taken from the
         definition sum_j (eta^i)^(p^j), fixes it: Tr(x) = sum_i (x // p^i) *
@@ -435,7 +449,8 @@ class FieldTable:
             if np.any(np.bincount(tr, minlength=self.p) != self.q // self.p):
                 raise IdentityViolation(
                     f"trace over F_{self.spec.label()} is not equidistributed")
-            self._trace = tr
+            self._trace = tr.astype(next(t for t in (np.int8, np.int16, np.int32)
+                                         if self.p - 1 <= np.iinfo(t).max))
         return self._trace
 
     def poly_str(self, x: int) -> str:
@@ -457,17 +472,27 @@ class FieldTable:
         return f"FieldTable(F_{self.spec.label()}, alpha={self.alpha})"
 
 
-@registry.op
-def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
-    """Construct F_{p^m} with the canonical (or a supplied) modulus.
+def field_order(p: int, m: int) -> int:
+    """q = p**m, if ``build_field`` can build F_{p^m}; a ValueError otherwise.
 
     ``SIZE_CAP`` is checked first, without forming a power far above it, so
-    an oversized p or m never reaches the primality test or the modulus
-    search; an invalid p or m is left to those."""
+    an oversized p or m never reaches the primality test."""
     if p >= 2 and m >= 1 and (p > SIZE_CAP or m >= SIZE_CAP.bit_length()
                               or p ** m > SIZE_CAP):
         q = p if m == 1 else f"{p}^{m}"
         raise ValueError(f"q = {q} exceeds the size cap {SIZE_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError("m must be positive")
+    return p ** m
+
+
+@registry.op
+def build_field(p: int, m: int = 1, modulus=None) -> FieldTable:
+    """Construct F_{p^m} with the canonical (or a supplied) modulus, after
+    ``field_order`` has accepted p and m."""
+    field_order(p, m)
     if modulus is None:
         modulus = find_irreducible(p, m)
     return FieldTable(FieldSpec(p, m, tuple(modulus)))

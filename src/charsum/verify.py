@@ -26,7 +26,9 @@ from .checks import violation
 from .field import build_field, prime_powers
 
 
-@functools.lru_cache(maxsize=24)
+# a worker runs each field's jobs back to back, so one entry gets every hit
+# and no finished field stays alive
+@functools.lru_cache(maxsize=1)
 def cached_field(p: int, m: int):
     return build_field(p, m)
 

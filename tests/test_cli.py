@@ -300,17 +300,23 @@ def test_usage_errors_exit_1(capsys):
     # out-of-range arguments of repcount, shift and verify --threads
     for argv, message in (
             (("repcount", "--field", "7", "--beta", "7"),
-             "element 7 is outside F_7 = [0, 7)"),
+             "--beta must lie in [0, 7) for F_7"),
             (("repcount", "--field", "7", "--beta", "-1"),
-             "element -1 is outside F_7 = [0, 7)"),
+             "--beta must lie in [0, 7) for F_7"),
+            (("repcount", "--field", "3^2:2,2,1", "--beta", "9"),
+             "--beta must lie in [0, 9) for F_3^2"),
             (("repcount", "--field", "7", "--beta", "1", "--i", "2"),
-             "coset indices must lie in [0, n)"),
+             "--i must lie in [0, 2) for --n 2"),
             (("repcount", "--field", "7", "--n", "3", "--beta", "1", "--j", "-1"),
-             "coset indices must lie in [0, n)"),
+             "--j must lie in [0, 3) for --n 3"),
             # the table reads no index, but refuses a bad one as --beta does
-            (("repcount", "--field", "7", "--i", "5"), "coset indices must lie in [0, n)"),
+            (("repcount", "--field", "7", "--i", "5"), "--i must lie in [0, 2) for --n 2"),
             (("repcount", "--field", "7", "--n", "3", "--j", "-1"),
-             "coset indices must lie in [0, n)"),
+             "--j must lie in [0, 3) for --n 3"),
+            # a field that cannot be built is refused as such, whatever --beta
+            (("repcount", "--field", "8", "--beta", "99"), "p = 8 is not prime"),
+            (("repcount", "--field", "2^99999999999", "--beta", "1"),
+             "q = 2^99999999999 exceeds the size cap 65536"),
             (("verify", "--threads", "-1"), "--threads must be 0 (the CPU count) or more"),
             (("shift", "--field", "13", "--t", "0"), "--t must be positive")):
         code, out, err = run_cli(capsys, *argv)

@@ -469,6 +469,17 @@ def test_no_table_outgrows_the_field(p, m):
     assert max(sizes.values()) <= f.q, sizes
 
 
+@pytest.mark.parametrize("p,m,trace_dtype", [(2, 16, np.int8), (65521, 1, np.int32),
+                                             (251, 2, np.int16), (3, 10, np.int8)])
+def test_value_tables_are_narrow_and_exact(p, m, trace_dtype):
+    f = get_field(p, m)
+    assert f.exp.dtype == f.dlog_table.dtype == np.int32
+    assert f.trace_vec().dtype == trace_dtype
+    assert f._arange.dtype == np.int64         # numpy gathers with it as is
+    nonzero = f._arange[1:]
+    assert np.array_equal(f.exp[f.dlog_table[nonzero]], nonzero)
+
+
 def test_chunked_digit_addition_matches_the_oracle():
     f = get_field(3, 9)
     xs = np.arange(f.q)

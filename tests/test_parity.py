@@ -53,9 +53,12 @@ def test_stdout_matches_recording(capsys, case):
 # four verify calls at commit 5273746, before the sweeps ran field-major;
 # ``data/recorded_cap.json``: five characteristic-2 verbs from 2^8 to the
 # 2^16 size cap at commit 705b425, before convolve took the Walsh-Hadamard
-# path for p = 2, and two `shift` calls at t = 1 and t = 2 at commit
-# 65e0c6d, before those t skipped the subset search.  Both must match byte
-# for byte
+# path for p = 2, two `shift` calls at t = 1 and t = 2 at commit 65e0c6d,
+# before those t skipped the subset search, and `field-info`, `gauss --n 3`
+# and `charpoly --n 2` at p = 65521 at commit e599e2a, before the field's
+# logs and powers became int32 (a log times 65521 passes 2^31, so
+# `field-info` fails if that product is not widened).  Both must match
+# byte for byte
 SWEEP_CASES = [case for name in ("recorded_sweeps.json", "recorded_cap.json")
                for case in json.loads((Path(__file__).parent / "data" / name).read_text())]
 

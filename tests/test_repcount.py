@@ -90,7 +90,8 @@ def test_coset_indices_outside_0_n_are_refused(capsys, p, m, n, name):
         for i, j in ((-1, 0), (n, 0), (0, -1), (0, n)):
             assert call(f, part, i, j) == 1
             out, err = capsys.readouterr()
-            assert out == "" and "coset indices must lie in [0, n)" in err
+            option = "--i" if i else "--j"          # the one out of range
+            assert out == "" and f"{option} must lie in [0, {n}) for --n {n}" in err
         return
     call(f, part, n - 1, n - 1)
     for i, j in ((-1, 0), (n, 0), (0, -1), (0, n)):

@@ -103,6 +103,19 @@ def test_scope_all_builds_each_field_partition_and_table_once(capsys, monkeypatc
                                      if (p ** m - 1) // n >= 3]
 
 
+@pytest.mark.parametrize("scope,q_max,hits,misses",
+                         [("all", 64, 170, 24), ("repcount", 200, 151, 56)])
+def test_one_cached_field_gets_every_hit(capsys, scope, q_max, hits, misses):
+    # each field's jobs run back to back: one miss per field, and the
+    # cache keeps no finished field
+    assert main(["verify", "--scope", scope, "--q-max", str(q_max),
+                 "--threads", "1"]) == 0
+    capsys.readouterr()
+    info = verify.cached_field.cache_info()
+    assert (info.hits, info.misses) == (hits, misses)
+    assert info.currsize <= 1
+
+
 @pytest.mark.parametrize("p,m,n", [(13, 1, 3), (3, 3, 2), (2, 4, 3)])
 def test_memo_computes_each_table_once_and_shares_it_read_only(monkeypatch, p, m, n):
     field = get_field(p, m)
