@@ -416,10 +416,8 @@ class FieldTable:
         if x == 0:
             return out
         mask = ys != 0
-        # the sum fits int32, but an int32 add pages in numpy loop code that
-        # nothing else runs: 64 KB of RSS on a small sweep
-        logs = self.dlog_table[ys[mask]].astype(np.int64)
-        out[mask] = self.exp[(logs + self.dlog_table[x]) % (self.q - 1)]
+        out[mask] = self.exp[(self.dlog_table[x] + self.dlog_table[ys[mask]])
+                             % (self.q - 1)]
         return out
 
     def add_row(self, x: int) -> np.ndarray:
