@@ -80,8 +80,9 @@ class CosetPartition:
 def partition(field: FieldTable, n: int, conjugate: bool = False) -> CosetPartition:
     """Build the coset partition for the order-n character on the field."""
     require_character(field, n)
-    labels = np.where(field.dlog_table >= 0,
-                      field.dlog_table % n, -1).astype(np.int8)
+    # no np.where on the int32 logs: its int32 loop is code nothing else runs
+    labels = (field.dlog_table % n).astype(np.int8)
+    labels[field.dlog_table < 0] = -1
     if conjugate and n == 3:
         swap = labels > 0
         labels[swap] = 3 - labels[swap]
