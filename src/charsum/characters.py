@@ -103,7 +103,7 @@ def memo(part: CosetPartition, compute):
 
     The values several checks of one character read (``pair_table``, also
     ``charpoly``'s products; ``jacobi_cubic``, ``closed_rep_class_table``,
-    ``triple_counts``, ``quad_counts``, the numeric ``gauss_sum``) are taken
+    ``triple_counts``, ``quad_rows``, the numeric ``gauss_sum``) are taken
     through here.
     Arrays come back read-only, as every caller shares them; an exception
     is not kept, so the next call computes again.

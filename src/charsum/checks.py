@@ -36,7 +36,8 @@ from .groupring import GroupRingElement, closed_sigmas, gr_mul
 from .repcount import (brute_rep_count, closed_rep_class_table, closed_rep_count,
                        cubic_K, perron_table, rep_count_table)
 from .shiftcount import (affine_ratios, closed_form_max3, extension_counts,
-                         max_shift_count, quad_counts, shift_count, triple_counts)
+                         max_shift_count, quad_cells, quad_rows, shift_count,
+                         triple_counts)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -378,7 +379,7 @@ def shift(field, part, t):
                    shift_count(field, part, witness))]
     if t == 4:
         found.append(reduction_matches_row_counts(
-            field, part, witness[:3], memo(part, quad_counts)))
+            field, part, witness[:3], memo(part, quad_rows)))
     results = {"n": part.n, "t": t, "max_N": max_n,
                "witness": [int(e) for e in witness]}
     if t == 3:
@@ -391,16 +392,22 @@ def shift(field, part, t):
 
 def reduction_matches_row_counts(field, part, prefix, counts) -> Check:
     """N(prefix + {e}) for every other e in C_0, counted at the prefix's own
-    elements by ``extension_counts``, against the affine reduction's table
-    ``counts`` at the ratios d = (x - e1)/(e2 - e1) of the prefix's later
-    elements and of e: M(d) for a prefix (e1, e2) (``triple_counts``),
-    M2(d3, d) for (e1, e2, e3) (``quad_counts``).  The table is read at the
-    normalised (0, 1[, d3]), so the check tests the reduction itself."""
+    elements by ``extension_counts``, against the affine reduction's counts
+    at the ratios d = (x - e1)/(e2 - e1) of the prefix's later elements and
+    of e: M(d) for a prefix (e1, e2) (``triple_counts``), M2(d3, d) for
+    (e1, e2, e3), read from the row of d3's orbit representative through
+    its map (``quad_rows``, ``quad_cells``).  The counts are read at the
+    normalised (0, 1[, d3]), so the check tests the reduction itself, and
+    at t = 4 the orbit symmetry with it."""
     rows = extension_counts(field, part, *prefix)[0]
     e1, e2 = int(prefix[0]), int(prefix[1])
     others = part.cosets[0][~np.isin(part.cosets[0], prefix)]
-    later = affine_ratios(field, e1, e2, np.array(prefix[2:], dtype=np.int64))
-    reduced = counts[(*later, affine_ratios(field, e1, e2, others))]
+    ratios = affine_ratios(field, e1, e2, others)
+    if len(prefix) == 3:
+        d3 = field.mul(field.sub(int(prefix[2]), e1), field.inv(field.sub(e2, e1)))
+        reduced = quad_cells(field, part, counts, d3, ratios)
+    else:
+        reduced = counts[ratios]
     bad = np.flatnonzero(rows[others] != reduced)
     return holds("reduction_matches_row_counts", not len(bad),
                  _mismatches(bad, lambda b: f"e={others[b]}: N = "

@@ -165,20 +165,23 @@ def test_shift_verb_at_t3_has_no_search_bound(capsys):
     assert code == 0
     assert {c["name"]: c["pass"] for c in report["checks"]} == {
         "witness_reproduces_max": True, "closed_form_matches": True}
-    code, _, err = run_cli(capsys, "shift", "--field", "2^12", "--n", "3", "--t", "4")
-    assert code == 1 and "subset search too large" in err
-
-
-def test_shift_verb_at_t4_bounds_the_table_instead(capsys):
-    # C(312, 4) * 625 > 2e10 bounded the exhaustive search; t = 4 takes the
-    # affine reduction, whose (q, q) table is bounded to q <= 2048
-    code, report, _ = run_json(capsys, "shift", "--field", "5^4", "--n", "2",
+    # nor does t = 4, which reads one M2 row per ratio orbit
+    code, report, _ = run_json(capsys, "shift", "--field", "2^12", "--n", "3",
                                "--t", "4")
     assert code == 0
-    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
-        ("witness_reproduces_max", True), ("reduction_matches_row_counts", True)]
-    code, _, err = run_cli(capsys, "shift", "--field", "3^7", "--n", "2", "--t", "4")
-    assert code == 1 and "subset search too large" in err
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_shift_verb_at_t4_has_no_table_bound(capsys):
+    # C(312, 4) * 625 > 2e10 bounded the exhaustive search; t = 4 takes the
+    # affine reduction, which tabulates no (q, q) M2 and has no bound of its
+    # own below the size cap: 3^7 has q^2 > 2^22
+    for spec in ("5^4", "3^7"):
+        code, report, _ = run_json(capsys, "shift", "--field", spec, "--n", "2",
+                                   "--t", "4")
+        assert code == 0
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            ("witness_reproduces_max", True), ("reduction_matches_row_counts", True)]
 
 
 def test_shift_verb_at_t2_has_no_search_bound(capsys):
@@ -607,7 +610,7 @@ FAMILY_FAULTS = {
         "closed_form": {"closed_form_matches"}}),
     "shift-t4": ("shift", {"t": 4}, ["shift", "--field", "13", "--t", "4"], {
         "shift_count": {"witness_reproduces_max"},
-        "quad_counts": {"reduction_matches_row_counts"}}),
+        "quad_cells": {"reduction_matches_row_counts"}}),
 }
 
 
@@ -631,7 +634,8 @@ def test_families_catch_each_fault_through_main(capsys, monkeypatch, case):
         "exact_gauss": off_by_one(checks, "exact_gauss_sum"),
         "shift_count": off_by_one(checks, "shift_count"),
         "triple_counts": off_by_one(checks, "triple_counts"),
-        "quad_counts": off_by_one(checks, "quad_counts"),
+        # M2 at the reduced cells, read through the orbit map
+        "quad_cells": off_by_one(checks, "quad_cells"),
         "closed_form": off_by_one(checks, "closed_form_max3"),
     }
     spec, n = argv[2], (int(argv[argv.index("--n") + 1]) if "--n" in argv else 2)

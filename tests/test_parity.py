@@ -57,8 +57,10 @@ def test_stdout_matches_recording(capsys, case):
 # before those t skipped the subset search, and `field-info`, `gauss --n 3`
 # and `charpoly --n 2` at p = 65521 at commit e599e2a, before the field's
 # logs and powers became int32 (a log times 65521 passes 2^31, so
-# `field-info` fails if that product is not widened).  Both must match
-# byte for byte
+# `field-info` fails if that product is not widened), and `shift --t 4` at
+# 2039 (n = 2) and 7^3 (n = 3, whose ratio orbits take Frobenius) at commit
+# cef478b, before max N(4) read one M2 row per ratio orbit instead of the
+# (q, q) table.  Both must match byte for byte
 SWEEP_CASES = [case for name in ("recorded_sweeps.json", "recorded_cap.json")
                for case in json.loads((Path(__file__).parent / "data" / name).read_text())]
 

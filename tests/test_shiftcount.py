@@ -11,9 +11,10 @@ from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation, UnsupportedCharacterError
 from charsum.field import prime_powers
-from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift,
-                                closed_form_max3, extension_counts,
-                                max_shift_count, shift_count)
+from charsum.shiftcount import (QuadRows, _label_rows, _scan_max,
+                                affine_max_shift, closed_form_max3,
+                                extension_counts, max_shift_count, orbit_map,
+                                quad_rows, ratio_orbits, shift_count)
 from conftest import get_field, get_partition
 
 
@@ -74,23 +75,31 @@ def test_query_validation():
 
 
 def test_max_shift_count_refuses_oversized_work_before_allocating(monkeypatch):
-    # F_2^12, t = 4: the (q, q) table would take 64 MB (16 GiB at 2^16),
-    # by max_shift_count and by the affine route called directly;
     # F_4093, t = 5: C(2046, 5) * 4093 candidates for the search
-    for name in ("quad_counts", "_label_rows"):
-        monkeypatch.setattr(shiftcount, name, pytest.fail)
-    for query, p, m, n, t in [(max_shift_count, 2, 12, 3, 4),
-                              (affine_max_shift, 2, 12, 3, 4),
-                              (max_shift_count, 4093, 1, 2, 5)]:
-        f, part = get_field(p, m), get_partition(p, m, n)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="subset search too large"):
-                query(f, part, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16, (query.__name__, p, m, peak)
+    monkeypatch.setattr(shiftcount, "_label_rows", pytest.fail)
+    f, part = get_field(4093), get_partition(4093, 1, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="subset search too large"):
+            max_shift_count(f, part, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
+def test_max4_holds_no_square_table():
+    # F_2^12, t = 4: the (q, q) M2 table alone took 64 MiB; one row per
+    # ratio orbit, counted in chunks of about 2^20 cells, stays far below
+    f = get_field(2, 12)
+    part = partition(f, 3)              # a fresh partition holds no tables yet
+    tracemalloc.start()
+    try:
+        max_shift_count(f, part, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
 
 
 def test_known_maxima():
@@ -188,11 +197,61 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
     assert any(quad[:2] != tuple(coset0[:2]) for quad in first.values())
     assert any(coset0.index(quad[2]) > coset0.index(quad[1]) + 1
                for quad in first.values())
+    # every ratio its own representative under the identity map, one row
+    # maximal, and that row maximal at d2 only
     for (d1, d2), quad in first.items():
-        table = np.zeros((f.q, f.q), dtype=np.int32)
-        table[d1, d2] = 1
-        monkeypatch.setattr(shiftcount, "quad_counts", lambda field, part: table)
+        rowmax = np.zeros(f.q, dtype=np.int64)
+        rowmax[d1] = 1
+        rows = QuadRows(1, f._arange, np.zeros(f.q, dtype=np.int64), rowmax)
+        monkeypatch.setattr(shiftcount, "quad_rows", lambda field, part: rows)
+        monkeypatch.setattr(
+            shiftcount, "quad_cells",
+            lambda field, part, rows, a, xs, d1=d1, d2=d2: (a == d1) & (xs == d2))
         assert affine_max_shift(f, partition(f, n), 4) == (1, quad)
+
+
+def quad_table(f, part):
+    """M2(d1, d2) = N({0, 1, d1, d2}) as the whole (q, q) table, every d1
+    stacked in one ``extension_counts``: the oracle of the orbit rows."""
+    return extension_counts(f, part, 0, 1, f._arange)
+
+
+# n = 3 on F_2^8 and F_7^3, and F_3^5, where Frobenius orbits appear
+@pytest.mark.parametrize("p,m,n", QUAD_FIELDS + [(2, 8, 3), (3, 5, 2), (7, 3, 3)])
+def test_orbit_rows_rebuild_the_quad_table(p, m, n):
+    f, part = get_field(p, m), get_partition(p, m, n)
+    table = quad_table(f, part)
+    rep, how = ratio_orbits(f)
+    reps = np.unique(rep)
+    rows = extension_counts(f, part, 0, 1, reps)[np.searchsorted(reps, rep)]
+    for d1 in range(f.q):
+        assert set(orbit_map(f, how, d1, np.array([0, 1, d1])).tolist()) == {
+            0, 1, int(rep[d1])}, d1
+        assert np.array_equal(rows[d1][orbit_map(f, how, d1, f._arange)],
+                              table[d1]), d1
+    # the max over distinct d1, d2 not in {0, 1}, per row and overall
+    table[:2] = table[:, :2] = -1
+    np.fill_diagonal(table, -1)
+    quad = quad_rows(f, part)
+    assert quad.best == table.max()
+    assert np.array_equal(quad.rowmax[reps[2:]], table[reps[2:]].max(axis=1))
+
+
+def test_ratio_orbits_of_small_orbits():
+    # p = 3: -1 = 2 = 1/2 is an orbit of one
+    rep, _ = ratio_orbits(get_field(3, 5))
+    assert np.flatnonzero(rep == rep[2]).tolist() == [2]
+    # F_7 in F_7^3, fixed by Frobenius: the primitive sixth roots 3 and
+    # 5 = 1/3 = 1 - 3, and the harmonic 2, 4 = 1/2, 6 = -1
+    rep, _ = ratio_orbits(get_field(7, 3))
+    assert np.flatnonzero(rep == rep[3]).tolist() == [3, 5]
+    assert np.flatnonzero(rep == rep[2]).tolist() == [2, 4, 6]
+    # F_4 in F_2^8: the cube roots of unity w and w^2 = 1/w = 1 + w, the
+    # sixth roots of characteristic 2
+    f = get_field(2, 8)
+    w = f.pow_(f.alpha, 85)
+    rep, _ = ratio_orbits(f)
+    assert np.flatnonzero(rep == rep[w]).tolist() == sorted([w, f.mul(w, w)])
 
 
 @given(st.sampled_from(QUAD_FIELDS))

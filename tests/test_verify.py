@@ -14,7 +14,7 @@ from charsum.cli import main
 from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation
 from charsum.repcount import closed_rep_class_table
-from charsum.shiftcount import quad_counts, triple_counts
+from charsum.shiftcount import quad_rows, triple_counts
 from charsum.verify import SWEEPS, run_sweeps
 from conftest import count_calls, get_field, get_partition
 
@@ -63,19 +63,22 @@ def test_reduction_check_fails_on_a_perturbed_reduction():
     assert check.actual.startswith(f"1 mismatches, first at e={e3}:"), check.actual
 
 
-def test_reduction_check_fails_on_a_perturbed_table_at_t4():
+def test_reduction_check_fails_on_a_perturbed_orbit_map_at_t4():
+    # M2(d1, .) is read from the row of r(d1) through g_d1: a wrong
+    # representative or a wrong map for the witness's d1 fails the check
     field, part = get_field(7, 2), get_partition(7, 2, 2)
     _, witness = shiftcount.max_shift_count(field, part, 4)
-    e1, e2, e3, e4 = witness
-    scale = field.inv(field.sub(e2, e1))
-    d1, d2 = (field.mul(field.sub(e, e1), scale) for e in (e3, e4))
-    counts = memo(part, quad_counts)
+    e1, e2, e3, _ = witness
+    d1 = field.mul(field.sub(e3, e1), field.inv(field.sub(e2, e1)))
+    counts = memo(part, quad_rows)
     assert checks.reduction_matches_row_counts(field, part, witness[:3], counts).passed
-    perturbed = counts.copy()
-    perturbed[d1, d2] += 1
-    check = checks.reduction_matches_row_counts(field, part, witness[:3], perturbed)
-    assert not check.passed
-    assert check.actual.startswith(f"1 mismatches, first at e={e4}:"), check.actual
+    rep, how = counts.rep.copy(), counts.how.copy()
+    rep[d1] = next(r for r in np.unique(counts.rep[2:]) if r != counts.rep[d1])
+    how[d1] = (how[d1] + field.m) % (6 * field.m)      # the next ordering of {0, 1, d1}
+    for perturbed in (counts._replace(rep=rep), counts._replace(how=how)):
+        check = checks.reduction_matches_row_counts(field, part, witness[:3], perturbed)
+        assert not check.passed
+        assert " mismatches, first at e=" in check.actual, check.actual
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_one_cached_field_gets_every_hit(capsys, scope, q_max, hits, misses):
 def test_memo_computes_each_table_once_and_shares_it_read_only(monkeypatch, p, m, n):
     field = get_field(p, m)
     part = partition(field, n)          # a fresh partition holds no tables yet
-    computes = ([pair_table, closed_rep_class_table, triple_counts, quad_counts]
+    computes = ([pair_table, closed_rep_class_table, triple_counts, quad_rows]
                 + [jacobi_cubic] * (n == 3))
     counted = {fn: count_calls(monkeypatch, fn.__name__) for fn in computes}
     for family in (checks.rep_table, checks.sigma_chain, checks.charpoly,
@@ -131,10 +134,17 @@ def test_memo_computes_each_table_once_and_shares_it_read_only(monkeypatch, p, m
         # the counting wrapper every charsum module now calls
         table = memo(part, getattr(sys.modules[fn.__module__], fn.__name__))
         assert len(calls) == 1 and calls[0][1] is part, fn.__name__
-        if fn is not jacobi_cubic:
-            assert np.array_equal(table, fn(field, part))
+        if fn is jacobi_cubic:
+            continue
+        fresh = fn(field, part)
+        pairs = [(table, fresh)]
+        if fn is quad_rows:                 # its max and three arrays
+            assert table.best == fresh.best
+            pairs = zip(table[1:], fresh[1:])
+        for kept, computed in pairs:
+            assert np.array_equal(kept, computed)
             with pytest.raises(ValueError, match="read-only"):
-                table.flat[0] += 1
+                kept.flat[0] += 1
 
 
 def test_memo_keeps_no_exception():
