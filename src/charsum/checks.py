@@ -36,7 +36,7 @@ from .groupring import GroupRingElement, closed_sigmas, gr_mul
 from .repcount import (brute_rep_count, closed_rep_class_table, closed_rep_count,
                        cubic_K, perron_table, rep_count_table)
 from .shiftcount import (affine_ratios, closed_form_max3, extension_counts,
-                         max_shift_count, quad_cells, quad_rows, shift_count,
+                         max_shift_count, orbit_map, quad_rows, shift_count,
                          triple_counts)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
@@ -395,17 +395,18 @@ def reduction_matches_row_counts(field, part, prefix, counts) -> Check:
     elements by ``extension_counts``, against the affine reduction's counts
     at the ratios d = (x - e1)/(e2 - e1) of the prefix's later elements and
     of e: M(d) for a prefix (e1, e2) (``triple_counts``), M2(d3, d) for
-    (e1, e2, e3), read from the row of d3's orbit representative through
-    its map (``quad_rows``, ``quad_cells``).  The counts are read at the
-    normalised (0, 1[, d3]), so the check tests the reduction itself, and
-    at t = 4 the orbit symmetry with it."""
+    (e1, e2, e3) (``quad_rows``, through the orbit map of d3).  The table is
+    read at the normalised (0, 1[, d3]), so the check tests the reduction
+    itself."""
     rows = extension_counts(field, part, *prefix)[0]
     e1, e2 = int(prefix[0]), int(prefix[1])
     others = part.cosets[0][~np.isin(part.cosets[0], prefix)]
     ratios = affine_ratios(field, e1, e2, others)
     if len(prefix) == 3:
+        rep, how, _ = counts
         d3 = field.mul(field.sub(int(prefix[2]), e1), field.inv(field.sub(e2, e1)))
-        reduced = quad_cells(field, part, counts, d3, ratios)
+        reduced = extension_counts(field, part, 0, 1, int(rep[d3]))[0][
+            orbit_map(field, how, d3, ratios)]
     else:
         reduced = counts[ratios]
     bad = np.flatnonzero(rows[others] != reduced)

@@ -12,6 +12,7 @@ import functools
 
 ALL_OPS: set = set()
 _called: set = set()
+_last: frozenset = frozenset()      # the last ``called()``, handed out again
 
 
 def op(fn):
@@ -27,7 +28,12 @@ def op(fn):
 
 
 def called() -> frozenset:
-    return frozenset(_called)
+    """The ops called so far.  The same frozenset comes back while the set
+    is unchanged, so a sweep, which keeps one per field, keeps one object."""
+    global _last
+    if _last != _called:
+        _last = frozenset(_called)
+    return _last
 
 
 def merge(names) -> None:

@@ -20,11 +20,8 @@ N = #{y : y and y + 1 nonzero in one coset}.  max N(3) is the largest
 M(d) = N({0, 1, d}) and max N(4) the largest M2(d1, d2) = N({0, 1, d1, d2}),
 both read off ``extension_counts``, the one kernel for N(P + {e}); the
 witness is the first subset in lex order whose ratios attain it.  M2 is
-never tabulated: N is also invariant under Frobenius, so every
-x -> s*x^(p^k) + e keeps it, and M2(d1, .) is the row of the least ratio
-r(d1) in the S3 x Gal orbit of d1, read through the map that takes
-{0, 1, d1} onto {0, 1, r(d1)}.  One row per orbit, about q/(6m) rows of q
-cells, gives the max; the walk recounts the rows it reads.  Larger t
+counted on one row per S3 x Gal orbit of d1 (``quad_rows``), about q/(6m)
+rows, never as a (q, q) table.  Larger t
 run the exhaustive search, which keeps, per candidate prefix, the per-beta
 "required label" row (or a dead marker), which makes the last level a
 single vectorized comparison; subtrees that cannot beat the current best
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,20 +167,21 @@ def affine_ratios(field: FieldTable, e1: int, e2: int, xs) -> np.ndarray:
 _ORDERS = tuple(itertools.permutations(range(3)))   # (a, b, c) into (0, 1, d)
 
 
-def ratio_orbits(field: FieldTable) -> tuple[np.ndarray, np.ndarray]:
-    """r(d), the least index in the S3 x Gal orbit of the ratio d, and the
-    map g_d that takes {0, 1, d} onto {0, 1, r(d)}, for every d.
+def quad_rows(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, ...]:
+    """(rep, how, rowmax) for M2(d1, d2) = N({0, 1, d1, d2}), one row per
+    orbit of d1, read-only.
 
-    g_d = Frob^k o (x -> (x - a)/(b - a)) for an ordered pair (a, b) of
-    {0, 1, d}; it sends the third point c to (c - a)/(b - a), raised to the
-    p^k.  ``how[d]`` codes g_d as o * m + k, with (a, b, c) the o-th
-    permutation of (0, 1, d) (``_ORDERS``); a running argmin over the 6m
-    images of d finds the least, so the route needs O(q) memory.  0 and 1
-    keep themselves under the identity, code 0."""
+    Every x -> s*x^(p^k) + e permutes the cosets, so M2(d1, d2) =
+    M2(rep[d1], g(d2)), rep[d1] the least index in the S3 x Gal orbit of d1
+    and g = ``orbit_map(field, how, d1, .)``, which a running argmin over
+    the 6m images finds in O(q) memory; rowmax[r] is the max of M2(r, d2)
+    over d2 not in {0, 1, r}, counted in chunks of about 2^20 cells, and -1
+    off the representatives.  No row is kept: on prime fields nearly every
+    row attains the max."""
     q, p, m = field.q, field.p, field.m
     rep, how = field._arange.copy(), np.zeros(q, dtype=np.int64)
-    ratios, best, code = field._arange[2:], rep[2:], how[2:]
-    points = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), ratios)
+    points = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+              field._arange[2:])
     for o, (a, b, c) in enumerate(_ORDERS):
         neg_a = field.neg_vec(points[a])
         # the log of (c - a)/(b - a), in int64 as a log times p^k can pass 2^31
@@ -193,13 +190,25 @@ def ratio_orbits(field: FieldTable) -> tuple[np.ndarray, np.ndarray]:
                           dtype=np.int64) % (q - 1)
         for k in range(m):
             image = field.exp[log * pow(p, k, q - 1) % (q - 1)]
-            better = image < best
-            best[better], code[better] = image[better], o * m + k
-    return rep, how
+            better = image < rep[2:]
+            rep[2:][better], how[2:][better] = image[better], o * m + k
+    reps = np.unique(rep[2:])
+    rowmax = np.full(q, -1, dtype=np.int64)
+    step = max(1, (1 << 20) // (part.n * q))
+    for lo in range(0, len(reps), step):
+        chunk = reps[lo:lo + step]
+        counts = extension_counts(field, part, 0, 1, chunk)
+        counts[:, :2] = counts[np.arange(len(chunk)), chunk] = -1
+        rowmax[chunk] = counts.max(axis=1)
+    for array in (rep, how, rowmax):
+        array.flags.writeable = False
+    return rep, how, rowmax
 
 
 def orbit_map(field: FieldTable, how: np.ndarray, d1: int, xs) -> np.ndarray:
-    """g_d1(x) for every x of xs: the map ``ratio_orbits`` coded in how[d1]."""
+    """g(x) for every x of xs: g = Frob^k o (x -> (x - a)/(b - a)), with
+    (a, b, c) the o-th ordering of (0, 1, d1) and how[d1] = o * m + k, takes
+    {0, 1, d1} onto {0, 1, rep[d1]} (``quad_rows``)."""
     o, k = divmod(int(how[d1]), field.m)
     a, b, _ = ((0, 1, int(d1))[i] for i in _ORDERS[o])
     ys = affine_ratios(field, a, b, xs)
@@ -211,48 +220,6 @@ def orbit_map(field: FieldTable, how: np.ndarray, d1: int, xs) -> np.ndarray:
     return ys
 
 
-class QuadRows(NamedTuple):
-    """max N(4) from one M2 row per ratio orbit (``quad_rows``)."""
-    best: int              # the max of M2(d1, d2) over distinct d1, d2 not in {0, 1}
-    rep: np.ndarray        # r(d1), per d1 (``ratio_orbits``)
-    how: np.ndarray        # the map g_d1, per d1 (``ratio_orbits``)
-    rowmax: np.ndarray     # per representative r, the max of M2(r, d2) over
-                           # d2 not in {0, 1, r}; -1 at every other index
-
-
-def quad_rows(field: FieldTable, part: CosetPartition) -> QuadRows:
-    """M2(d1, d2) = N({0, 1, d1, d2}) reduced to one row per orbit of d1.
-
-    N is invariant under every x -> s*x^(p^k) + e, each of which permutes
-    the cosets, so M2(d1, d2) = M2(r(d1), g_d1(d2)) (``ratio_orbits``).
-    The rows ``extension_counts(field, part, 0, 1, reps)`` are counted in
-    chunks of about 2^20 cells and only each row's max, masked at {0, 1, r},
-    is kept: on prime fields nearly every row attains the overall max (338
-    of 340 orbits at q = 2039), so keeping those rows would keep about
-    q^2/(6m) cells.  Every array is read-only, as ``memo`` shares the
-    value."""
-    rep, how = ratio_orbits(field)
-    reps = np.unique(rep[2:])
-    rowmax = np.full(field.q, -1, dtype=np.int64)
-    step = max(1, (1 << 20) // (part.n * field.q))
-    for lo in range(0, len(reps), step):
-        chunk = reps[lo:lo + step]
-        counts = extension_counts(field, part, 0, 1, chunk)
-        counts[:, :2] = counts[np.arange(len(chunk)), chunk] = -1
-        rowmax[chunk] = counts.max(axis=1)
-    for array in (rep, how, rowmax):
-        array.flags.writeable = False
-    return QuadRows(int(rowmax.max()), rep, how, rowmax)
-
-
-def quad_cells(field: FieldTable, part: CosetPartition, quad: QuadRows,
-               d1: int, d2s) -> np.ndarray:
-    """M2(d1, d2) for every d2 of d2s: the row of r(d1), counted by
-    ``extension_counts``, read at g_d1(d2s)."""
-    row = extension_counts(field, part, 0, 1, int(quad.rep[d1]))[0]
-    return row[orbit_map(field, quad.how, d1, d2s)]
-
-
 @registry.op
 def affine_max_shift(field: FieldTable, part: CosetPartition,
                      t: int) -> tuple[int, tuple[int, ...]]:
@@ -261,9 +228,8 @@ def affine_max_shift(field: FieldTable, part: CosetPartition,
     distinct ratios not in {0, 1}.  The walk takes the prefixes e_i < e_j of
     coset 0 in lex order; per prefix, d[x] = (e_x - e_i)/(e_j - e_i) for
     each later e_x, and the first increasing index tuple x with M or M2 at
-    d[x] equal to the max gives the witness; ratios d_l whose M2 row holds
-    no maximum, rowmax[r(d_l)] below it, are skipped, and M2(d_l, .) is the
-    row of r(d_l), counted again, read through g_d_l (``quad_cells``).
+    d[x] equal to the max gives the witness; rows d_l that hold no maximum
+    are skipped, and M2(d_l, .) is the row of rep[d_l], counted again.
     Raises ValueError for any other t and for a coset smaller than t.
     """
     coset0 = part.cosets[0]
@@ -277,17 +243,17 @@ def affine_max_shift(field: FieldTable, part: CosetPartition,
         best = int(masked.max())
         live = masked == best
     else:
-        quad = memo(part, quad_rows)
-        best = quad.best
-        live = quad.rowmax[quad.rep] == best
+        rep, how, rowmax = memo(part, quad_rows)
+        best = int(rowmax.max())
+        live = rowmax[rep] == best
     later = t - 3                        # elements after the row element
     for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
         d = affine_ratios(field, int(coset0[i]), int(coset0[j]), coset0[j + 1:])
         for l in np.flatnonzero(live[d[:len(d) - later]]).tolist():
             xs = [l]
             if later:                    # the first r > l on a maximal cell
-                r = np.flatnonzero(
-                    quad_cells(field, part, quad, d[l], d[l + 1:]) == best)
+                row = extension_counts(field, part, 0, 1, int(rep[d[l]]))[0]
+                r = np.flatnonzero(row[orbit_map(field, how, d[l], d[l + 1:])] == best)
                 if not len(r):
                     continue
                 xs.append(l + 1 + int(r[0]))

@@ -16,6 +16,7 @@ from charsum.cyclotomic import a_beta
 from charsum.errors import IdentityViolation, exact_div
 from charsum.field import FieldTable, build_field, convolve, parse_field_spec
 from charsum.repcount import brute_rep_count
+from charsum.shiftcount import orbit_map
 from conftest import count_calls, get_field, get_partition
 
 
@@ -265,6 +266,15 @@ def test_an_op_that_raises_is_recorded(monkeypatch):
     with pytest.raises(ValueError, match="beta must be nonzero"):
         a_beta(field, part, 0)
     assert registry.called() == {"a_beta"}
+
+
+def test_called_hands_out_one_set_while_unchanged(monkeypatch):
+    # a sweep keeps the set once per field: equal sets are one object
+    monkeypatch.setattr(registry, "_called", {"a_beta"})
+    first = registry.called()
+    assert first == {"a_beta"} and registry.called() is first
+    registry.merge({"dlog"})
+    assert registry.called() == {"a_beta", "dlog"}
 
 
 def test_ops_keep_their_name_and_module():
@@ -610,7 +620,7 @@ FAMILY_FAULTS = {
         "closed_form": {"closed_form_matches"}}),
     "shift-t4": ("shift", {"t": 4}, ["shift", "--field", "13", "--t", "4"], {
         "shift_count": {"witness_reproduces_max"},
-        "quad_cells": {"reduction_matches_row_counts"}}),
+        "orbit_map": {"reduction_matches_row_counts"}}),
 }
 
 
@@ -634,8 +644,10 @@ def test_families_catch_each_fault_through_main(capsys, monkeypatch, case):
         "exact_gauss": off_by_one(checks, "exact_gauss_sum"),
         "shift_count": off_by_one(checks, "shift_count"),
         "triple_counts": off_by_one(checks, "triple_counts"),
-        # M2 at the reduced cells, read through the orbit map
-        "quad_cells": off_by_one(checks, "quad_cells"),
+        # the map M2(d3, .) is read through: g(x) + 1 for g(x)
+        "orbit_map": lambda mp: mp.setattr(
+            checks, "orbit_map",
+            lambda field, *args: field.add_vec(1, orbit_map(field, *args))),
         "closed_form": off_by_one(checks, "closed_form_max3"),
     }
     spec, n = argv[2], (int(argv[argv.index("--n") + 1]) if "--n" in argv else 2)

@@ -11,10 +11,10 @@ from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation, UnsupportedCharacterError
 from charsum.field import prime_powers
-from charsum.shiftcount import (QuadRows, _label_rows, _scan_max,
-                                affine_max_shift, closed_form_max3,
-                                extension_counts, max_shift_count, orbit_map,
-                                quad_rows, ratio_orbits, shift_count)
+from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift,
+                                closed_form_max3, extension_counts,
+                                max_shift_count, orbit_map, quad_rows,
+                                shift_count)
 from conftest import get_field, get_partition
 
 
@@ -202,11 +202,12 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
     for (d1, d2), quad in first.items():
         rowmax = np.zeros(f.q, dtype=np.int64)
         rowmax[d1] = 1
-        rows = QuadRows(1, f._arange, np.zeros(f.q, dtype=np.int64), rowmax)
+        rows = (f._arange, np.zeros(f.q, dtype=np.int64), rowmax)
         monkeypatch.setattr(shiftcount, "quad_rows", lambda field, part: rows)
         monkeypatch.setattr(
-            shiftcount, "quad_cells",
-            lambda field, part, rows, a, xs, d1=d1, d2=d2: (a == d1) & (xs == d2))
+            shiftcount, "extension_counts",
+            lambda field, part, *prefix, d1=d1, d2=d2:
+                (field._arange == d2)[None] * (prefix[2] == d1))
         assert affine_max_shift(f, partition(f, n), 4) == (1, quad)
 
 
@@ -221,7 +222,7 @@ def quad_table(f, part):
 def test_orbit_rows_rebuild_the_quad_table(p, m, n):
     f, part = get_field(p, m), get_partition(p, m, n)
     table = quad_table(f, part)
-    rep, how = ratio_orbits(f)
+    rep, how, rowmax = quad_rows(f, part)
     reps = np.unique(rep)
     rows = extension_counts(f, part, 0, 1, reps)[np.searchsorted(reps, rep)]
     for d1 in range(f.q):
@@ -229,28 +230,27 @@ def test_orbit_rows_rebuild_the_quad_table(p, m, n):
             0, 1, int(rep[d1])}, d1
         assert np.array_equal(rows[d1][orbit_map(f, how, d1, f._arange)],
                               table[d1]), d1
-    # the max over distinct d1, d2 not in {0, 1}, per row and overall
+    # the max over distinct d1, d2 not in {0, 1}, per representative row
     table[:2] = table[:, :2] = -1
     np.fill_diagonal(table, -1)
-    quad = quad_rows(f, part)
-    assert quad.best == table.max()
-    assert np.array_equal(quad.rowmax[reps[2:]], table[reps[2:]].max(axis=1))
+    assert np.array_equal(rowmax[reps[2:]], table[reps[2:]].max(axis=1))
+    assert rowmax.max() == table.max()
 
 
-def test_ratio_orbits_of_small_orbits():
+def test_quad_rows_find_small_orbits():
     # p = 3: -1 = 2 = 1/2 is an orbit of one
-    rep, _ = ratio_orbits(get_field(3, 5))
+    rep = quad_rows(get_field(3, 5), get_partition(3, 5, 2))[0]
     assert np.flatnonzero(rep == rep[2]).tolist() == [2]
     # F_7 in F_7^3, fixed by Frobenius: the primitive sixth roots 3 and
     # 5 = 1/3 = 1 - 3, and the harmonic 2, 4 = 1/2, 6 = -1
-    rep, _ = ratio_orbits(get_field(7, 3))
+    rep = quad_rows(get_field(7, 3), get_partition(7, 3, 3))[0]
     assert np.flatnonzero(rep == rep[3]).tolist() == [3, 5]
     assert np.flatnonzero(rep == rep[2]).tolist() == [2, 4, 6]
     # F_4 in F_2^8: the cube roots of unity w and w^2 = 1/w = 1 + w, the
     # sixth roots of characteristic 2
     f = get_field(2, 8)
     w = f.pow_(f.alpha, 85)
-    rep, _ = ratio_orbits(f)
+    rep = quad_rows(f, get_partition(2, 8, 3))[0]
     assert np.flatnonzero(rep == rep[w]).tolist() == sorted([w, f.mul(w, w)])
 
 
