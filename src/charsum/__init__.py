@@ -32,19 +32,17 @@ from .field import (FieldSpec, FieldTable, build_field, find_irreducible,
                     parse_field_spec, prime_powers)
 from .groupring import GroupRingElement, closed_sigmas, gr_mul
 from .repcount import brute_rep_count, closed_rep_count, perron_table
-from .shiftcount import (affine_max_shift, closed_form_max3, max_shift_count,
-                         shift_count)
+from .shiftcount import closed_form_max3, max_shift_count, shift_count
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CosetPartition", "EisensteinInt", "FieldSpec", "FieldTable",
     "GroupRingElement", "IdentityViolation", "OMEGA",
-    "UnsupportedCharacterError", "a_beta", "affine_max_shift",
-    "brute_rep_count", "build_field", "char_sum_moment", "character_exists",
-    "closed_form_max3", "closed_rep_count", "closed_sigmas", "exact_gauss_sum",
-    "find_irreducible", "gauss_sum", "gr_mul", "jacobi_cubic",
-    "jacobi_from_gauss", "max_shift_count", "omega_pow", "parse_field_spec",
-    "partition", "perron_table", "prime_powers", "shift_count",
-    "winterhof_counts",
+    "UnsupportedCharacterError", "a_beta", "brute_rep_count", "build_field",
+    "char_sum_moment", "character_exists", "closed_form_max3",
+    "closed_rep_count", "closed_sigmas", "exact_gauss_sum", "find_irreducible",
+    "gauss_sum", "gr_mul", "jacobi_cubic", "jacobi_from_gauss",
+    "max_shift_count", "omega_pow", "parse_field_spec", "partition",
+    "perron_table", "prime_powers", "shift_count", "winterhof_counts",
 ]

@@ -105,13 +105,15 @@ def memo(part: CosetPartition, compute):
     ``charpoly``'s products; ``jacobi_cubic``, ``closed_rep_class_table``,
     ``triple_counts``, ``quad_rows``, the numeric ``gauss_sum``) are taken
     through here.
-    Arrays come back read-only, as every caller shares them; an exception
-    is not kept, so the next call computes again.
+    Arrays come back read-only, as every caller shares them, and so does
+    every array of a tuple value (``quad_rows``); an exception is not kept,
+    so the next call computes again.
     """
     if compute not in part._memo:
         value = compute(part.field, part)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
         part._memo[compute] = value
     return part._memo[compute]
 

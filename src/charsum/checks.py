@@ -35,9 +35,8 @@ from .field import convolve, prime_factors
 from .groupring import GroupRingElement, closed_sigmas, gr_mul
 from .repcount import (brute_rep_count, closed_rep_class_table, closed_rep_count,
                        cubic_K, perron_table, rep_count_table)
-from .shiftcount import (affine_ratios, closed_form_max3, extension_counts,
-                         max_shift_count, orbit_map, quad_rows, shift_count,
-                         triple_counts)
+from .shiftcount import (closed_form_max3, extension_counts, max_shift_count,
+                         reduced_counts, shift_count)
 
 GAUSS_ABS_REL_TOL = 1e-9    # | |G|^2 - q | <= tol * q
 JACOBI_NUM_TOL = 1e-6       # | G^2/conj(G) - J | absolute
@@ -358,8 +357,7 @@ def duality(field, part):
                "closed_form_prediction": closed, "holds": max_r == 1 + max_n3}
     found = [equal("witness_reproduces_max", max_n3,
                    shift_count(field, part, witness)),
-             reduction_matches_row_counts(field, part, witness[:2],
-                                          memo(part, triple_counts)),
+             reduction_matches_row_counts(field, part, witness[:2]),
              holds("duality_holds", results["holds"],
                    f"max_R = {max_r}, 1 + max_N3 = {1 + max_n3}")]
     notes = []
@@ -378,8 +376,7 @@ def shift(field, part, t):
     found = [equal("witness_reproduces_max", max_n,
                    shift_count(field, part, witness))]
     if t == 4:
-        found.append(reduction_matches_row_counts(
-            field, part, witness[:3], memo(part, quad_rows)))
+        found.append(reduction_matches_row_counts(field, part, witness[:3]))
     results = {"n": part.n, "t": t, "max_N": max_n,
                "witness": [int(e) for e in witness]}
     if t == 3:
@@ -390,25 +387,16 @@ def shift(field, part, t):
     return results, found, []
 
 
-def reduction_matches_row_counts(field, part, prefix, counts) -> Check:
+def reduction_matches_row_counts(field, part, prefix) -> Check:
     """N(prefix + {e}) for every other e in C_0, counted at the prefix's own
     elements by ``extension_counts``, against the affine reduction's counts
-    at the ratios d = (x - e1)/(e2 - e1) of the prefix's later elements and
-    of e: M(d) for a prefix (e1, e2) (``triple_counts``), M2(d3, d) for
-    (e1, e2, e3) (``quad_rows``, through the orbit map of d3).  The table is
-    read at the normalised (0, 1[, d3]), so the check tests the reduction
+    that ``reduced_counts`` reads off the memo: M at the ratios d of e for a
+    prefix (e1, e2), M2(d3, d) for (e1, e2, e3).  The reduction reads its
+    counts at the normalised (0, 1[, d3]), so the check tests the reduction
     itself."""
     rows = extension_counts(field, part, *prefix)[0]
-    e1, e2 = int(prefix[0]), int(prefix[1])
     others = part.cosets[0][~np.isin(part.cosets[0], prefix)]
-    ratios = affine_ratios(field, e1, e2, others)
-    if len(prefix) == 3:
-        rep, how, _ = counts
-        d3 = field.mul(field.sub(int(prefix[2]), e1), field.inv(field.sub(e2, e1)))
-        reduced = extension_counts(field, part, 0, 1, int(rep[d3]))[0][
-            orbit_map(field, how, d3, ratios)]
-    else:
-        reduced = counts[ratios]
+    reduced = reduced_counts(field, part, prefix, others)
     bad = np.flatnonzero(rows[others] != reduced)
     return holds("reduction_matches_row_counts", not len(bad),
                  _mismatches(bad, lambda b: f"e={others[b]}: N = "

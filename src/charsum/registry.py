@@ -1,6 +1,6 @@
 """Invocation registry backing the verify suite's coverage self-test.
 
-The ops are the 21 functions declared with ``@op``.  An op's name joins
+The ops are the 20 functions declared with ``@op``.  An op's name joins
 ``ALL_OPS`` when its module is imported, and each call records it before
 the body runs, so a call that raises still counts.  ``charsum verify
 --scope all`` then checks that each name in ``ALL_OPS`` was hit at least
@@ -12,7 +12,6 @@ import functools
 
 ALL_OPS: set = set()
 _called: set = set()
-_last: frozenset = frozenset()      # the last ``called()``, handed out again
 
 
 def op(fn):
@@ -28,12 +27,8 @@ def op(fn):
 
 
 def called() -> frozenset:
-    """The ops called so far.  The same frozenset comes back while the set
-    is unchanged, so a sweep, which keeps one per field, keeps one object."""
-    global _last
-    if _last != _called:
-        _last = frozenset(_called)
-    return _last
+    """The ops called so far."""
+    return frozenset(_called)
 
 
 def merge(names) -> None:

@@ -29,9 +29,11 @@ are pruned.  Either way the first maximum in lexicographic element order is
 kept, so the reported witness is deterministic.
 
 Every rule of a shift query lives here, each bound at its allocation:
-``max_shift_count`` for all t and the search bound of t >= 5,
-``affine_max_shift`` for t = 3 and 4, which need no bound below the field
-size cap; ``closed_form_max3`` is None where no closed form is stated.
+``max_shift_count`` is the one entry point for max N(t) at every t, with
+the search bound of t >= 5 (t = 3 and 4 need none below the field size
+cap); ``reduced_counts`` is the one reader of N off the reduction, for the
+t = 4 witness walk and ``checks.reduction_matches_row_counts`` alike;
+``closed_form_max3`` is None where no closed form is stated.
 """
 
 from __future__ import annotations
@@ -107,35 +109,6 @@ def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
     return best, best_wit
 
 
-@registry.op
-def max_shift_count(field: FieldTable, part: CosetPartition,
-                    t: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum of N over t-subsets of coset 0, with witness.
-
-    The witness is the lexicographically least maximizing subset in
-    element-index order.  t <= 4 take the affine reduction: t = 1 and t = 2
-    in closed form, t = 3 and t = 4 by ``affine_max_shift``, in O(q) memory
-    beside chunks of about 2^20 cells; larger t run the exhaustive search.
-    Raises ValueError for t < 1, a coset smaller than t, or a search above
-    its bound (2e10)."""
-    if t < 1:
-        raise ValueError("--t must be positive")
-    coset0 = part.cosets[0]
-    if len(coset0) < t:
-        raise ValueError(f"coset size {len(coset0)} < t = {t}")
-    if t == 1:
-        return field.q - 1, (int(coset0[0]),)
-    if t == 2:
-        pairs = int(np.trace(label_pairs(field, part, 1, 1)))
-        return pairs, (int(coset0[0]), int(coset0[1]))
-    if t <= 4:
-        return affine_max_shift(field, part, t)
-    if math.comb(len(coset0), t) * field.q > 2e10:
-        raise ValueError("subset search too large; reduce --t or the field")
-    best, wit = _scan_max(_label_rows(field, part, coset0), t)
-    return best, tuple(int(coset0[w]) for w in wit)
-
-
 def extension_counts(field: FieldTable, part: CosetPartition,
                      *prefix) -> np.ndarray:
     """N(prefix + {e}) for every e, as a (k, q) array; a length-k vector
@@ -169,7 +142,7 @@ _ORDERS = tuple(itertools.permutations(range(3)))   # (a, b, c) into (0, 1, d)
 
 def quad_rows(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, ...]:
     """(rep, how, rowmax) for M2(d1, d2) = N({0, 1, d1, d2}), one row per
-    orbit of d1, read-only.
+    orbit of d1.
 
     Every x -> s*x^(p^k) + e permutes the cosets, so M2(d1, d2) =
     M2(rep[d1], g(d2)), rep[d1] the least index in the S3 x Gal orbit of d1
@@ -200,8 +173,6 @@ def quad_rows(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, ...]
         counts = extension_counts(field, part, 0, 1, chunk)
         counts[:, :2] = counts[np.arange(len(chunk)), chunk] = -1
         rowmax[chunk] = counts.max(axis=1)
-    for array in (rep, how, rowmax):
-        array.flags.writeable = False
     return rep, how, rowmax
 
 
@@ -220,44 +191,75 @@ def orbit_map(field: FieldTable, how: np.ndarray, d1: int, xs) -> np.ndarray:
     return ys
 
 
+def reduced_counts(field: FieldTable, part: CosetPartition, prefix,
+                   xs) -> np.ndarray:
+    """N(prefix + {x}) for every x of xs, read off the partition's memo by
+    the affine reduction, with d = (x - e1)/(e2 - e1): M(d) for a prefix
+    (e1, e2) (``triple_counts``); M2(d3, d) for (e1, e2, e3), the row of
+    rep[d3] counted again and read at g(d) (``quad_rows``, ``orbit_map``)."""
+    e1, e2, *rest = (int(e) for e in prefix)
+    ratios = affine_ratios(field, e1, e2, xs)
+    if not rest:
+        return memo(part, triple_counts)[ratios]
+    rep, how, _ = memo(part, quad_rows)
+    d3 = field.mul(field.sub(rest[0], e1), field.inv(field.sub(e2, e1)))
+    return extension_counts(field, part, 0, 1, int(rep[d3]))[0][
+        orbit_map(field, how, d3, ratios)]
+
+
 @registry.op
-def affine_max_shift(field: FieldTable, part: CosetPartition,
-                     t: int) -> tuple[int, tuple[int, ...]]:
-    """max N(t) for t = 3 or 4 by the affine reduction, with the lex-first
-    witness: the max of M (``triple_counts``) or M2 (``quad_rows``) over
-    distinct ratios not in {0, 1}.  The walk takes the prefixes e_i < e_j of
-    coset 0 in lex order; per prefix, d[x] = (e_x - e_i)/(e_j - e_i) for
-    each later e_x, and the first increasing index tuple x with M or M2 at
-    d[x] equal to the max gives the witness; rows d_l that hold no maximum
-    are skipped, and M2(d_l, .) is the row of rep[d_l], counted again.
-    Raises ValueError for any other t and for a coset smaller than t.
-    """
+def max_shift_count(field: FieldTable, part: CosetPartition,
+                    t: int) -> tuple[int, tuple[int, ...]]:
+    """Maximum of N over t-subsets of coset 0, with witness.
+
+    The witness is the lexicographically least maximizing subset in
+    element-index order.  t <= 4 take the affine reduction: t = 1 and t = 2
+    in closed form; t = 3 and t = 4 as the max of M (``triple_counts``) or
+    M2 (``quad_rows``) over distinct ratios not in {0, 1}, in O(q) memory
+    beside chunks of about 2^20 cells.  Their witness walk takes the
+    prefixes e_i < e_j of coset 0 in lex order; per prefix, d[x] =
+    (e_x - e_i)/(e_j - e_i) for each later e_x, and the first increasing
+    index tuple x with M or M2 at d[x] equal to the max gives the witness;
+    rows d_l that hold no maximum are skipped, and M2(d_l, .) is read by
+    ``reduced_counts``.  Larger t run the exhaustive search.
+    Raises ValueError for t < 1, a coset smaller than t, or a search above
+    its bound (2e10)."""
+    if t < 1:
+        raise ValueError("--t must be positive")
     coset0 = part.cosets[0]
-    if t not in (3, 4):
-        raise ValueError(f"the affine reduction takes t = 3 or 4, not {t}")
     if len(coset0) < t:
         raise ValueError(f"coset size {len(coset0)} < t = {t}")
+    if t == 1:
+        return field.q - 1, (int(coset0[0]),)
+    if t == 2:
+        pairs = int(np.trace(label_pairs(field, part, 1, 1)))
+        return pairs, (int(coset0[0]), int(coset0[1]))
+    if t > 4:
+        if math.comb(len(coset0), t) * field.q > 2e10:
+            raise ValueError("subset search too large; reduce --t or the field")
+        best, wit = _scan_max(_label_rows(field, part, coset0), t)
+        return best, tuple(int(coset0[w]) for w in wit)
     if t == 3:
         masked = np.array(memo(part, triple_counts))
         masked[:2] = -1                  # a ratio of 0 or 1
         best = int(masked.max())
         live = masked == best
     else:
-        rep, how, rowmax = memo(part, quad_rows)
+        rep, _, rowmax = memo(part, quad_rows)
         best = int(rowmax.max())
         live = rowmax[rep] == best
     later = t - 3                        # elements after the row element
     for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
         d = affine_ratios(field, int(coset0[i]), int(coset0[j]), coset0[j + 1:])
         for l in np.flatnonzero(live[d[:len(d) - later]]).tolist():
-            xs = [l]
-            if later:                    # the first r > l on a maximal cell
-                row = extension_counts(field, part, 0, 1, int(rep[d[l]]))[0]
-                r = np.flatnonzero(row[orbit_map(field, how, d[l], d[l + 1:])] == best)
+            idx = [i, j, j + 1 + l]
+            if later:                    # the first later e on a maximal cell
+                counts = reduced_counts(field, part, coset0[idx], coset0[idx[2] + 1:])
+                r = np.flatnonzero(counts == best)
                 if not len(r):
                     continue
-                xs.append(l + 1 + int(r[0]))
-            return best, tuple(int(coset0[x]) for x in (i, j, *(j + 1 + np.array(xs))))
+                idx.append(idx[2] + 1 + int(r[0]))
+            return best, tuple(int(coset0[x]) for x in idx)
     raise IdentityViolation("no same-coset subset attains the reduction's max")
 
 

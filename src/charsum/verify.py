@@ -116,7 +116,7 @@ def _field_worker(args):
                     "failures": [f"{tag}: {c.name}: expected {c.expected}, "
                                  f"got {c.actual}" for c in found if not c.passed],
                     "notes": [f"{tag}: {note}" for note in notes]})
-    return {"jobs": out, "ops": registry.called()}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +133,12 @@ def _pmap(fn, items, threads: int):
     process takes tickets, the last (largest) items first, from one pipe
     until it is empty, so the load stays balanced however the costs grow;
     a ticket stands for one item, or for a run of neighbours when there are
-    more items than tickets.  A child sends its (index, result) pairs back
-    pickled once through its own pipe.  An exception in a child is raised
-    again in the parent, a child that leaves without its results raises
-    RuntimeError, and every child is reaped before ``_pmap`` returns or
-    raises."""
+    more items than tickets.  A child sends its (index, result) pairs and
+    the ops it called back pickled once through its own pipe, and the
+    parent merges those ops into its own (``registry``).  An exception in a
+    child is raised again in the parent, a child that leaves without its
+    results raises RuntimeError, and every child is reaped before ``_pmap``
+    returns or raises."""
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(it) for it in items]
@@ -167,7 +168,7 @@ def _pmap(fn, items, threads: int):
                 status = 1
                 try:
                     try:
-                        reply = (True, work())
+                        reply = (True, (work(), registry.called()))
                     except Exception as exc:
                         reply = (False, exc)
                     with open(w, "wb") as out:
@@ -196,7 +197,9 @@ def _pmap(fn, items, threads: int):
         ok, reply = pickle.loads(data)
         if not ok:
             raise reply
-        done.extend(reply)
+        results, ops = reply
+        registry.merge(ops)
+        done.extend(results)
     out = [None] * len(items)
     for i, res in done:
         out[i] = res
@@ -213,10 +216,9 @@ def run_sweeps(jobs: dict, threads: int = 1) -> list[SweepResult]:
             per_field.setdefault((p, m), []).append((name, n))
     fields = sorted(per_field, key=lambda pm: pm[0] ** pm[1])
     done = {}
-    for (p, m), oc in zip(fields, _pmap(
+    for (p, m), outcomes in zip(fields, _pmap(
             _field_worker, [(p, m, per_field[p, m]) for p, m in fields], threads)):
-        registry.merge(oc["ops"])
-        for (name, n), job in zip(per_field[p, m], oc["jobs"]):
+        for (name, n), job in zip(per_field[p, m], outcomes):
             done[name, p, m, n] = job
     results = []
     for name, items in jobs.items():

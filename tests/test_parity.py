@@ -11,9 +11,11 @@ one field, so its check list may have grown; everything else must match:
 * the other verbs: ``command``, ``field`` and ``results`` equal, and every
   recorded check present with the same value, in the same order.
 
-One case was re-recorded later: ``jacobi --field 2^3`` now exits 1 with
+Two cases were re-recorded later: ``jacobi --field 2^3`` now exits 1 with
 empty stdout, because a field without the requested character is a usage
-error.
+error; ``verify --scope all --q-max 60`` reads "20 ops invoked" in its
+``op_coverage`` check, where it read 21 while ``affine_max_shift`` was an
+op of its own.
 """
 
 import json

@@ -11,10 +11,9 @@ from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation, UnsupportedCharacterError
 from charsum.field import prime_powers
-from charsum.shiftcount import (_label_rows, _scan_max, affine_max_shift,
-                                closed_form_max3, extension_counts,
-                                max_shift_count, orbit_map, quad_rows,
-                                shift_count)
+from charsum.shiftcount import (_label_rows, _scan_max, closed_form_max3,
+                                extension_counts, max_shift_count, orbit_map,
+                                quad_rows, reduced_counts, shift_count)
 from conftest import get_field, get_partition
 
 
@@ -65,13 +64,9 @@ def test_query_validation():
         max_shift_count(f7, p7, 4)             # coset has only 3 elements
     with pytest.raises(ValueError):
         max_shift_count(f7, p7, 0)
-    f13, p13 = get_field(13), get_partition(13, 1, 2)
-    for t in (2, 5):                        # the reduction covers t = 3, 4 only
-        with pytest.raises(ValueError, match="t = 3 or 4"):
-            affine_max_shift(f13, p13, t)
     for p, t in ((5, 3), (7, 4)):           # a coset of (p - 1)/2 < t elements
         with pytest.raises(ValueError, match=f"coset size {(p - 1) // 2} < t = {t}"):
-            affine_max_shift(get_field(p), get_partition(p, 1, 2), t)
+            max_shift_count(get_field(p), get_partition(p, 1, 2), t)
 
 
 def test_max_shift_count_refuses_oversized_work_before_allocating(monkeypatch):
@@ -141,7 +136,7 @@ def test_closed_form_that_is_no_integer_is_an_identity_violation():
 def test_affine_max_matches_subset_search(case):
     p, m, n = case
     f, part = get_field(p, m), get_partition(p, m, n)
-    assert affine_max_shift(f, part, 3) == searched_max(f, part)
+    assert max_shift_count(f, part, 3) == searched_max(f, part)
 
 
 @pytest.mark.parametrize("p,m,n", triple_fields(200))
@@ -179,7 +174,7 @@ def test_witness_walk_reaches_every_row(monkeypatch, p, m, n):
         table = np.zeros(f.q, dtype=np.int64)
         table[d] = 1
         monkeypatch.setattr(shiftcount, "triple_counts", lambda field, part: table)
-        assert affine_max_shift(f, partition(f, n), 3) == (1, triple)
+        assert max_shift_count(f, partition(f, n), 3) == (1, triple)
 
 
 @pytest.mark.parametrize("p,m,n", [(5, 2, 3), (17, 1, 2)])
@@ -208,7 +203,7 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
             shiftcount, "extension_counts",
             lambda field, part, *prefix, d1=d1, d2=d2:
                 (field._arange == d2)[None] * (prefix[2] == d1))
-        assert affine_max_shift(f, partition(f, n), 4) == (1, quad)
+        assert max_shift_count(f, partition(f, n), 4) == (1, quad)
 
 
 def quad_table(f, part):
@@ -235,6 +230,19 @@ def test_orbit_rows_rebuild_the_quad_table(p, m, n):
     np.fill_diagonal(table, -1)
     assert np.array_equal(rowmax[reps[2:]], table[reps[2:]].max(axis=1))
     assert rowmax.max() == table.max()
+
+
+@pytest.mark.parametrize("p,m,n", [(13, 1, 2), (5, 2, 3), (3, 3, 2), (2, 6, 3)])
+def test_reduced_counts_match_extension_counts(p, m, n):
+    # the reader answers N(prefix + {x}) from the memo for every 2- and
+    # 3-element prefix of coset 0, not only the witness's
+    f, part = get_field(p, m), get_partition(p, m, n)
+    coset0 = part.cosets[0]
+    for size in (2, 3):
+        for prefix in itertools.combinations(coset0.tolist(), size):
+            xs = coset0[~np.isin(coset0, prefix)]
+            assert np.array_equal(reduced_counts(f, part, prefix, xs),
+                                  extension_counts(f, part, *prefix)[0][xs]), prefix
 
 
 def test_quad_rows_find_small_orbits():

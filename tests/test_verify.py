@@ -50,33 +50,37 @@ def test_duality_sweep_reports_a_search_off_by_one(monkeypatch):
 
 
 def test_reduction_check_fails_on_a_perturbed_reduction():
-    field, part = get_field(13), get_partition(13, 1, 2)
+    field = get_field(13)
+    part = partition(field, 2)              # a fresh memo, perturbed below
     _, witness = shiftcount.max_shift_count(field, part, 3)
     e1, e2, e3 = witness
     d = field.mul(field.sub(e3, e1), field.inv(field.sub(e2, e1)))
-    counts = memo(part, triple_counts)
-    assert checks.reduction_matches_row_counts(field, part, witness[:2], counts).passed
-    perturbed = counts.copy()
+    assert checks.reduction_matches_row_counts(field, part, witness[:2]).passed
+    perturbed = memo(part, triple_counts).copy()
     perturbed[d] += 1
-    check = checks.reduction_matches_row_counts(field, part, witness[:2], perturbed)
+    part._memo[triple_counts] = perturbed
+    check = checks.reduction_matches_row_counts(field, part, witness[:2])
     assert not check.passed
     assert check.actual.startswith(f"1 mismatches, first at e={e3}:"), check.actual
 
 
 def test_reduction_check_fails_on_a_perturbed_orbit_map_at_t4():
     # M2(d1, .) is read from the row of r(d1) through g_d1: a wrong
-    # representative or a wrong map for the witness's d1 fails the check
-    field, part = get_field(7, 2), get_partition(7, 2, 2)
+    # representative or a wrong map for the witness's d1 in the memo
+    # fails the check
+    field = get_field(7, 2)
+    part = partition(field, 2)              # a fresh memo, perturbed below
     _, witness = shiftcount.max_shift_count(field, part, 4)
     e1, e2, e3, _ = witness
     d1 = field.mul(field.sub(e3, e1), field.inv(field.sub(e2, e1)))
-    counts = rep, how, rowmax = memo(part, quad_rows)
-    assert checks.reduction_matches_row_counts(field, part, witness[:3], counts).passed
+    rep, how, rowmax = memo(part, quad_rows)
+    assert checks.reduction_matches_row_counts(field, part, witness[:3]).passed
     other_rep, other_how = rep.copy(), how.copy()
     other_rep[d1] = next(r for r in np.unique(rep[2:]) if r != rep[d1])
     other_how[d1] = (how[d1] + field.m) % (6 * field.m)    # the next ordering of {0, 1, d1}
     for perturbed in ((other_rep, how, rowmax), (rep, other_how, rowmax)):
-        check = checks.reduction_matches_row_counts(field, part, witness[:3], perturbed)
+        part._memo[quad_rows] = perturbed
+        check = checks.reduction_matches_row_counts(field, part, witness[:3])
         assert not check.passed
         assert " mismatches, first at e=" in check.actual, check.actual
 
