@@ -16,6 +16,10 @@ empty stdout, because a field without the requested character is a usage
 error; ``verify --scope all --q-max 60`` reads "20 ops invoked" in its
 ``op_coverage`` check, where it read 21 while ``affine_max_shift`` was an
 op of its own.
+
+Two cases were added at commit dd1cbbb, while t >= 5 ran the label-row
+subset search: ``shift --field 101 --n 2 --t 5`` and ``shift --field 2^6
+--n 3 --t 5``.
 """
 
 import json
