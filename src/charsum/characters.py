@@ -103,11 +103,11 @@ def memo(part: CosetPartition, compute):
 
     The values several checks of one character read (``pair_table``, also
     ``charpoly``'s products; ``jacobi_cubic``, ``closed_rep_class_table``,
-    ``triple_counts``, ``quad_rows``, the numeric ``gauss_sum``) are taken
-    through here.
+    ``triple_counts``, ``ratio_orbits``, the numeric ``gauss_sum``) are
+    taken through here.
     Arrays come back read-only, as every caller shares them, and so does
-    every array of a tuple value (``quad_rows``); an exception is not kept,
-    so the next call computes again.
+    each array of a tuple value (the (rep, how) pair of ``ratio_orbits``);
+    an exception is not kept, so the next call computes again.
     """
     if compute not in part._memo:
         value = compute(part.field, part)

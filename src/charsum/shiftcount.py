@@ -10,29 +10,27 @@ Maxima are searched over t-subsets of coset 0 only: rescaling a subset of
 coset j by alpha^(-j) is a bijection beta -> beta * alpha^(-j) on the
 solutions, so every coset attains the same maximum.
 
-For t <= 4 the maximum comes from the affine reduction: x -> s*x + e maps
+Every maximum comes from the affine reduction: x -> s*x + e maps
 {0, 1, d1, ...} onto {e, e + s, e + s*d1, ...}, and scaling by s only
 permutes coset labels, so N of that subset depends only on its ratios
 d = (e_k - e)/s.  For t = 1 and t = 2 there is no ratio, so every subset
 has the same N and the first elements of coset 0 are the witness:
 N({e}) = q - 1, since the one condition is beta + e != 0, and a pair has
-N = #{y : y and y + 1 nonzero in one coset}.  max N(3) is the largest
-M(d) = N({0, 1, d}) and max N(4) the largest M2(d1, d2) = N({0, 1, d1, d2}),
-both read off ``extension_counts``, the one kernel for N(P + {e}); the
-witness is the first subset in lex order whose ratios attain it.  M2 is
-counted on one row per S3 x Gal orbit of d1 (``quad_rows``), about q/(6m)
-rows, never as a (q, q) table.  Larger t
-run the exhaustive search, which keeps, per candidate prefix, the per-beta
-"required label" row (or a dead marker), which makes the last level a
-single vectorized comparison; subtrees that cannot beat the current best
-are pruned.  Either way the first maximum in lexicographic element order is
-kept, so the reported witness is deterministic.
+N = #{y : y and y + 1 nonzero in one coset}.  For t >= 3 the max is the
+largest N({0, 1, d1, d2, ...}) over distinct ratios not in {0, 1}, found
+by one descent over such prefixes (``_descend``) on rows of
+``extension_counts``, the one kernel for N(P + {e}): the first row is
+M(d) = N({0, 1, d}) (``triple_counts``), d1 runs over every ratio at
+t = 3 and over one representative per S3 x Gal orbit (``ratio_orbits``)
+above, and d2 < d3 < ... in index order.  The witness is the first subset
+in lexicographic element order whose ratios attain the max, so it is
+deterministic.
 
 Every rule of a shift query lives here, each bound at its allocation:
 ``max_shift_count`` is the one entry point for max N(t) at every t, with
-the search bound of t >= 5 (t = 3 and 4 need none below the field size
+the size bound of t >= 5 (t = 3 and 4 need none below the field size
 cap); ``reduced_counts`` is the one reader of N off the reduction, for the
-t = 4 witness walk and ``checks.reduction_matches_row_counts`` alike;
+witness walk and ``checks.reduction_matches_row_counts`` alike;
 ``closed_form_max3`` is None where no closed form is stated.
 """
 
@@ -47,9 +45,6 @@ from . import registry
 from .characters import CosetPartition, label_pairs, memo, require_character
 from .errors import IdentityViolation
 from .field import FieldTable, convolve
-
-DEAD = -2  # rows carry labels 0..n-1, -1 at zero elements, DEAD when ruled out
-
 
 @registry.op
 def shift_count(field: FieldTable, part: CosetPartition, elements) -> int:
@@ -70,43 +65,6 @@ def _label_rows(field: FieldTable, part: CosetPartition,
                 elements: np.ndarray) -> np.ndarray:
     """Row per element e: label of (beta + e) for every beta (-1 at zero)."""
     return part.labels[field.add_outer(elements, field._arange)]
-
-
-def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
-    """Max subset count over t-subsets of the row owners, lex-first witness."""
-    k = rows.shape[0]
-    best = -1
-    best_wit: tuple[int, ...] = ()
-
-    def extend(req: np.ndarray, live: int, chosen: list[int], lo: int) -> None:
-        nonlocal best, best_wit
-        depth = len(chosen)
-        if depth == t:
-            if live > best:
-                best, best_wit = live, tuple(chosen)
-            return
-        last = k - (t - depth) + 1
-        if depth == t - 1:
-            cand = rows[lo:last]
-            if len(cand) == 0:
-                return
-            counts = (cand == req).sum(axis=1)
-            pos = int(np.argmax(counts))
-            if counts[pos] > best:
-                best, best_wit = int(counts[pos]), tuple(chosen) + (lo + pos,)
-            return
-        for e in range(lo, last):
-            nreq = np.where(rows[e] == req, req, DEAD)
-            nlive = int((nreq != DEAD).sum())
-            if nlive > best:
-                extend(nreq, nlive, chosen + [e], e + 1)
-
-    for e0 in range(k - t + 1):
-        req = np.where(rows[e0] >= 0, rows[e0], DEAD)
-        live = int((req != DEAD).sum())
-        if live > best:
-            extend(req, live, [e0], e0 + 1)
-    return best, best_wit
 
 
 def extension_counts(field: FieldTable, part: CosetPartition,
@@ -140,17 +98,15 @@ def affine_ratios(field: FieldTable, e1: int, e2: int, xs) -> np.ndarray:
 _ORDERS = tuple(itertools.permutations(range(3)))   # (a, b, c) into (0, 1, d)
 
 
-def quad_rows(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, ...]:
-    """(rep, how, rowmax) for M2(d1, d2) = N({0, 1, d1, d2}), one row per
-    orbit of d1.
+def ratio_orbits(field: FieldTable,
+                 part: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(rep, how): rep[d1] the least index in the S3 x Gal orbit of d1, and
+    how[d1] = o * m + k the map g = ``orbit_map(field, how, d1, .)`` that
+    takes {0, 1, d1} onto {0, 1, rep[d1]}.
 
-    Every x -> s*x^(p^k) + e permutes the cosets, so M2(d1, d2) =
-    M2(rep[d1], g(d2)), rep[d1] the least index in the S3 x Gal orbit of d1
-    and g = ``orbit_map(field, how, d1, .)``, which a running argmin over
-    the 6m images finds in O(q) memory; rowmax[r] is the max of M2(r, d2)
-    over d2 not in {0, 1, r}, counted in chunks of about 2^20 cells, and -1
-    off the representatives.  No row is kept: on prime fields nearly every
-    row attains the max."""
+    Every x -> s*x^(p^k) + e permutes the cosets, so N({0, 1, d1} + X) =
+    N({0, 1, rep[d1]} + g(X)) for every set X; a running argmin over the
+    6m images finds rep and how in O(q) memory."""
     q, p, m = field.q, field.p, field.m
     rep, how = field._arange.copy(), np.zeros(q, dtype=np.int64)
     points = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
@@ -165,21 +121,13 @@ def quad_rows(field: FieldTable, part: CosetPartition) -> tuple[np.ndarray, ...]
             image = field.exp[log * pow(p, k, q - 1) % (q - 1)]
             better = image < rep[2:]
             rep[2:][better], how[2:][better] = image[better], o * m + k
-    reps = np.unique(rep[2:])
-    rowmax = np.full(q, -1, dtype=np.int64)
-    step = max(1, (1 << 20) // (part.n * q))
-    for lo in range(0, len(reps), step):
-        chunk = reps[lo:lo + step]
-        counts = extension_counts(field, part, 0, 1, chunk)
-        counts[:, :2] = counts[np.arange(len(chunk)), chunk] = -1
-        rowmax[chunk] = counts.max(axis=1)
-    return rep, how, rowmax
+    return rep, how
 
 
 def orbit_map(field: FieldTable, how: np.ndarray, d1: int, xs) -> np.ndarray:
     """g(x) for every x of xs: g = Frob^k o (x -> (x - a)/(b - a)), with
     (a, b, c) the o-th ordering of (0, 1, d1) and how[d1] = o * m + k, takes
-    {0, 1, d1} onto {0, 1, rep[d1]} (``quad_rows``)."""
+    {0, 1, d1} onto {0, 1, rep[d1]} (``ratio_orbits``)."""
     o, k = divmod(int(how[d1]), field.m)
     a, b, _ = ((0, 1, int(d1))[i] for i in _ORDERS[o])
     ys = affine_ratios(field, a, b, xs)
@@ -195,16 +143,60 @@ def reduced_counts(field: FieldTable, part: CosetPartition, prefix,
                    xs) -> np.ndarray:
     """N(prefix + {x}) for every x of xs, read off the partition's memo by
     the affine reduction, with d = (x - e1)/(e2 - e1): M(d) for a prefix
-    (e1, e2) (``triple_counts``); M2(d3, d) for (e1, e2, e3), the row of
-    rep[d3] counted again and read at g(d) (``quad_rows``, ``orbit_map``)."""
+    (e1, e2) (``triple_counts``); M2(d3, d) = N({0, 1, d3, d}) for
+    (e1, e2, e3), the row of rep[d3] counted again and read at g(d)
+    (``ratio_orbits``, ``orbit_map``)."""
     e1, e2, *rest = (int(e) for e in prefix)
     ratios = affine_ratios(field, e1, e2, xs)
     if not rest:
         return memo(part, triple_counts)[ratios]
-    rep, how, _ = memo(part, quad_rows)
+    rep, how = memo(part, ratio_orbits)
     d3 = field.mul(field.sub(rest[0], e1), field.inv(field.sub(e2, e1)))
     return extension_counts(field, part, 0, 1, int(rep[d3]))[0][
         orbit_map(field, how, d3, ratios)]
+
+
+def _descend(field: FieldTable, part: CosetPartition, t: int,
+             xs: np.ndarray) -> np.ndarray:
+    """Per d1 of xs, the max of N({0, 1, d1, d2, ..., d_(t-2)}) over
+    d2 < ... < d_(t-2) not in {0, 1, d1}: exact where it reaches the max
+    over all of xs, below that max elsewhere (-1 where pruned).
+
+    The row of a prefix P holds N(P + {x}) for every x, and it bounds every
+    set that extends P + {x}, as N only falls when elements join.  So the
+    children x of P are taken in falling row order, their rows counted by
+    stacked ``extension_counts`` calls in chunks of about 2^20 cells, and
+    the scan of a level stops at the first row below the best set so far."""
+    step = max(1, (1 << 20) // (part.n * field.q))
+    pool = field._arange[2:]
+    best = -1
+
+    def level(prefix, row, xs):
+        nonlocal best
+        if len(prefix) == t - 1:
+            found = row[xs]
+            best = max(best, int(found.max(initial=-1)))
+            return found
+        found = np.full(len(xs), -1, dtype=np.int64)
+        here = -1                   # below d1, only the level's max is read
+        order = np.argsort(-row[xs], kind="stable")
+        for lo in range(0, len(order), step):
+            chunk = order[lo:lo + step]
+            chunk = chunk[row[xs[chunk]] >= max(best, here + 1)]
+            if not len(chunk):
+                break
+            rows = extension_counts(field, part, *prefix, xs[chunk])
+            for i, child in zip(chunk.tolist(), rows):
+                x = int(xs[i])
+                if row[x] < max(best, here + 1):
+                    return found
+                later = pool[pool != x] if len(prefix) == 2 else xs[xs > x]
+                found[i] = level(prefix + (x,), child, later).max(initial=-1)
+                if len(prefix) > 2:
+                    here = max(here, int(found[i]))
+        return found
+
+    return level((0, 1), memo(part, triple_counts), xs)
 
 
 @registry.op
@@ -213,17 +205,17 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     """Maximum of N over t-subsets of coset 0, with witness.
 
     The witness is the lexicographically least maximizing subset in
-    element-index order.  t <= 4 take the affine reduction: t = 1 and t = 2
-    in closed form; t = 3 and t = 4 as the max of M (``triple_counts``) or
-    M2 (``quad_rows``) over distinct ratios not in {0, 1}, in O(q) memory
-    beside chunks of about 2^20 cells.  Their witness walk takes the
-    prefixes e_i < e_j of coset 0 in lex order; per prefix, d[x] =
-    (e_x - e_i)/(e_j - e_i) for each later e_x, and the first increasing
-    index tuple x with M or M2 at d[x] equal to the max gives the witness;
-    rows d_l that hold no maximum are skipped, and M2(d_l, .) is read by
-    ``reduced_counts``.  Larger t run the exhaustive search.
-    Raises ValueError for t < 1, a coset smaller than t, or a search above
-    its bound (2e10)."""
+    element-index order.  t = 1 and t = 2 are closed forms of the affine
+    reduction; t >= 3 take the max from ``_descend``, in O(q) memory beside
+    chunks of about 2^20 cells per level.  The witness walk takes the
+    prefixes e_i < e_j of coset 0 in lex order; per prefix, each later e_k
+    whose ratio (e_k - e_i)/(e_j - e_i) has a representative that reaches
+    the max starts the lex-first extension by later elements: each step
+    counts N(prefix + {x}) for every later x (``reduced_counts`` on a
+    3-element prefix, ``extension_counts`` on a longer one) and drops the x
+    whose N is below the max.
+    Raises ValueError for t < 1, a coset smaller than t, or, at t >= 5,
+    C(|C_0|, t) * q above 2e10."""
     if t < 1:
         raise ValueError("--t must be positive")
     coset0 = part.cosets[0]
@@ -234,32 +226,37 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
     if t == 2:
         pairs = int(np.trace(label_pairs(field, part, 1, 1)))
         return pairs, (int(coset0[0]), int(coset0[1]))
-    if t > 4:
-        if math.comb(len(coset0), t) * field.q > 2e10:
-            raise ValueError("subset search too large; reduce --t or the field")
-        best, wit = _scan_max(_label_rows(field, part, coset0), t)
-        return best, tuple(int(coset0[w]) for w in wit)
+    if t > 4 and math.comb(len(coset0), t) * field.q > 2e10:
+        raise ValueError("subset search too large; reduce --t or the field")
     if t == 3:
-        masked = np.array(memo(part, triple_counts))
-        masked[:2] = -1                  # a ratio of 0 or 1
-        best = int(masked.max())
-        live = masked == best
+        rep, xs = field._arange, field._arange[2:]
     else:
-        rep, _, rowmax = memo(part, quad_rows)
-        best = int(rowmax.max())
-        live = rowmax[rep] == best
-    later = t - 3                        # elements after the row element
-    for i, j in itertools.combinations(range(len(coset0) - later - 1), 2):
-        d = affine_ratios(field, int(coset0[i]), int(coset0[j]), coset0[j + 1:])
-        for l in np.flatnonzero(live[d[:len(d) - later]]).tolist():
-            idx = [i, j, j + 1 + l]
-            if later:                    # the first later e on a maximal cell
-                counts = reduced_counts(field, part, coset0[idx], coset0[idx[2] + 1:])
-                r = np.flatnonzero(counts == best)
-                if not len(r):
-                    continue
-                idx.append(idx[2] + 1 + int(r[0]))
-            return best, tuple(int(coset0[x]) for x in idx)
+        rep = memo(part, ratio_orbits)[0]
+        xs = np.unique(rep[2:])
+    top = np.full(field.q, -1, dtype=np.int64)
+    top[xs] = _descend(field, part, t, xs)
+    best = int(top.max())
+    live = top[rep] == best
+
+    def extend(idx: list[int]) -> list[int] | None:
+        if len(idx) == t:
+            return idx
+        # the next element leaves room for the t - len(idx) - 1 after it
+        e, later = coset0[idx], coset0[idx[-1] + 1:len(coset0) - t + len(idx) + 1]
+        if len(idx) == 2:
+            ok = live[affine_ratios(field, int(e[0]), int(e[1]), later)]
+        elif len(idx) == 3:
+            ok = reduced_counts(field, part, e, later) >= best
+        else:
+            ok = extension_counts(field, part, *e)[0][later] >= best
+        for r in np.flatnonzero(ok).tolist():
+            if found := extend(idx + [idx[-1] + 1 + r]):
+                return found
+        return None
+
+    for i, j in itertools.combinations(range(len(coset0)), 2):
+        if found := extend([i, j]):
+            return best, tuple(int(coset0[x]) for x in found)
     raise IdentityViolation("no same-coset subset attains the reduction's max")
 
 

@@ -183,6 +183,16 @@ def test_dlog_examples():
         f7.dlog(0)
 
 
+def test_pow_of_zero():
+    # 0^e has no logarithm to read: 0 for e > 0, undefined for e <= 0
+    for p, m in ((7, 1), (3, 2), (2, 4)):
+        f = get_field(p, m)
+        assert [f.pow_(0, e) for e in (1, 2, f.q - 1, f.q)] == [0] * 4
+        for e in (0, -1):
+            with pytest.raises(ZeroDivisionError, match="non-positive power"):
+                f.pow_(0, e)
+
+
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (2, 4), (5, 2)])
 def test_dlog_is_homomorphism(p, m):
     f = get_field(p, m)

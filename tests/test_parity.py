@@ -17,9 +17,12 @@ error; ``verify --scope all --q-max 60`` reads "20 ops invoked" in its
 ``op_coverage`` check, where it read 21 while ``affine_max_shift`` was an
 op of its own.
 
-Two cases were added at commit dd1cbbb, while t >= 5 ran the label-row
+Two cases were recorded at commit dd1cbbb, while t >= 5 ran the label-row
 subset search: ``shift --field 101 --n 2 --t 5`` and ``shift --field 2^6
---n 3 --t 5``.
+--n 3 --t 5``.  They were re-recorded when that max moved onto the orbit
+reduction and ``shift`` began checking the reduction at every t >= 4:
+the one difference is an added passing ``reduction_matches_row_counts``
+check.
 """
 
 import json

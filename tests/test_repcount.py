@@ -149,6 +149,24 @@ def test_closed_equals_brute_exhaustive(p, m, n):
                         == brute_rep_count(f, part, beta, i, j)), (beta, i, j)
 
 
+def test_rep_table_names_the_first_mismatch(monkeypatch):
+    # one cell of the enumerated table raised by 1: the failed check names
+    # that cell's beta, i and j
+    f, part = get_field(13), get_partition(13, 1, 2)
+    real = checks.rep_count_table
+    beta, i, j = 5, 1, 0
+
+    def perturbed(field, part):
+        table = real(field, part).copy()
+        table[i, j, beta] += 1
+        return table
+
+    monkeypatch.setattr(checks, "rep_count_table", perturbed)
+    check = checks.rep_table(f, part)[1][0]
+    assert (check.name, check.passed) == ("closed_equals_brute_all_beta", False)
+    assert check.actual == f"1 mismatches, first at beta={beta} i={i} j={j}"
+
+
 @pytest.mark.parametrize("p,m,n", [(13, 1, 2), (3, 2, 2), (2, 4, 3), (7, 1, 3)])
 def test_table_symmetry_and_row_sums(p, m, n):
     f = get_field(p, m)

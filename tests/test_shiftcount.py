@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -11,9 +12,9 @@ from charsum import checks, shiftcount
 from charsum.characters import character_exists, partition
 from charsum.errors import IdentityViolation, UnsupportedCharacterError
 from charsum.field import prime_powers
-from charsum.shiftcount import (_label_rows, _scan_max, closed_form_max3,
-                                extension_counts, max_shift_count, orbit_map,
-                                quad_rows, reduced_counts, shift_count)
+from charsum.shiftcount import (_label_rows, closed_form_max3, extension_counts,
+                                max_shift_count, orbit_map, ratio_orbits,
+                                reduced_counts, shift_count)
 from conftest import get_field, get_partition
 
 
@@ -26,6 +27,49 @@ def triple_fields(q_max, t=3):
 TRIPLE_FIELDS = triple_fields(125)
 QUAD_FIELDS = triple_fields(125, 4)
 MULTI_AXIS_FIELDS = [(p, m, n) for p, m, n in QUAD_FIELDS if m >= 2]
+
+
+DEAD = -2  # rows carry labels 0..n-1, -1 at zero elements, DEAD when ruled out
+
+
+def _scan_max(rows: np.ndarray, t: int) -> tuple[int, tuple[int, ...]]:
+    """Max subset count over t-subsets of the row owners, lex-first witness:
+    the exhaustive search, which keeps per candidate prefix the per-beta
+    "required label" row (or DEAD), so the last level is one vectorized
+    comparison; subtrees that cannot beat the current best are pruned."""
+    k = rows.shape[0]
+    best = -1
+    best_wit: tuple[int, ...] = ()
+
+    def extend(req: np.ndarray, live: int, chosen: list[int], lo: int) -> None:
+        nonlocal best, best_wit
+        depth = len(chosen)
+        if depth == t:
+            if live > best:
+                best, best_wit = live, tuple(chosen)
+            return
+        last = k - (t - depth) + 1
+        if depth == t - 1:
+            cand = rows[lo:last]
+            if len(cand) == 0:
+                return
+            counts = (cand == req).sum(axis=1)
+            pos = int(np.argmax(counts))
+            if counts[pos] > best:
+                best, best_wit = int(counts[pos]), tuple(chosen) + (lo + pos,)
+            return
+        for e in range(lo, last):
+            nreq = np.where(rows[e] == req, req, DEAD)
+            nlive = int((nreq != DEAD).sum())
+            if nlive > best:
+                extend(nreq, nlive, chosen + [e], e + 1)
+
+    for e0 in range(k - t + 1):
+        req = np.where(rows[e0] >= 0, rows[e0], DEAD)
+        live = int((req != DEAD).sum())
+        if live > best:
+            extend(req, live, [e0], e0 + 1)
+    return best, best_wit
 
 
 def searched_max(f, part, t=3):
@@ -70,8 +114,10 @@ def test_query_validation():
 
 
 def test_max_shift_count_refuses_oversized_work_before_allocating(monkeypatch):
-    # F_4093, t = 5: C(2046, 5) * 4093 candidates for the search
-    monkeypatch.setattr(shiftcount, "_label_rows", pytest.fail)
+    # F_4093, t = 5: C(2046, 5) * 4093 candidates; refused before the first
+    # row or the orbit map is made
+    monkeypatch.setattr(shiftcount, "extension_counts", pytest.fail)
+    monkeypatch.setattr(shiftcount, "ratio_orbits", pytest.fail)
     f, part = get_field(4093), get_partition(4093, 1, 2)
     tracemalloc.start()
     try:
@@ -147,19 +193,6 @@ def test_max3_matches_the_search_on_the_sweep_grid(p, m, n):
         assert max_shift_count(f, part, t) == searched_max(f, part, t), t
 
 
-def test_max3_never_runs_the_subset_search(monkeypatch):
-    calls = []
-    real = shiftcount._scan_max
-    monkeypatch.setattr(shiftcount, "_scan_max",
-                        lambda *args: calls.append(args) or real(*args))
-    for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
-        for t in (1, 2, 3):
-            max_shift_count(get_field(p, m), get_partition(p, m, n), t)
-    assert calls == []
-    max_shift_count(get_field(13), get_partition(13, 1, 2), 5)
-    assert len(calls) == 1                  # t > 4 keeps the search
-
-
 @pytest.mark.parametrize("p,m,n", [(2, 6, 3), (7, 2, 2), (101, 1, 2)])
 def test_witness_walk_reaches_every_row(monkeypatch, p, m, n):
     # on real tables the first row holds the witness; a table whose only
@@ -192,17 +225,19 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
     assert any(quad[:2] != tuple(coset0[:2]) for quad in first.values())
     assert any(coset0.index(quad[2]) > coset0.index(quad[1]) + 1
                for quad in first.values())
-    # every ratio its own representative under the identity map, one row
-    # maximal, and that row maximal at d2 only
+    # every ratio its own representative under the identity map, M
+    # maximal at d1 only, and the row of d1 maximal at d2 only
+    orbits = (f._arange, np.zeros(f.q, dtype=np.int64))
+    monkeypatch.setattr(shiftcount, "ratio_orbits", lambda field, part: orbits)
+
+    def counts(field, part, *prefix, d1, d2):
+        if len(prefix) == 2:                # M = N({0, 1, d})
+            return (field._arange == d1)[None] * 1
+        return (field._arange == d2) * (np.atleast_1d(prefix[2]) == d1)[:, None]
+
     for (d1, d2), quad in first.items():
-        rowmax = np.zeros(f.q, dtype=np.int64)
-        rowmax[d1] = 1
-        rows = (f._arange, np.zeros(f.q, dtype=np.int64), rowmax)
-        monkeypatch.setattr(shiftcount, "quad_rows", lambda field, part: rows)
-        monkeypatch.setattr(
-            shiftcount, "extension_counts",
-            lambda field, part, *prefix, d1=d1, d2=d2:
-                (field._arange == d2)[None] * (prefix[2] == d1))
+        monkeypatch.setattr(shiftcount, "extension_counts",
+                            functools.partial(counts, d1=d1, d2=d2))
         assert max_shift_count(f, partition(f, n), 4) == (1, quad)
 
 
@@ -217,7 +252,7 @@ def quad_table(f, part):
 def test_orbit_rows_rebuild_the_quad_table(p, m, n):
     f, part = get_field(p, m), get_partition(p, m, n)
     table = quad_table(f, part)
-    rep, how, rowmax = quad_rows(f, part)
+    rep, how = ratio_orbits(f, part)
     reps = np.unique(rep)
     rows = extension_counts(f, part, 0, 1, reps)[np.searchsorted(reps, rep)]
     for d1 in range(f.q):
@@ -225,11 +260,10 @@ def test_orbit_rows_rebuild_the_quad_table(p, m, n):
             0, 1, int(rep[d1])}, d1
         assert np.array_equal(rows[d1][orbit_map(f, how, d1, f._arange)],
                               table[d1]), d1
-    # the max over distinct d1, d2 not in {0, 1}, per representative row
+    # max N(4) is the max over distinct d1, d2 not in {0, 1}
     table[:2] = table[:, :2] = -1
     np.fill_diagonal(table, -1)
-    assert np.array_equal(rowmax[reps[2:]], table[reps[2:]].max(axis=1))
-    assert rowmax.max() == table.max()
+    assert max_shift_count(f, part, 4)[0] == table.max()
 
 
 @pytest.mark.parametrize("p,m,n", [(13, 1, 2), (5, 2, 3), (3, 3, 2), (2, 6, 3)])
@@ -247,18 +281,18 @@ def test_reduced_counts_match_extension_counts(p, m, n):
 
 def test_quad_rows_find_small_orbits():
     # p = 3: -1 = 2 = 1/2 is an orbit of one
-    rep = quad_rows(get_field(3, 5), get_partition(3, 5, 2))[0]
+    rep = ratio_orbits(get_field(3, 5), get_partition(3, 5, 2))[0]
     assert np.flatnonzero(rep == rep[2]).tolist() == [2]
     # F_7 in F_7^3, fixed by Frobenius: the primitive sixth roots 3 and
     # 5 = 1/3 = 1 - 3, and the harmonic 2, 4 = 1/2, 6 = -1
-    rep = quad_rows(get_field(7, 3), get_partition(7, 3, 3))[0]
+    rep = ratio_orbits(get_field(7, 3), get_partition(7, 3, 3))[0]
     assert np.flatnonzero(rep == rep[3]).tolist() == [3, 5]
     assert np.flatnonzero(rep == rep[2]).tolist() == [2, 4, 6]
     # F_4 in F_2^8: the cube roots of unity w and w^2 = 1/w = 1 + w, the
     # sixth roots of characteristic 2
     f = get_field(2, 8)
     w = f.pow_(f.alpha, 85)
-    rep = quad_rows(f, get_partition(2, 8, 3))[0]
+    rep = ratio_orbits(f, get_partition(2, 8, 3))[0]
     assert np.flatnonzero(rep == rep[w]).tolist() == sorted([w, f.mul(w, w)])
 
 
@@ -284,14 +318,25 @@ def test_max4_matches_the_recorded_search(p, m, n, expected):
     assert max_shift_count(f, part, 4) == expected
 
 
-def test_max4_never_runs_the_subset_search(monkeypatch):
-    calls = []
-    real = shiftcount._scan_max
-    monkeypatch.setattr(shiftcount, "_scan_max",
-                        lambda *args: calls.append(args) or real(*args))
-    for p, m, n in [(13, 1, 2), (2, 6, 3), (7, 3, 2), (7, 3, 3)]:
-        max_shift_count(get_field(p, m), get_partition(p, m, n), 4)
-    assert calls == []
+@pytest.mark.parametrize("p,m,n", triple_fields(49, 5))
+def test_max5_and_max6_match_the_search(p, m, n):
+    # the descent below the orbit representatives and the walk past the
+    # third element, against the search on every small field
+    f, part = get_field(p, m), get_partition(p, m, n)
+    for t in (5, 6):
+        if len(part.cosets[0]) >= t:
+            assert max_shift_count(f, part, t) == searched_max(f, part, t), t
+
+
+# max N(t) at t >= 5 and the lex-first witness, as _scan_max reports them
+# (2^8 at t = 5 takes it 17.5 s and F_109 at t = 7 58 s)
+@pytest.mark.parametrize("p,m,n,t,expected", [
+    (2, 8, 3, 5, (9, (1, 7, 10, 41, 59))), (101, 1, 2, 5, (10, (1, 4, 5, 6, 77))),
+    (109, 1, 2, 7, (6, (1, 3, 4, 5, 15, 43, 97))),
+    (127, 1, 2, 6, (9, (1, 2, 4, 8, 22, 68)))])
+def test_max_above_4_matches_the_recorded_search(p, m, n, t, expected):
+    f, part = get_field(p, m), get_partition(p, m, n)
+    assert max_shift_count(f, part, t) == expected
 
 
 @pytest.mark.parametrize("p,m,n,lengths", [

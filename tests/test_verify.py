@@ -14,7 +14,7 @@ from charsum.cli import main
 from charsum.cyclotomic import jacobi_cubic
 from charsum.errors import IdentityViolation
 from charsum.repcount import closed_rep_class_table
-from charsum.shiftcount import quad_rows, triple_counts
+from charsum.shiftcount import ratio_orbits, triple_counts
 from charsum.verify import SWEEPS, run_sweeps
 from conftest import count_calls, get_field, get_partition
 
@@ -73,13 +73,13 @@ def test_reduction_check_fails_on_a_perturbed_orbit_map_at_t4():
     _, witness = shiftcount.max_shift_count(field, part, 4)
     e1, e2, e3, _ = witness
     d1 = field.mul(field.sub(e3, e1), field.inv(field.sub(e2, e1)))
-    rep, how, rowmax = memo(part, quad_rows)
+    rep, how = memo(part, ratio_orbits)
     assert checks.reduction_matches_row_counts(field, part, witness[:3]).passed
     other_rep, other_how = rep.copy(), how.copy()
     other_rep[d1] = next(r for r in np.unique(rep[2:]) if r != rep[d1])
     other_how[d1] = (how[d1] + field.m) % (6 * field.m)    # the next ordering of {0, 1, d1}
-    for perturbed in ((other_rep, how, rowmax), (rep, other_how, rowmax)):
-        part._memo[quad_rows] = perturbed
+    for perturbed in ((other_rep, how), (rep, other_how)):
+        part._memo[ratio_orbits] = perturbed
         check = checks.reduction_matches_row_counts(field, part, witness[:3])
         assert not check.passed
         assert " mismatches, first at e=" in check.actual, check.actual
@@ -127,7 +127,7 @@ def test_one_cached_field_gets_every_hit(capsys, scope, q_max, hits, misses):
 def test_memo_computes_each_table_once_and_shares_it_read_only(monkeypatch, p, m, n):
     field = get_field(p, m)
     part = partition(field, n)          # a fresh partition holds no tables yet
-    computes = ([pair_table, closed_rep_class_table, triple_counts, quad_rows]
+    computes = ([pair_table, closed_rep_class_table, triple_counts, ratio_orbits]
                 + [jacobi_cubic] * (n == 3))
     counted = {fn: count_calls(monkeypatch, fn.__name__) for fn in computes}
     for family in (checks.rep_table, checks.sigma_chain, checks.charpoly,
@@ -142,7 +142,7 @@ def test_memo_computes_each_table_once_and_shares_it_read_only(monkeypatch, p, m
             continue
         fresh = fn(field, part)
         pairs = [(table, fresh)]
-        if fn is quad_rows:                 # three arrays
+        if fn is ratio_orbits:              # two arrays
             pairs = zip(table, fresh)
         for kept, computed in pairs:
             assert np.array_equal(kept, computed)
