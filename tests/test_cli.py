@@ -131,6 +131,12 @@ def test_repcount_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "beta_label,i,j,count"
     assert "qr_as_two_qr,,,2" in lines
+    # a query has no class table: its CSV is the check rows
+    code, out, _ = run_cli(capsys, "repcount", "--field", "7", "--n", "3",
+                           "--beta", "3", "--i", "2", "--j", "1", "--csv")
+    assert code == 0
+    assert out.splitlines() == ["name,expected,actual,pass",
+                                "closed_equals_brute,0,0,True"]
 
 
 def test_jacobi_verb(capsys):
@@ -287,6 +293,8 @@ def test_ops_keep_their_name_and_module():
 
 def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
+    code, out, err = run_cli(capsys)                            # no verb
+    assert code == 1 and out == "" and err.startswith("usage: charsum")
     assert run_cli(capsys, "repcount")[0] == 1                  # missing --field
     assert run_cli(capsys, "repcount", "--field", "8")[0] == 1  # 8 not prime
     assert run_cli(capsys, "repcount", "--field", "3^2:1,1")[0] == 1
@@ -320,12 +328,27 @@ def test_usage_errors_exit_1(capsys):
              "--j must lie in [0, 3) for --n 3"),
             # a field that cannot be built is refused as such, whatever --beta
             (("repcount", "--field", "8", "--beta", "99"), "p = 8 is not prime"),
+            (("field-info", "--field", "3^0"), "m must be positive"),
             (("repcount", "--field", "2^99999999999", "--beta", "1"),
              "q = 2^99999999999 exceeds the size cap 65536"),
             (("verify", "--threads", "-1"), "--threads must be 0 (the CPU count) or more"),
             (("shift", "--field", "13", "--t", "0"), "--t must be positive")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and f"usage error: {message}" in err
+
+
+def test_identity_violation_in_a_verb_exits_2(capsys, monkeypatch):
+    # a violated identity is a failed check, not a usage error: the report
+    # has no field and no results, and the one check names the exception
+    def violated(field, part):
+        raise IdentityViolation("injected")
+
+    monkeypatch.setattr(checks, "jacobi_cubic", violated)
+    code, report, _ = run_json(capsys, "jacobi", "--field", "7")
+    assert code == 2
+    assert (report["field"], report["results"]) == (None, {})
+    assert report["checks"] == [{"name": "IdentityViolation", "expected": "no error",
+                                 "actual": "injected", "pass": False}]
 
 
 def test_cosets_family_catches_swapped_cosets():
@@ -429,6 +452,9 @@ def test_spot_checks_draw_pinned_points():
         "winterhof_counts_at_2", "shifted_moment_at_2",
         "winterhof_counts_at_9", "shifted_moment_at_9"]
     assert spots("jacobi", 2, 12, 3) == ["a_beta_at_1848", "a_beta_at_234"]
+    # beta = 1 is a draw: the spot range starts at 1
+    assert spots("rep_table", 31, 1, 2) == ["loop_oracle_at_beta_1_i0_j0",
+                                            "loop_oracle_at_beta_21_i0_j0"]
 
 
 @pytest.mark.parametrize("family,n,p,m", [

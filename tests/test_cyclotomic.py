@@ -93,6 +93,17 @@ def test_a_beta_examples():
         a_beta(f7, p7, 0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: a_beta(get_field(7), get_partition(7, 1, 2), 1), "cubic partition expected"),
+    (lambda: jacobi_from_gauss(get_field(7), get_partition(7, 1, 2)),
+     "cubic partition expected"),
+    (lambda: chi_bar_times(get_partition(7, 1, 3), 0, EisensteinInt(1)),
+     "beta must be nonzero")])
+def test_cubic_forms_refuse_what_they_do_not_define(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (7, 1), (13, 1), (5, 2),
                                  (7, 3)])              # 3 axes of length 7
 def test_a_beta_identity_exhaustive(p, m):

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,38 @@ def test_is_irreducible_refuses_p_not_prime(f, p):
         is_irreducible(f, p)
 
 
+# every entry point that takes (p, m) refuses a p that is not prime before
+# an m below 1, in the same words; the modulus FieldSpec is handed is x^m
+PM_ENTRY_POINTS = {
+    "find_irreducible": find_irreducible,
+    "FieldSpec": lambda p, m: FieldSpec(p, m, (0,) * m + (1,)),
+    "field_order": field_mod.field_order,
+    "build_field": build_field,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PM_ENTRY_POINTS))
+@pytest.mark.parametrize("p,m,message", [
+    (4, 2, "p = 4 is not prime"), (4, 0, "p = 4 is not prime"),
+    (1, 1, "p = 1 is not prime"), (3, 0, "m must be positive"),
+    (3, -1, "m must be positive")])
+def test_p_and_m_are_refused_alike(entry, p, m, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PM_ENTRY_POINTS[entry](p, m)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FieldSpec(3, 2, (5, 0, 1)), "modulus coefficients out of range"),
+    (lambda: FieldSpec(3, 2, (1, 1)), "modulus must be monic of degree 2"),
+    (lambda: FieldSpec(3, 2, (2, 0, 1)), "modulus (2, 0, 1) is reducible over Z_3"),
+    (lambda: is_irreducible([1, 2], 3), "monic polynomial of positive degree expected"),
+    (lambda: is_irreducible([1], 3), "monic polynomial of positive degree expected"),
+    (lambda: field_mod.field_order(2, 17), "q = 2^17 exceeds the size cap 65536")])
+def test_construction_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def unfiltered_lex_search(p, m):
     """The modulus search without the root pre-filter: every candidate in
     lex order goes to the irreducibility test."""
@@ -121,6 +154,7 @@ def test_modulus_and_alpha_match_the_recording():
     def alpha_search(spec):
         stub = FieldTable.__new__(FieldTable)
         stub.spec, stub.p, stub.m, stub.q = spec, spec.p, spec.m, spec.q
+        stub._pplace = spec.p ** np.arange(spec.m, dtype=np.int64)
         return stub._find_alpha()
 
     primes = [p for p, m, _ in prime_powers(1 << 16) if m == 1]
@@ -191,6 +225,8 @@ def test_pow_of_zero():
         for e in (0, -1):
             with pytest.raises(ZeroDivisionError, match="non-positive power"):
                 f.pow_(0, e)
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            f.inv(0)
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (2, 4), (5, 2)])
@@ -452,6 +488,10 @@ def test_index_arithmetic_matches_the_digit_oracle(p, m):
         assert f.index(f.coeffs(x)) == x
     assert np.array_equal(f.neg_vec(xs), digit_neg(f))
     assert np.array_equal(f.exp, matmul_exp(f))
+    assert np.array_equal(f.mul_vec(0, xs), np.zeros(f.q))
+    for digits in ((p,) + (0,) * (m - 1), (-1,) + (0,) * (m - 1), (0,) * (m + 1)):
+        with pytest.raises(ValueError, match="^bad coordinate vector$"):
+            f.index(digits)
 
 
 @pytest.mark.parametrize("p,m", [(2, 6), (3, 4)])

@@ -58,6 +58,9 @@ def test_beta_zero_routing_and_errors():
     assert closed_rep_count(f7, p7, 0, 0, 0) == brute_rep_count(f7, p7, 0, 0, 0) == 0
     with pytest.raises(ValueError, match="element 7 is outside F_7"):
         closed_rep_count(f7, p7, 7, 0, 0)
+    # the K term is the closed form's nonzero-beta part
+    with pytest.raises(ValueError, match="^beta must be nonzero$"):
+        cubic_K(get_partition(7, 1, 3), 0, 0, 0, EisensteinInt(1))
     results, _, _ = checks.rep_query(f7, p7, 0, 1, 0)
     assert results["query"]["count"] == closed_rep_count(f7, p7, 0, 1, 0)
     assert results["brute_force"] == brute_rep_count(f7, p7, 0, 1, 0)
