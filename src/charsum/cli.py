@@ -25,8 +25,8 @@ from . import checks, registry
 from .characters import partition
 from .checks import equal
 from .errors import IdentityViolation
-from .field import (SIZE_CAP, FieldTable, build_field, field_order,
-                    parse_field_spec)
+from .field import (SIZE_CAP, FieldTable, build_field, field_label,
+                    field_order, parse_field_spec)
 from . import verify as verify_mod
 
 SCOPES = ("all", *dict.fromkeys(sw.scope for sw in verify_mod.SWEEPS.values()))
@@ -107,8 +107,7 @@ def _repcount(a):
     p, m, _ = parse_field_spec(a.field)
     q = field_order(p, m)
     if not 0 <= a.beta < q:
-        raise _UsageError(f"--beta must lie in [0, {q}) for F_"
-                          + (str(p) if m == 1 else f"{p}^{m}"))
+        raise _UsageError(f"--beta must lie in [0, {q}) for F_{field_label(p, m)}")
     return a.n, [partial(checks.rep_query, beta=a.beta, i=a.i, j=a.j)]
 
 

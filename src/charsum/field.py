@@ -19,8 +19,9 @@ Two canonical choices make every output reproducible across runs:
   generates only F_2*) and from p on an extension field, whose indices
   below p are the prime subfield: their orders divide p - 1 < q - 1.
 
-Construction computes in Z_p[x]/(f) on int64 matrices, through the
-companion matrix of the modulus f; m (p - 1)^2 >= 2^63 is refused.
+Construction computes in Z_p[x]/(f) only by products and powers of int64
+matrices, through the companion matrix of the modulus f; m (p - 1)^2 >=
+2^63 is refused.
 
 Everything here is exhaustive-by-design, so field sizes are capped: every
 ``build_field`` call refuses q above ``SIZE_CAP`` = 2**16.
@@ -104,8 +105,19 @@ def prime_powers(limit: int, minimum: int = 2) -> list[tuple[int, int, int]]:
 # Finite Fields, ch. 2): g(C) = 0 exactly when f | g, and g(C) is invertible
 # exactly when gcd(g, f) = 1.  g(C) is also the matrix of y -> g y in the
 # basis 1, x, ..., x^(m-1), column i holding the coordinates of g x^i.
+# Every question construction asks (Rabin's test, the order of a candidate
+# alpha) is answered by matrix products and powers alone, ``_matpow``.
 # Products run in int64, where an entry sums m terms below p^2, so every
 # entry point refuses m (p - 1)^2 >= 2^63 before forming one.
+
+def _check_pm(p: int, m: int = 1) -> None:
+    """Refuse a p that is not prime, then an m below 1.  ``is_irreducible``,
+    which reads m off f and words its own degree refusal, checks p alone."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError("m must be positive")
+
 
 def _check_int64(p: int, m: int) -> None:
     if m * (p - 1) ** 2 >= 2 ** 63:
@@ -129,30 +141,22 @@ def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _full_rank(a: np.ndarray, p: int) -> bool:
-    """Whether a square matrix over Z_p, entries in [0, p), is invertible."""
-    rows = a.tolist()
-    for col in range(len(rows)):
-        pivot = next((r for r in rows if r[col]), None)
-        if pivot is None:
-            return False
-        rows.remove(pivot)
-        scale = pow(pivot[col], -1, p)
-        rows = [[(x - r[col] * scale * y) % p for x, y in zip(r, pivot)]
-                for r in rows]
-    return True
-
-
 def is_irreducible(f: list[int], p: int) -> bool:
     """Irreducibility of a monic polynomial over Z_p (Rabin's test).
 
     With C the companion matrix of f, certified by C**(p**m) == C, that is
-    x**(p**m) == x (mod f), together with C**(p**(m/l)) - C of full rank,
-    that is gcd(x**(p**(m/l)) - x, f) == 1, for every prime l dividing m.
+    x**(p**m) == x (mod f), together with A**(p**m - 1) == I for
+    A = C**(p**(m/l)) - C, that is gcd(x**(p**(m/l)) - x, f) == 1, for every
+    prime l dividing m.
+
+    The power decides the gcd exactly once C**(p**m) == C: then f divides
+    x**(p**m) - x, which is squarefree, so Z_p[x]/(f) is a product of fields
+    F_{p^d} with d | m (Lidl and Niederreiter, ch. 2 and 3).  In each factor
+    a nonzero y has y**(p**m - 1) = 1 and a zero component stays 0, so h(C)
+    is invertible, that is gcd(h, f) = 1, exactly when h(C)**(p**m - 1) = I.
     Raises ValueError where p is not prime or m (p - 1)^2 >= 2^63.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _check_pm(p)
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")
@@ -161,8 +165,10 @@ def is_irreducible(f: list[int], p: int) -> bool:
     frobenius = [c]                     # C**(p**k) for k = 0 .. m
     for _ in range(m):
         frobenius.append(_matpow(frobenius[-1], p, p))
+    one = np.eye(m, dtype=np.int64)
     return (np.array_equal(frobenius[m], c)
-            and all(_full_rank((frobenius[m // ell] - c) % p, p)
+            and all(np.array_equal(_matpow((frobenius[m // ell] - c) % p,
+                                           p ** m - 1, p), one)
                     for ell in prime_factors(m)))
 
 
@@ -175,10 +181,7 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     m >= 2 a root means a linear factor, so candidates with f(0) = 0 or
     f(1) = 0 are skipped before the irreducibility test.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_pm(p, m)
     if m == 1:
         return (0, 1)
     for k in range(p ** m):
@@ -202,10 +205,7 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.m < 1:
-            raise ValueError("m must be positive")
+        _check_pm(self.p, self.m)
         _check_int64(self.p, self.m)
         mod = tuple(int(c) for c in self.modulus)
         object.__setattr__(self, "modulus", mod)
@@ -221,7 +221,12 @@ class FieldSpec:
         return self.p ** self.m
 
     def label(self) -> str:
-        return str(self.p) if self.m == 1 else f"{self.p}^{self.m}"
+        return field_label(self.p, self.m)
+
+
+def field_label(p: int, m: int) -> str:
+    """The name of F_{p^m} in reports and messages: "p", or "p^m" for m > 1."""
+    return str(p) if m == 1 else f"{p}^{m}"
 
 
 def parse_field_spec(text: str) -> tuple[int, int, tuple[int, ...] | None]:
@@ -279,9 +284,8 @@ class FieldTable:
         cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
         # on a prime field the index is the residue, so Python's pow applies;
         # otherwise column 0 of M_g**e = M_(g**e) holds the coordinates of g**e
-        place = p ** np.arange(m)
         power = ((lambda g, e: pow(g, e, p)) if m == 1 else
-                 lambda g, e: _matpow(self._mul_matrix(g), e, p)[:, 0] @ place)
+                 lambda g, e: _matpow(self._mul_matrix(g), e, p)[:, 0] @ self._pplace)
         # indices below p are the prime subfield, too small to generate
         # F_q* when m > 1; on a prime field 1 generates only F_2*
         for g in range(1 if m == 1 else p, self.q):
@@ -479,12 +483,8 @@ def field_order(p: int, m: int) -> int:
     an oversized p or m never reaches the primality test."""
     if p >= 2 and m >= 1 and (p > SIZE_CAP or m >= SIZE_CAP.bit_length()
                               or p ** m > SIZE_CAP):
-        q = p if m == 1 else f"{p}^{m}"
-        raise ValueError(f"q = {q} exceeds the size cap {SIZE_CAP}")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if m < 1:
-        raise ValueError("m must be positive")
+        raise ValueError(f"q = {field_label(p, m)} exceeds the size cap {SIZE_CAP}")
+    _check_pm(p, m)
     return p ** m
 
 

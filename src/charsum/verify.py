@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 from . import checks, registry
 from .characters import character_exists, partition
 from .checks import violation
-from .field import build_field, prime_powers
+from .field import build_field, field_label, prime_powers
 
 
 # a worker runs each field's jobs back to back, so one entry gets every hit
@@ -58,10 +58,6 @@ def character_fields(q_max: int, orders=(2, 3)) -> list[tuple[int, int, int]]:
     character on F_q, ordered by q, then n."""
     return [(p, m, n) for p, m, _ in prime_powers(q_max, 3) for n in orders
             if character_exists(p, m, n)]
-
-
-def _tag(p, m, n) -> str:
-    return (f"F_{p}" if m == 1 else f"F_{p}^{m}") + f" n={n}"
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def _field_worker(args):
             _, found, notes = getattr(checks, SWEEPS[name].family)(fld, parts[n])
         except Exception as exc:
             found, notes = [violation(exc)], []
-        tag = _tag(p, m, n)
+        tag = f"F_{field_label(p, m)} n={n}"
         out.append({"assertions": sum(c.count for c in found),
                     "failures": [f"{tag}: {c.name}: expected {c.expected}, "
                                  f"got {c.actual}" for c in found if not c.passed],
