@@ -14,8 +14,8 @@ import os
 
 # numpy's OpenBLAS starts one worker thread per extra CPU at import, and
 # they spin in every charsum process though charsum makes no BLAS call:
-# every `@` and np.matmul here (field._matpow, FieldTable._mul_matrix,
-# _find_alpha, _build_exp) multiplies int32/int64 arrays,
+# every `@` and np.matmul here (field._matpow, _mul_matrix, _find_alpha,
+# FieldTable._build_exp) multiplies int32/int64 arrays,
 # which numpy computes in its own loops, never in BLAS; convolve's
 # np.linalg.norm(v, axis=-1) is a ufunc reduction; pocketfft is
 # single-threaded.  So one thread changes no result.  This must run before

@@ -105,15 +105,13 @@ def memo(part: CosetPartition, compute):
     ``charpoly``'s products; ``jacobi_cubic``, ``closed_rep_class_table``,
     ``triple_counts``, ``ratio_orbits``, the numeric ``gauss_sum``) are
     taken through here.
-    Arrays come back read-only, as every caller shares them, and so does
-    each array of a tuple value (the (rep, how) pair of ``ratio_orbits``);
-    an exception is not kept, so the next call computes again.
+    An array comes back read-only, as every caller shares it; an exception
+    is not kept, so the next call computes again.
     """
     if compute not in part._memo:
         value = compute(part.field, part)
-        for array in value if isinstance(value, tuple) else (value,):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         part._memo[compute] = value
     return part._memo[compute]
 

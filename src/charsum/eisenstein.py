@@ -67,8 +67,8 @@ class EisensteinInt:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):     # a rational value equals its int, so hashes as it
+        return hash(self.a if self.b == 0 else (self.a, self.b))
 
     def conj(self) -> "EisensteinInt":
         return EisensteinInt(self.a - self.b, -self.b)

@@ -32,7 +32,8 @@ that is exact for them.  ``exp`` holds element indices below q and
 both are int32; the trace table holds residues below p, in the smallest
 signed type that holds p - 1 (int8 for p < 128, int16 for p < 2^15, int32
 above).  A product of two such values can pass 2^31 (a log times p does at
-p = 65521), so every such product is formed in int64; a sum of two logs
+p = 65521), so every such product is formed in int64: the one vector
+product of a log, by p^k, is ``FieldTable.frobenius``.  A sum of two logs
 stays below 2^17.  The index vectors numpy gathers with (``_arange``,
 ``_neg``, the coset arrays) stay int64: numpy converts a narrower index
 array to intp, a new array, on every gather.
@@ -242,6 +243,35 @@ def parse_field_spec(text: str) -> tuple[int, int, tuple[int, ...] | None]:
                          " p^m:c0,c1,...,cm") from None
 
 
+def _mul_matrix(spec: FieldSpec, g: int) -> np.ndarray:
+    """M_g = g(C), the matrix of y -> g y: column i holds the coordinates
+    of g eta^i, which is C times column i - 1."""
+    p, m = spec.p, spec.m
+    out = np.empty((m, m), dtype=np.int64)
+    out[:, 0] = [g // p ** i % p for i in range(m)]
+    c = _companion(spec.modulus, p)
+    for i in range(1, m):
+        out[:, i] = c @ out[:, i - 1] % p
+    return out
+
+
+def _find_alpha(spec: FieldSpec) -> int:
+    """The generator of F_q* of least index, found on matrices alone."""
+    p, m, q = spec.p, spec.m, spec.q
+    place = p ** np.arange(m, dtype=np.int64)
+    cofactors = [(q - 1) // ell for ell in prime_factors(q - 1)]
+    # on a prime field the index is the residue, so Python's pow applies;
+    # otherwise column 0 of M_g**e = M_(g**e) holds the coordinates of g**e
+    power = ((lambda g, e: pow(g, e, p)) if m == 1 else
+             lambda g, e: _matpow(_mul_matrix(spec, g), e, p)[:, 0] @ place)
+    # indices below p are the prime subfield, too small to generate
+    # F_q* when m > 1; on a prime field 1 generates only F_2*
+    for g in range(1 if m == 1 else p, q):
+        if all(power(g, e) != 1 for e in cofactors):
+            return g
+    raise RuntimeError("no primitive element found")
+
+
 class FieldTable:
     """Complete arithmetic model of F_{p^m}, dense tables indexed 0..q-1."""
 
@@ -261,37 +291,10 @@ class FieldTable:
         self._neg = None if self.p == 2 else self._by_place(
             lambda place: -(self._arange // place) % self.p)
         self._trace = None
-        self.alpha = self._find_alpha()
+        self.alpha = _find_alpha(spec)
         self.exp = self._build_exp()
         self.dlog_table = np.full(self.q, -1, dtype=np.int32)
         self.dlog_table[self.exp] = np.arange(self.q - 1, dtype=np.int32)
-
-    # -- construction helpers (matrices over Z_p, no tables yet) --
-
-    def _mul_matrix(self, g: int) -> np.ndarray:
-        """M_g = g(C), the matrix of y -> g y: column i holds the coordinates
-        of g eta^i, which is C times column i - 1."""
-        p, m = self.p, self.m
-        out = np.empty((m, m), dtype=np.int64)
-        out[:, 0] = [g // p ** i % p for i in range(m)]
-        c = _companion(self.spec.modulus, p)
-        for i in range(1, m):
-            out[:, i] = c @ out[:, i - 1] % p
-        return out
-
-    def _find_alpha(self) -> int:
-        p, m = self.p, self.m
-        cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
-        # on a prime field the index is the residue, so Python's pow applies;
-        # otherwise column 0 of M_g**e = M_(g**e) holds the coordinates of g**e
-        power = ((lambda g, e: pow(g, e, p)) if m == 1 else
-                 lambda g, e: _matpow(self._mul_matrix(g), e, p)[:, 0] @ self._pplace)
-        # indices below p are the prime subfield, too small to generate
-        # F_q* when m > 1; on a prime field 1 generates only F_2*
-        for g in range(1 if m == 1 else p, self.q):
-            if all(power(g, e) != 1 for e in cofactors):
-                return g
-        raise RuntimeError("no primitive element found")
 
     def _build_exp(self) -> np.ndarray:
         q, p, m = self.q, self.p, self.m
@@ -308,7 +311,7 @@ class FieldTable:
         powers = (np.zeros(q, dtype=np.int64) if p == 2
                   else np.zeros((q, m), dtype=dtype))
         powers.flat[0] = 1                  # index 1, coordinates (1, 0, ..)
-        power, k = self._mul_matrix(self.alpha).astype(dtype), 1
+        power, k = _mul_matrix(self.spec, self.alpha).astype(dtype), 1
         while k < q:
             step = min(k, q - k)
             xs, out = powers[:step], powers[k:k + step]
@@ -425,6 +428,13 @@ class FieldTable:
         logs = np.add(self.dlog_table[ys[mask]], self.dlog_table[x], dtype=np.int64)
         out[mask] = self.exp[logs % (self.q - 1)]
         return out
+
+    def frobenius(self, xs, k: int = 1) -> np.ndarray:
+        """x^(p^k) for every x of xs, 0 at 0: the one product of a log with
+        p^k, formed in int64, as it passes 2^31 at p = 65521."""
+        xs = np.asarray(xs)
+        logs = np.multiply(self.dlog_table[xs], self.p ** k, dtype=np.int64)
+        return np.where(xs != 0, self.exp[logs % (self.q - 1)], np.int64(0))
 
     def add_row(self, x: int) -> np.ndarray:
         """The permutation y -> x + y as an index vector."""

@@ -21,8 +21,9 @@ largest N({0, 1, d1, d2, ...}) over distinct ratios not in {0, 1}, found
 by one descent over such prefixes (``_descend``) on rows of
 ``extension_counts``, the one kernel for N(P + {e}): the first row is
 M(d) = N({0, 1, d}) (``triple_counts``), d1 runs over every ratio at
-t = 3 and over one representative per S3 x Gal orbit (``ratio_orbits``)
-above, and d2 < d3 < ... in index order.  The witness is the first subset
+t = 3 and over the least of each S3 x Gal orbit above, the one table
+``ratio_orbits`` keeps (``orbit_map`` finds the map from a ratio to it
+again), and d2 < d3 < ... in index order.  The witness is the first subset
 in lexicographic element order whose ratios attain the max, so it is
 deterministic.
 
@@ -89,54 +90,49 @@ def triple_counts(field: FieldTable, part: CosetPartition) -> np.ndarray:
     return extension_counts(field, part, 0, 1)[0]
 
 
-def affine_ratios(field: FieldTable, e1: int, e2: int, xs) -> np.ndarray:
-    """The ratios d = (x - e1)/(e2 - e1) of the affine reduction, per x."""
-    return field.mul_vec(field.inv(field.sub(e2, e1)),
-                         field.add_vec(field.neg(e1), xs))
+def affine_ratios(field: FieldTable, a, b, xs) -> np.ndarray:
+    """The ratios d = (x - a)/(b - a) of the affine reduction, per x, 0 at
+    x = a; a, b and xs broadcast."""
+    neg_a = field.neg_vec(a)
+    num = field._add(xs, neg_a)
+    log = np.subtract(field.dlog_table[num], field.dlog_table[field._add(b, neg_a)],
+                      dtype=np.int64) % (field.q - 1)
+    return np.where(num != 0, field.exp[log], np.int64(0))
 
 
 _ORDERS = tuple(itertools.permutations(range(3)))   # (a, b, c) into (0, 1, d)
 
 
-def ratio_orbits(field: FieldTable,
-                 part: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
-    """(rep, how): rep[d1] the least index in the S3 x Gal orbit of d1, and
-    how[d1] = o * m + k the map g = ``orbit_map(field, how, d1, .)`` that
-    takes {0, 1, d1} onto {0, 1, rep[d1]}.
+def ratio_orbits(field: FieldTable, part: CosetPartition) -> np.ndarray:
+    """rep[d1], the least index in the S3 x Gal orbit of d1: the least image
+    of c under the 6m maps Frob^k o (x -> (x - a)/(b - a)), (a, b, c) the
+    orderings of (0, 1, d1), each of which takes {0, 1, d1} onto {0, 1, .}.
 
     Every x -> s*x^(p^k) + e permutes the cosets, so N({0, 1, d1} + X) =
-    N({0, 1, rep[d1]} + g(X)) for every set X; a running argmin over the
-    6m images finds rep and how in O(q) memory."""
-    q, p, m = field.q, field.p, field.m
-    rep, how = field._arange.copy(), np.zeros(q, dtype=np.int64)
-    points = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
-              field._arange[2:])
-    for o, (a, b, c) in enumerate(_ORDERS):
-        neg_a = field.neg_vec(points[a])
-        # the log of (c - a)/(b - a), in int64 as a log times p^k can pass 2^31
-        log = np.subtract(field.dlog_table[field._add(points[c], neg_a)],
-                          field.dlog_table[field._add(points[b], neg_a)],
-                          dtype=np.int64) % (q - 1)
-        for k in range(m):
-            image = field.exp[log * pow(p, k, q - 1) % (q - 1)]
-            better = image < rep[2:]
-            rep[2:][better], how[2:][better] = image[better], o * m + k
-    return rep, how
+    N({0, 1, rep[d1]} + g(X)) for every set X, with g the map ``orbit_map``
+    finds; a running minimum over the images finds rep in O(q) memory."""
+    rep = field._arange.copy()
+    points = (0, 1, field._arange[2:])
+    for a, b, c in _ORDERS:
+        ratio = affine_ratios(field, points[a], points[b], points[c])
+        for k in range(field.m):
+            np.minimum(rep[2:], field.frobenius(ratio, k), out=rep[2:])
+    return rep
 
 
-def orbit_map(field: FieldTable, how: np.ndarray, d1: int, xs) -> np.ndarray:
-    """g(x) for every x of xs: g = Frob^k o (x -> (x - a)/(b - a)), with
-    (a, b, c) the o-th ordering of (0, 1, d1) and how[d1] = o * m + k, takes
-    {0, 1, d1} onto {0, 1, rep[d1]} (``ratio_orbits``)."""
-    o, k = divmod(int(how[d1]), field.m)
-    a, b, _ = ((0, 1, int(d1))[i] for i in _ORDERS[o])
-    ys = affine_ratios(field, a, b, xs)
-    nonzero = ys != 0
-    # Frob^k multiplies the log by p^k, formed in int64
-    ys[nonzero] = field.exp[np.multiply(
-        field.dlog_table[ys[nonzero]], pow(field.p, k, field.q - 1),
-        dtype=np.int64) % (field.q - 1)]
-    return ys
+def orbit_map(field: FieldTable, rep: np.ndarray, d1: int, xs) -> np.ndarray:
+    """g(x) for every x of xs, with g the first map of ``ratio_orbits``'s
+    scan that takes d1's third point c to rep[d1], so {0, 1, d1} onto
+    {0, 1, rep[d1]}.  Raises IdentityViolation where none does: then
+    rep[d1] is not in the orbit of d1."""
+    points = (0, 1, int(d1))
+    for a, b, c in _ORDERS:
+        ratio = affine_ratios(field, points[a], points[b], points[c])
+        for k in range(field.m):
+            if field.frobenius(ratio, k) == rep[d1]:
+                return field.frobenius(
+                    affine_ratios(field, points[a], points[b], xs), k)
+    raise IdentityViolation(f"ratio {rep[d1]} is not in the orbit of {d1}")
 
 
 def reduced_counts(field: FieldTable, part: CosetPartition, prefix,
@@ -150,10 +146,10 @@ def reduced_counts(field: FieldTable, part: CosetPartition, prefix,
     ratios = affine_ratios(field, e1, e2, xs)
     if not rest:
         return memo(part, triple_counts)[ratios]
-    rep, how = memo(part, ratio_orbits)
-    d3 = field.mul(field.sub(rest[0], e1), field.inv(field.sub(e2, e1)))
+    rep = memo(part, ratio_orbits)
+    d3 = int(affine_ratios(field, e1, e2, rest[0]))
     return extension_counts(field, part, 0, 1, int(rep[d3]))[0][
-        orbit_map(field, how, d3, ratios)]
+        orbit_map(field, rep, d3, ratios)]
 
 
 def _descend(field: FieldTable, part: CosetPartition, t: int,
@@ -228,11 +224,8 @@ def max_shift_count(field: FieldTable, part: CosetPartition,
         return pairs, (int(coset0[0]), int(coset0[1]))
     if t > 4 and math.comb(len(coset0), t) * field.q > 2e10:
         raise ValueError("subset search too large; reduce --t or the field")
-    if t == 3:
-        rep, xs = field._arange, field._arange[2:]
-    else:
-        rep = memo(part, ratio_orbits)[0]
-        xs = np.unique(rep[2:])
+    rep = field._arange if t == 3 else memo(part, ratio_orbits)
+    xs = rep[2:] if t == 3 else np.unique(rep[2:])
     top = np.full(field.q, -1, dtype=np.int64)
     top[xs] = _descend(field, part, t, xs)
     best = int(top.max())

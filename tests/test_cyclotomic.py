@@ -1,4 +1,5 @@
 import cmath
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,30 @@ def test_eisenstein_plus_conj_is_rational(a, b):
     z = EisensteinInt(a, b)
     assert (z + z.conj()).b == 0
     assert (z + z.conj()).a == 2 * a - b
+
+
+def test_eisenstein_mixed_operands():
+    z = EisensteinInt(2, -5)
+    # an int on the left: 3 - z is not z - 3
+    assert 3 - z == EisensteinInt(1, 5) and z - 3 == EisensteinInt(-1, -5)
+    assert 4 + z == EisensteinInt(6, -5) and 3 * z == EisensteinInt(6, -15)
+    assert -z == EisensteinInt(-2, 5)
+    # no other operand type: Python raises TypeError, and == is False
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((z, 1.5), (1.5, z)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    assert (z == "x") is False and (z != "x") is True
+    # equal values hash equal, the rational ones equal to their int too
+    assert z == EisensteinInt(2, -5) and hash(z) == hash(EisensteinInt(2, -5))
+    assert EisensteinInt(3) == 3 and hash(EisensteinInt(3)) == hash(3)
+    assert len({z, EisensteinInt(2, -5), EisensteinInt(3), 3}) == 2
+
+
+def test_eisenstein_formats():
+    assert repr(EisensteinInt(3)) == "EisensteinInt(3)" and str(EisensteinInt(3)) == "3"
+    assert repr(EisensteinInt(2, -5)) == "EisensteinInt(2, -5)"
+    assert str(EisensteinInt(2, -5)) == "2 - 5w" and str(EisensteinInt(-2, 5)) == "-2 + 5w"
 
 
 def test_omega_relations():

@@ -151,12 +151,6 @@ def test_modulus_and_alpha_match_the_recording():
     # recorded at commit e1e035b, before p = 2 became bit arithmetic and the
     # modulus search skipped candidates with a root; alpha comes from the
     # search FieldTable runs first, here without building the tables
-    def alpha_search(spec):
-        stub = FieldTable.__new__(FieldTable)
-        stub.spec, stub.p, stub.m, stub.q = spec, spec.p, spec.m, spec.q
-        stub._pplace = spec.p ** np.arange(spec.m, dtype=np.int64)
-        return stub._find_alpha()
-
     primes = [p for p, m, _ in prime_powers(1 << 16) if m == 1]
     alphas = zip(primes, RECORDED_FIELDS["prime_alpha"], strict=True)
     recorded = ([(p, 1, (0, 1), alpha) for p, alpha in alphas]
@@ -165,7 +159,7 @@ def test_modulus_and_alpha_match_the_recording():
     assert len(recorded) == len(prime_powers(1 << 16))
     for p, m, modulus, alpha in recorded:
         spec = FieldSpec(p, m, find_irreducible(p, m))
-        assert (spec.modulus, alpha_search(spec)) == (modulus, alpha), (p, m)
+        assert (spec.modulus, field_mod._find_alpha(spec)) == (modulus, alpha), (p, m)
 
 
 def test_parse_field_spec():
@@ -501,10 +495,10 @@ def test_order_certificate_refuses_a_matrix_that_is_not_g_of_c(monkeypatch, p, m
     # one certificate refuses it, on indices (p = 2) as on coordinate rows
     f = get_field(p, m)
     assert np.array_equal(f._build_exp(), f.exp)
-    swapped = f._mul_matrix(f.alpha)[:, [1, 0, *range(2, m)]]
+    swapped = field_mod._mul_matrix(f.spec, f.alpha)[:, [1, 0, *range(2, m)]]
     assert not np.array_equal(field_mod._matpow(swapped, f.q - 1, p),
                               np.eye(m, dtype=np.int64))
-    monkeypatch.setattr(FieldTable, "_mul_matrix", lambda self, g: swapped)
+    monkeypatch.setattr(field_mod, "_mul_matrix", lambda spec, g: swapped)
     with pytest.raises(RuntimeError, match="^alpha does not have order q-1$"):
         f._build_exp()
 
@@ -528,6 +522,11 @@ def test_value_tables_are_narrow_and_exact(p, m, trace_dtype):
     assert f._arange.dtype == np.int64         # numpy gathers with it as is
     nonzero = f._arange[1:]
     assert np.array_equal(f.exp[f.dlog_table[nonzero]], nonzero)
+    # x^(p^k) at every x: at p = 65521 a log times p passes 2^31, and on
+    # F_2^16 every power of the Frobenius is a different map
+    for k in range(m) if p == 2 else [1]:
+        assert np.array_equal(f.frobenius(f._arange, k),
+                              [f.pow_(x, p ** k) for x in range(f.q)]), k
 
 
 def test_chunked_digit_addition_matches_the_oracle():

@@ -227,8 +227,7 @@ def test_quad_witness_walk_reaches_every_prefix_and_row(monkeypatch, p, m, n):
                for quad in first.values())
     # every ratio its own representative under the identity map, M
     # maximal at d1 only, and the row of d1 maximal at d2 only
-    orbits = (f._arange, np.zeros(f.q, dtype=np.int64))
-    monkeypatch.setattr(shiftcount, "ratio_orbits", lambda field, part: orbits)
+    monkeypatch.setattr(shiftcount, "ratio_orbits", lambda field, part: f._arange)
 
     def counts(field, part, *prefix, d1, d2):
         if len(prefix) == 2:                # M = N({0, 1, d})
@@ -252,13 +251,13 @@ def quad_table(f, part):
 def test_orbit_rows_rebuild_the_quad_table(p, m, n):
     f, part = get_field(p, m), get_partition(p, m, n)
     table = quad_table(f, part)
-    rep, how = ratio_orbits(f, part)
+    rep = ratio_orbits(f, part)
     reps = np.unique(rep)
     rows = extension_counts(f, part, 0, 1, reps)[np.searchsorted(reps, rep)]
     for d1 in range(f.q):
-        assert set(orbit_map(f, how, d1, np.array([0, 1, d1])).tolist()) == {
+        assert set(orbit_map(f, rep, d1, np.array([0, 1, d1])).tolist()) == {
             0, 1, int(rep[d1])}, d1
-        assert np.array_equal(rows[d1][orbit_map(f, how, d1, f._arange)],
+        assert np.array_equal(rows[d1][orbit_map(f, rep, d1, f._arange)],
                               table[d1]), d1
     # max N(4) is the max over distinct d1, d2 not in {0, 1}
     table[:2] = table[:, :2] = -1
@@ -281,18 +280,18 @@ def test_reduced_counts_match_extension_counts(p, m, n):
 
 def test_quad_rows_find_small_orbits():
     # p = 3: -1 = 2 = 1/2 is an orbit of one
-    rep = ratio_orbits(get_field(3, 5), get_partition(3, 5, 2))[0]
+    rep = ratio_orbits(get_field(3, 5), get_partition(3, 5, 2))
     assert np.flatnonzero(rep == rep[2]).tolist() == [2]
     # F_7 in F_7^3, fixed by Frobenius: the primitive sixth roots 3 and
     # 5 = 1/3 = 1 - 3, and the harmonic 2, 4 = 1/2, 6 = -1
-    rep = ratio_orbits(get_field(7, 3), get_partition(7, 3, 3))[0]
+    rep = ratio_orbits(get_field(7, 3), get_partition(7, 3, 3))
     assert np.flatnonzero(rep == rep[3]).tolist() == [3, 5]
     assert np.flatnonzero(rep == rep[2]).tolist() == [2, 4, 6]
     # F_4 in F_2^8: the cube roots of unity w and w^2 = 1/w = 1 + w, the
     # sixth roots of characteristic 2
     f = get_field(2, 8)
     w = f.pow_(f.alpha, 85)
-    rep = ratio_orbits(f, get_partition(2, 8, 3))[0]
+    rep = ratio_orbits(f, get_partition(2, 8, 3))
     assert np.flatnonzero(rep == rep[w]).tolist() == sorted([w, f.mul(w, w)])
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -64,25 +65,35 @@ def test_reduction_check_fails_on_a_perturbed_reduction():
     assert check.actual.startswith(f"1 mismatches, first at e={e3}:"), check.actual
 
 
-def test_reduction_check_fails_on_a_perturbed_orbit_map_at_t4():
-    # M2(d1, .) is read from the row of r(d1) through g_d1: a wrong
-    # representative or a wrong map for the witness's d1 in the memo
-    # fails the check
-    field = get_field(7, 2)
-    part = partition(field, 2)              # a fresh memo, perturbed below
-    _, witness = shiftcount.max_shift_count(field, part, 4)
-    e1, e2, e3, _ = witness
-    d1 = field.mul(field.sub(e3, e1), field.inv(field.sub(e2, e1)))
-    rep, how = memo(part, ratio_orbits)
-    assert checks.reduction_matches_row_counts(field, part, witness[:3]).passed
-    other_rep, other_how = rep.copy(), how.copy()
-    other_rep[d1] = next(r for r in np.unique(rep[2:]) if r != rep[d1])
-    other_how[d1] = (how[d1] + field.m) % (6 * field.m)    # the next ordering of {0, 1, d1}
-    for perturbed in ((other_rep, how), (rep, other_how)):
-        part._memo[ratio_orbits] = perturbed
-        check = checks.reduction_matches_row_counts(field, part, witness[:3])
-        assert not check.passed
-        assert " mismatches, first at e=" in check.actual, check.actual
+def test_reduction_check_fails_on_a_perturbed_orbit_map_at_t4(capsys, monkeypatch):
+    # M2(d3, .) is read from the row of rep[d3] through the map orbit_map
+    # finds; with rep[d3] moved into the orbit of the witness's d4, which
+    # reaches the max too, the walk still takes d3 and no map exists: the
+    # shift verb and a sweep both report the field's IdentityViolation
+    field = get_field(13)
+    _, witness = shiftcount.max_shift_count(field, get_partition(13, 1, 2), 4)
+    d3, d4 = shiftcount.affine_ratios(field, witness[0], witness[1],
+                                      np.array(witness[2:])).tolist()
+    real = shiftcount.ratio_orbits
+    assert real(field, None)[d3] != real(field, None)[d4]
+
+    def moved(field, part):
+        rep = real(field, part)
+        rep[d3] = rep[d4]
+        return rep
+
+    monkeypatch.setattr(shiftcount, "ratio_orbits", moved)
+    message = f"ratio {moved(field, None)[d3]} is not in the orbit of {d3}"
+    with pytest.raises(IdentityViolation, match=f"^{message}$"):
+        shiftcount.orbit_map(field, moved(field, None), d3, field._arange)
+    assert main(["shift", "--field", "13", "--t", "4"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["actual"]) for c in report["checks"]] == [
+        ("IdentityViolation", message)]
+    # no sweep runs t = 4, so the duality sweep runs the shift family at t = 4
+    monkeypatch.setattr(checks, "duality", functools.partial(checks.shift, t=4))
+    sweep, = run_sweeps({"shift_duality": [(13, 1, 2)]})
+    assert sweep.failures == [f"F_13 n=2: IdentityViolation: expected no error, got {message}"]
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +151,9 @@ def test_memo_computes_each_table_once_and_shares_it_read_only(monkeypatch, p, m
         assert len(calls) == 1 and calls[0][1] is part, fn.__name__
         if fn is jacobi_cubic:
             continue
-        fresh = fn(field, part)
-        pairs = [(table, fresh)]
-        if fn is ratio_orbits:              # two arrays
-            pairs = zip(table, fresh)
-        for kept, computed in pairs:
-            assert np.array_equal(kept, computed)
-            with pytest.raises(ValueError, match="read-only"):
-                kept.flat[0] += 1
+        assert np.array_equal(table, fn(field, part))
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] += 1
 
 
 def test_memo_keeps_no_exception():
